@@ -163,8 +163,6 @@ def _check_layering(
 ) -> List[Violation]:
     violations: List[Violation] = []
     for module in modules:
-        if spec.in_scope(module.name, spec.layering_exempt):
-            continue
         own_layer = spec.layer_of(module.name)
         if own_layer is None:
             violations.append(

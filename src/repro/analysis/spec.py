@@ -10,9 +10,6 @@ in ``docs/ARCHITECTURE.md``.  Schema ``repro-layering/1``:
   Prefixes match on dotted-name boundaries, longest prefix wins.
 * ``[rules] stdlib_only`` — modules restricted to the standard library
   (all imports, including lazy function-level ones).
-* ``[rules] layering_exempt`` — modules exempt from the layering pass
-  (e.g. ``repro.obs.bench``, the documented exception that drives the
-  solver layers from inside ``obs/``).
 * ``[rules.forbidden]`` — explicit import bans (checked on *every*
   import, lazy ones included), e.g. ``core/`` → ``experiments/``.
 * ``[hygiene]`` — scopes for the code-hygiene rules (which subtrees the
@@ -20,9 +17,11 @@ in ``docs/ARCHITECTURE.md``.  Schema ``repro-layering/1``:
   the wall-clock rule).
 
 Parsing uses :mod:`tomllib` when available (Python ≥ 3.11) and falls
-back to a small TOML-subset parser otherwise — the spec file
-deliberately stays within that subset (string/int/bool scalars and
-string arrays, which may span lines).
+back to a small TOML-subset parser otherwise.  The fallback stays
+because the package supports Python 3.10, which has no ``tomllib``,
+and the analysis package is stdlib-only, so it cannot depend on
+``tomli``.  The spec files deliberately stay within that subset
+(string/int/bool scalars and string arrays, which may span lines).
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ class LayeringSpec:
 
     layers: Dict[str, int]
     stdlib_only: Tuple[str, ...] = ()
-    layering_exempt: Tuple[str, ...] = ()
     forbidden: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     unseeded_random_scope: Tuple[str, ...] = ()
     float_equality_scope: Tuple[str, ...] = ()
@@ -116,7 +114,6 @@ def load_spec(path: Union[str, Path]) -> LayeringSpec:
     return LayeringSpec(
         layers=layers,
         stdlib_only=_str_tuple(rules.get("stdlib_only", [])),
-        layering_exempt=_str_tuple(rules.get("layering_exempt", [])),
         forbidden=forbidden,
         unseeded_random_scope=_str_tuple(hygiene.get("unseeded_random", [])),
         float_equality_scope=_str_tuple(hygiene.get("float_equality", [])),

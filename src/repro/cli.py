@@ -1,4 +1,4 @@
-"""Command-line interface: experiments, single solves, and benchmarks.
+"""Command-line interface: experiments, solves, serving, and tooling.
 
 Installed as both ``repro`` and the legacy alias ``fair-caching``;
 ``python -m repro`` works without installation.
@@ -15,14 +15,8 @@ Solve one instance and print the placement summary::
     repro solve --grid 6 --chunks 5 --algorithm appx
     repro solve --random 60 --seed 7 --algorithm dist
 
-Run the instrumented performance baseline and write it as JSON::
+Export a structured event trace (open in Perfetto)::
 
-    repro bench --output BENCH_PR3.json
-    repro bench --nodes 40 --repeats 1 -o quick.json
-
-Gate a change against a committed baseline, and export an event trace::
-
-    repro bench --quick --compare BENCH_PR3.json --threshold 25
     repro solve --random 20 --algorithm dist --trace trace.json
 
 Record streaming telemetry (time series + histograms), export it as
@@ -32,7 +26,6 @@ OpenMetrics text, and tail a running solve/serve/sweep live::
     repro serve --grid 6 --requests 200000 --series serve.json \\
         --openmetrics serve-metrics.txt
     repro monitor serve.json                      # in another terminal
-    repro bench --quick --series --openmetrics bench-metrics.txt
 
 Serve a request workload against a solved placement (accessing phase)::
 
@@ -163,76 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--fault-seed", type=int, default=None, metavar="S",
         help="fault-plane RNG seed (default: reuse the loss seed 0)",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the instrumented perf-baseline suite, write BENCH JSON",
-    )
-    bench.add_argument(
-        "--output", "-o", default="BENCH.json", metavar="PATH",
-        help="where to write the repro-bench/1 JSON document",
-    )
-    bench.add_argument(
-        "--scenario", action="append", metavar="NAME",
-        help="run only the named suite scenario (small/medium/large/"
-        "serve-scale/dist-faults/adaptive-drift; repeatable; default all)",
-    )
-    bench.add_argument(
-        "--nodes", type=int, default=None, metavar="N",
-        help="replace the suite with one custom N-node random scenario",
-    )
-    bench.add_argument("--seed", type=int, default=2017,
-                       help="seed for --nodes scenarios")
-    bench.add_argument(
-        "--algorithms", default="appx,dist", metavar="A,B",
-        help="comma-separated algorithms to benchmark (default appx,dist)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="runs per (scenario, algorithm); the fastest is kept "
-        "(default 3, or 1 with --quick)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke mode: the small, serve-scale, dist-faults and "
-        "adaptive-drift scenarios, one repeat",
-    )
-    bench.add_argument(
-        "--max-full-rebuilds", type=int, default=None, metavar="N",
-        help="fail (exit 3) if any run's costs.full_rebuilds counter "
-        "exceeds N",
-    )
-    bench.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="diff this run against a baseline repro-bench JSON and fail "
-        "(exit 4) on regressions",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=25.0, metavar="PCT",
-        help="regression threshold for --compare, in percent (default 25)",
-    )
-    bench.add_argument(
-        "--min-abs-seconds", type=float, default=None, metavar="S",
-        help="absolute wall/timer noise floor for --compare: deltas below "
-        "this many seconds never regress on their own (default 0.01; "
-        "counters stay exact regardless)",
-    )
-    bench.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a structured event trace of the bench run and write "
-        "it as Chrome trace-event JSON",
-    )
-    bench.add_argument(
-        "--series", action="store_true",
-        help="record ring-buffered time series + streaming histograms "
-        "per run and embed each entry's repro-series/1 artifact in the "
-        "bench JSON (default off; off keeps baselines comparable)",
-    )
-    bench.add_argument(
-        "--openmetrics", default=None, metavar="PATH",
-        help="also write every entry's metrics as one OpenMetrics text "
-        "exposition with scenario/algorithm labels",
     )
 
     serve = sub.add_parser(
@@ -683,122 +606,6 @@ def _parse_fault_config(args: argparse.Namespace):
     )
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Imported lazily: the bench module pulls in every solver layer.
-    from repro.obs.bench import (
-        SOLVERS,
-        SUITE_BY_NAME,
-        BenchScenario,
-        full_rebuild_overruns,
-        render_bench,
-        run_bench,
-        write_bench,
-    )
-
-    repeats = args.repeats
-    if repeats is None:
-        repeats = 1 if args.quick else 3
-    if repeats < 1:
-        print("--repeats must be >= 1", file=sys.stderr)
-        return 2
-    if args.quick and (args.nodes is not None or args.scenario):
-        print("--quick and --nodes/--scenario are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.nodes is not None:
-        if args.scenario:
-            print("--nodes and --scenario are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        scenarios = [BenchScenario(f"custom-{args.nodes}", args.nodes,
-                                   seed=args.seed)]
-    elif args.quick:
-        # Smoke mode keeps the solver gate (small), the serving-
-        # throughput gate (serve-scale, 200k batched requests), and the
-        # fault-injection gate (dist-faults: loss + churn + retx).
-        scenarios = [
-            SUITE_BY_NAME["small"],
-            SUITE_BY_NAME["serve-scale"],
-            SUITE_BY_NAME["dist-faults"],
-            SUITE_BY_NAME["adaptive-drift"],
-        ]
-    elif args.scenario:
-        unknown = [name for name in args.scenario if name not in SUITE_BY_NAME]
-        if unknown:
-            print(f"unknown scenario(s) {unknown}; "
-                  f"choose from {sorted(SUITE_BY_NAME)}", file=sys.stderr)
-            return 2
-        scenarios = [SUITE_BY_NAME[name] for name in args.scenario]
-    else:
-        scenarios = list(SUITE_BY_NAME.values())
-    algorithms = [
-        _ALGO_ALIASES.get(name.strip(), name.strip())
-        for name in args.algorithms.split(",")
-        if name.strip()
-    ]
-    unknown = [name for name in algorithms if name not in SOLVERS]
-    if unknown:
-        print(f"unknown algorithm(s) {unknown}; "
-              f"choose from {sorted(SOLVERS)}", file=sys.stderr)
-        return 2
-    if not algorithms:
-        print("no algorithms selected", file=sys.stderr)
-        return 2
-    with _maybe_trace(args.trace) as tracer:
-        result = run_bench(
-            scenarios, algorithms, repeats=repeats, series=args.series
-        )
-    _write_trace(tracer, args.trace)
-    write_bench(result, args.output)
-    print(render_bench(result))
-    print(f"\nwrote {args.output}")
-    if args.openmetrics is not None:
-        from repro.obs.bench import bench_openmetrics
-
-        with open(args.openmetrics, "w", encoding="utf-8") as handle:
-            handle.write(bench_openmetrics(result))
-        print(f"wrote openmetrics {args.openmetrics}")
-    if args.max_full_rebuilds is not None:
-        overruns = full_rebuild_overruns(result, args.max_full_rebuilds)
-        if overruns:
-            for scenario, name, count in overruns:
-                print(
-                    f"FAIL: {scenario}/{name} did {count:g} full cost "
-                    f"rebuilds (budget {args.max_full_rebuilds})",
-                    file=sys.stderr,
-                )
-            return 3
-        print(f"full-rebuild budget OK (<= {args.max_full_rebuilds})")
-    if args.compare is not None:
-        from repro.errors import ReproError
-        from repro.obs.compare import (
-            DEFAULT_MIN_ABS_SECONDS,
-            compare_bench,
-            load_bench,
-        )
-
-        try:
-            baseline = load_bench(args.compare)
-        except (OSError, ValueError, ReproError) as exc:
-            print(f"cannot load baseline {args.compare}: {exc}",
-                  file=sys.stderr)
-            return 2
-        min_abs = (
-            DEFAULT_MIN_ABS_SECONDS
-            if args.min_abs_seconds is None
-            else args.min_abs_seconds
-        )
-        comparison = compare_bench(
-            baseline, result, threshold_pct=args.threshold,
-            min_abs_seconds=min_abs,
-        )
-        print()
-        print(comparison.render())
-        if not comparison.ok:
-            return 4
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported lazily: serve pulls in the solver + delay layers.
     from repro.serve import (
@@ -1166,7 +973,9 @@ def _write_trace(tracer, path: Optional[str]) -> None:
     suffix = ""
     if tracer.dropped:
         suffix = f" ({tracer.dropped} events dropped; ring buffer full)"
-    print(f"wrote trace {path}: {len(tracer.events)} events{suffix}")
+    # stderr, like _write_series: `--json --trace` must keep stdout parseable.
+    print(f"wrote trace {path}: {len(tracer.events)} events{suffix}",
+          file=sys.stderr)
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
@@ -1264,8 +1073,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_experiment(args)
     if args.command == "solve":
         return _cmd_solve(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "sweep":

@@ -1,4 +1,4 @@
-"""Observability: counters, timers, gauges, tracing, and the bench suite.
+"""Observability: counters, timers, gauges, tracing, and telemetry.
 
 The instrumentation substrate every performance claim rests on:
 
@@ -15,7 +15,8 @@ The instrumentation substrate every performance claim rests on:
   (:mod:`repro.obs.trace`): bounded ring buffer of spans + instant
   events exporting Chrome trace-event / Perfetto JSON.
 * :func:`build_manifest` — run provenance (:mod:`repro.obs.manifest`)
-  embedded in recorder dumps, bench documents, and trace exports.
+  embedded in recorder dumps, trace exports and ``bench/run.py``
+  results.
 * :class:`SeriesRecorder` / :class:`SeriesConfig` — the streaming
   telemetry extension (:mod:`repro.obs.timeseries`): bounded
   ring-buffered time series on a virtual-time cadence plus
@@ -24,10 +25,9 @@ The instrumentation substrate every performance claim rests on:
   (:mod:`repro.obs.expose`) or the ``repro-series/1`` artifact that
   ``repro monitor`` (:mod:`repro.obs.monitor`) tails.
 
-The benchmark suite lives in :mod:`repro.obs.bench` and the baseline
-diffing in :mod:`repro.obs.compare`; ``bench`` is imported lazily by the
-CLI — it depends on the solver layers, which themselves import this
-package, so it must stay out of this namespace to avoid a cycle.
+The end-to-end benchmark is not part of the package: ``bench/run.py``
+at the repository root drives the public API and reads these recorders
+(see ``bench/README.md``).
 """
 
 from repro.obs.expose import to_openmetrics, write_openmetrics

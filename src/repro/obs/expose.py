@@ -7,8 +7,7 @@ Prometheus-compatible toolchain without an exporter process:
 
 * counters   → ``counter`` families, ``_total``-suffixed;
 * timers     → ``summary`` families (``_count`` calls, ``_sum``
-  seconds) plus a ``_max_seconds`` gauge for the per-call worst case
-  the bench gate cares about;
+  seconds) plus a ``_max_seconds`` gauge for the per-call worst case;
 * gauges     → ``gauge`` families (last recorded value);
 * histograms → ``histogram`` families with cumulative ``le`` buckets
   straight from :meth:`StreamingHistogram.bucket_bounds`, closing with
@@ -17,14 +16,10 @@ Prometheus-compatible toolchain without an exporter process:
 Metric names are sanitised to ``[a-zA-Z0-9_:]`` (dots, slashes, and
 dashes become underscores) and prefixed ``repro_``; the dotted recorder
 names stay authoritative — the mapping is mechanical and documented in
-``docs/OBSERVABILITY.md``.  Optional labels (e.g. bench's
-``scenario``/``algorithm``) are escaped per the spec, and
-:func:`to_openmetrics_multi` merges several labelled dumps into one
-valid exposition with each metric family grouped — which is how
-``repro bench --openmetrics`` exports every (scenario, algorithm)
-entry into a single file.  Output ends with the mandatory ``# EOF``
-terminator and is deterministic: families sort by name, samples keep
-input order within a family.
+``docs/OBSERVABILITY.md``.  Optional labels are attached to every
+sample and escaped per the spec.  Output ends with the mandatory
+``# EOF`` terminator and is deterministic: families sort by name,
+samples keep input order within a family.
 
 Standard-library-only by contract (``stdlib_only`` in
 ``docs/layering.toml``).
@@ -33,7 +28,7 @@ Standard-library-only by contract (``stdlib_only`` in
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.histogram import StreamingHistogram
 
@@ -180,24 +175,6 @@ def to_openmetrics(
     """
     families: _Families = {}
     _collect(dump, labels, families)
-    return _render(families)
-
-
-def to_openmetrics_multi(
-    entries: Iterable[
-        Tuple[Mapping[str, Any], Optional[Mapping[str, Any]]]
-    ],
-) -> str:
-    """Merge several ``(dump, labels)`` pairs into one exposition.
-
-    Samples from different entries that share a metric name land in the
-    same (grouped) family, distinguished by their labels — the spec's
-    required layout, which naive concatenation of per-entry expositions
-    would violate.
-    """
-    families: _Families = {}
-    for dump, labels in entries:
-        _collect(dump, labels, families)
     return _render(families)
 
 

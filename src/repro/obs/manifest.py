@@ -1,11 +1,11 @@
-"""Run provenance: the manifest embedded in every dump and bench file.
+"""Run provenance: the manifest embedded in every dump and result file.
 
-A committed ``BENCH_*.json`` (or an exported trace) is only auditable if
-it says *what produced it*: which revision of the code, which
-interpreter, which platform, which seed and scenario parameters.  This
-module builds that manifest as a plain JSON-safe dict so every
-:meth:`~repro.obs.recorder.Recorder.dump`, ``repro bench`` document and
-trace export is self-describing::
+A benchmark result (or an exported trace) is only auditable if it says
+*what produced it*: which revision of the code, which interpreter,
+which platform, which seed and scenario parameters.  This module builds
+that manifest as a plain JSON-safe dict so every
+:meth:`~repro.obs.recorder.Recorder.dump`, trace export and
+``bench/run.py`` result is self-describing::
 
     {"schema": "repro-manifest/1",
      "python": "3.11.7", "platform": "Linux-...",

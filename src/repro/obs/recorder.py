@@ -14,8 +14,8 @@ pair.  The design goals, in order:
    under the path ``solve_approximation/dual_ascent`` — the call tree
    falls out of lexical nesting, no registration needed.
 3. **Machine readable.**  :meth:`Recorder.dump` returns a plain dict of
-   JSON-safe values (``to_json`` serialises it); the ``repro bench``
-   subcommand embeds these dumps verbatim in ``BENCH_*.json``.
+   JSON-safe values (``to_json`` serialises it); ``bench/run.py``
+   derives its per-layer metrics from these dumps.
 4. **Self-describing.**  Every dump carries a run manifest (python /
    platform / git SHA, plus whatever the caller attached via
    :meth:`Recorder.annotate` — seed, scenario parameters) so a dump on
@@ -101,9 +101,8 @@ class Recorder:
       rounds, cost-cache hits, delivered messages.
     * **Timers** (:meth:`timer`) — wall-clock per phase; nesting builds
       ``/``-joined paths.  Each path tracks total seconds, call count,
-      and the per-call min/max, so worst-case latency is gateable (the
-      ``repro bench --compare`` regression check uses ``max``), not just
-      the totals.
+      and the per-call min/max, so worst-case latency is visible, not
+      just the totals.
     * **Gauges** (:meth:`gauge`) — point-in-time samples (queue depths,
       per-node loads); each name tracks last/min/max/mean/count so a
       whole distribution summarises into five numbers.

@@ -61,7 +61,7 @@ from repro.obs.histogram import (
 from repro.obs.recorder import Number, Recorder
 
 #: Schema tag of the series artifact (dumped by :meth:`SeriesRecorder.
-#: series_artifact`, embedded in bench entries, tailed by ``repro
+#: series_artifact`, written by ``--series``, tailed by ``repro
 #: monitor``).
 SERIES_SCHEMA = "repro-series/1"
 

@@ -54,7 +54,7 @@ from repro.obs.manifest import build_manifest
 
 TRACE_SCHEMA = "repro-trace/1"
 
-#: Default ring-buffer capacity (events).  A 100-node distributed bench
+#: Default ring-buffer capacity (events).  A 100-node distributed
 #: run emits a few tens of thousands of message events; the default
 #: keeps the newest ~65k with an explicit drop count for the rest.
 DEFAULT_CAPACITY = 65536

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.obs import Recorder, SeriesRecorder, to_openmetrics, write_openmetrics
-from repro.obs.expose import sanitize_metric_name, to_openmetrics_multi
+from repro.obs.expose import sanitize_metric_name
 
 
 class TestNameSanitization:
@@ -98,42 +98,3 @@ class TestExposition:
         write_openmetrics(self._dump(), str(path))
         assert path.read_text().endswith("# EOF\n")
 
-
-class TestMultiEntryGrouping:
-    def test_families_grouped_across_entries(self):
-        entries = [
-            ({"counters": {"serve.requests": 10}}, {"scenario": "small"}),
-            ({"counters": {"serve.requests": 20}}, {"scenario": "large"}),
-        ]
-        text = to_openmetrics_multi(entries)
-        # One TYPE line, two labelled samples under it — the spec's
-        # required grouping that naive concatenation violates.
-        assert text.count("# TYPE repro_serve_requests counter") == 1
-        assert 'repro_serve_requests_total{scenario="small"} 10' in text
-        assert 'repro_serve_requests_total{scenario="large"} 20' in text
-        type_index = text.index("# TYPE repro_serve_requests counter")
-        assert text.index("scenario=\"small\"") > type_index
-        assert text.index("scenario=\"large\"") > type_index
-
-    def test_single_eof_for_merged_document(self):
-        entries = [
-            ({"counters": {"a": 1}}, None),
-            ({"counters": {"b": 2}}, None),
-        ]
-        text = to_openmetrics_multi(entries)
-        assert text.count("# EOF") == 1
-        assert text.endswith("# EOF\n")
-
-    def test_bench_result_exports_every_entry(self):
-        from repro.obs.bench import BenchScenario, bench_openmetrics, run_bench
-
-        scenario = BenchScenario(
-            name="tiny", num_nodes=9, num_chunks=2, capacity=3,
-            serve_requests=100,
-        )
-        result = run_bench([scenario], ["Appx"], repeats=1, series=True)
-        text = bench_openmetrics(result)
-        assert 'scenario="tiny"' in text
-        assert 'algorithm="Appx"' in text
-        assert 'algorithm="serve"' in text
-        assert text.endswith("# EOF\n")

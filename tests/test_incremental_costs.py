@@ -73,14 +73,15 @@ def test_contention_policy_fallback_matches_fresh(checked_commit):
     assert checked_commit["count"] == NUM_CHUNKS
 
 
-def test_run_is_incremental_not_rebuilding():
+@pytest.mark.parametrize("name", ("Appx", "Dist"))
+def test_run_is_incremental_not_rebuilding(name):
     # The hot path must actually take the incremental route: zero full
     # rebuilds, one patch per cached copy, and hop trees built at most
     # once per node across the whole run.
     problem = _problem()
     rec = Recorder()
     with use_recorder(rec):
-        placement = solve_approximation(problem)
+        placement = SOLVERS[name](problem)
     assert rec.counter("costs.full_rebuilds") == 0
     assert rec.counter("costs.incremental_patches") == placement.total_copies()
     assert rec.counter("costs.tree_rebuilds") <= NUM_NODES

@@ -12,16 +12,6 @@ from repro.obs import (
     set_recorder,
     use_recorder,
 )
-from repro.obs.bench import (
-    BENCH_SCHEMA,
-    BenchScenario,
-    DEFAULT_SUITE,
-    SUITE_BY_NAME,
-    bench_algorithm,
-    render_bench,
-    run_bench,
-    write_bench,
-)
 from repro.workloads import grid_problem
 
 
@@ -309,51 +299,3 @@ class TestInstrumentation:
         assert dump["timers"] == {}
         assert dump["gauges"] == {}
 
-
-class TestBench:
-    TINY = BenchScenario("tiny", 12, seed=3, num_chunks=2)
-
-    def test_default_suite_has_the_acceptance_scenarios(self):
-        assert [s.name for s in DEFAULT_SUITE] == [
-            "small", "medium", "large", "serve-scale", "dist-faults",
-            "adaptive-drift",
-        ]
-        assert SUITE_BY_NAME["large"].num_nodes == 100
-        scale = SUITE_BY_NAME["serve-scale"]
-        assert scale.serve_only
-        assert scale.serve_requests == 200_000
-        adaptive = SUITE_BY_NAME["adaptive-drift"]
-        assert adaptive.adaptive_only
-
-    def test_bench_algorithm_reports_wall_and_recorder(self):
-        outcome = bench_algorithm(self.TINY.build(), "Appx", repeats=2)
-        assert outcome["wall_seconds"] > 0
-        assert outcome["counters"]["dual_ascent.runs"] == 2
-        assert "solve_approximation" in outcome["timers"]
-        assert outcome["placement"]["total_cost"] > 0
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(KeyError):
-            bench_algorithm(self.TINY.build(), "Quantum")
-
-    def test_run_and_write_round_trip(self, tmp_path):
-        result = run_bench([self.TINY], algorithms=("Appx", "Dist"), repeats=1)
-        assert result["schema"] == BENCH_SCHEMA
-        assert [s["name"] for s in result["scenarios"]] == ["tiny"]
-        algos = result["scenarios"][0]["algorithms"]
-        assert set(algos) == {"Appx", "Dist"}
-        assert algos["Dist"]["counters"]["dist.messages.total"] > 0
-        path = tmp_path / "bench.json"
-        write_bench(result, str(path))
-        assert json.loads(path.read_text()) == result
-        text = render_bench(result)
-        assert "tiny" in text and "Appx" in text and "Dist" in text
-
-    def test_bench_document_carries_manifest(self):
-        result = run_bench([self.TINY], algorithms=("Appx",), repeats=1)
-        manifest = result["manifest"]
-        assert manifest["schema"] == "repro-manifest/1"
-        assert manifest["repeats"] == 1
-        assert manifest["algorithms"] == ["Appx"]
-        assert manifest["scenarios"] == [self.TINY.network_info()]
-        assert "git_sha" in manifest and "python" in manifest
