@@ -67,6 +67,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.problem import CachingProblem
 from repro.experiments import REGISTRY, run_algorithms, summarize
 from repro.experiments.report import render_table
 from repro.workloads import grid_problem, random_problem
@@ -492,18 +493,34 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.grid is not None:
-        problem = grid_problem(
-            args.grid, num_chunks=args.chunks, capacity=args.capacity
-        )
-        label = f"{args.grid}x{args.grid} grid"
-    else:
+def _build_problem(
+    args: argparse.Namespace, nodes: Optional[int]
+) -> Optional[Tuple[CachingProblem, str]]:
+    """``(problem, label)`` from ``--grid`` or a ``nodes``-node random
+    network; ``None`` after printing the error when the sizes are bad."""
+    from repro.errors import ProblemError
+
+    try:
+        if args.grid is not None:
+            problem = grid_problem(
+                args.grid, num_chunks=args.chunks, capacity=args.capacity
+            )
+            return problem, f"{args.grid}x{args.grid} grid"
         problem, _ = random_problem(
-            args.random, seed=args.seed, num_chunks=args.chunks,
+            nodes, seed=args.seed, num_chunks=args.chunks,
             capacity=args.capacity,
         )
-        label = f"random network ({args.random} nodes, seed {args.seed})"
+    except (ValueError, ProblemError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return None
+    return problem, f"random network ({nodes} nodes, seed {args.seed})"
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    built = _build_problem(args, args.random)
+    if built is None:
+        return 2
+    problem, label = built
     name = _ALGO_ALIASES.get(args.algorithm, args.algorithm)
     fault_config = _parse_fault_config(args)
     if fault_config is not None and name != "Dist":
@@ -627,17 +644,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.requests < 0:
         print("--requests must be >= 0", file=sys.stderr)
         return 2
-    if args.grid is not None:
-        problem = grid_problem(
-            args.grid, num_chunks=args.chunks, capacity=args.capacity
-        )
-        label = f"{args.grid}x{args.grid} grid"
-    else:
-        problem, _ = random_problem(
-            args.nodes, seed=args.seed, num_chunks=args.chunks,
-            capacity=args.capacity,
-        )
-        label = f"random network ({args.nodes} nodes, seed {args.seed})"
+    built = _build_problem(args, args.nodes)
+    if built is None:
+        return 2
+    problem, label = built
     if args.rate is not None:
         workload = workload_cls(seed=args.seed, rate=args.rate)
     else:
@@ -732,17 +742,10 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         print(f"unknown adaptive policy {args.adaptive_policy!r}; "
               f"choose from {sorted(ADAPTIVE_POLICIES)}", file=sys.stderr)
         return 2
-    if args.grid is not None:
-        problem = grid_problem(
-            args.grid, num_chunks=args.chunks, capacity=args.capacity
-        )
-        label = f"{args.grid}x{args.grid} grid"
-    else:
-        problem, _ = random_problem(
-            args.nodes, seed=args.seed, num_chunks=args.chunks,
-            capacity=args.capacity,
-        )
-        label = f"random network ({args.nodes} nodes, seed {args.seed})"
+    built = _build_problem(args, args.nodes)
+    if built is None:
+        return 2
+    problem, label = built
 
     kwargs = {"seed": args.seed}
     if args.rate is not None:

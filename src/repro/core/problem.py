@@ -82,6 +82,8 @@ class CachingProblem:
             raise ProblemError(f"producer {self.producer!r} is not in the graph")
         if self.num_chunks < 0:
             raise ProblemError(f"num_chunks must be >= 0, got {self.num_chunks}")
+        if not isinstance(self.capacity, Mapping) and self.capacity < 0:
+            raise ProblemError(f"capacity must be >= 0, got {self.capacity}")
         if self.graph.num_nodes > 1 and not is_connected(self.graph):
             raise ProblemError("the network graph must be connected (Sec. III-A)")
         if self.fairness_weight < 0 or self.contention_weight < 0:

@@ -1,9 +1,10 @@
-"""Exact solvers: the per-chunk ConFL ILP (Eqs. 3–7) and brute forces."""
+"""Exact solvers for the per-chunk problem: the ILP of Eqs. 3–7 (the test
+oracle), subset enumeration, and the local search ``solve_exact`` runs."""
 
 from repro.exact.brute_force import EnumerationResult, enumerate_optimal
 from repro.exact.ilp_formulation import ChunkModel, build_chunk_model
 from repro.exact.local_search import optimize_chunk_local
-from repro.exact.solver import solve_chunk_with_cuts, solve_exact, solve_exact_chunk
+from repro.exact.solver import solve_exact, solve_exact_chunk
 
 __all__ = [
     "ChunkModel",
@@ -11,7 +12,6 @@ __all__ = [
     "build_chunk_model",
     "enumerate_optimal",
     "optimize_chunk_local",
-    "solve_chunk_with_cuts",
     "solve_exact",
     "solve_exact_chunk",
 ]

@@ -1,21 +1,21 @@
-"""The per-chunk ConFL ILP (Eqs. 3–7) in compact flow form.
+"""The per-chunk ConFL ILP (Eqs. 3–7) in compact multi-commodity flow form.
 
 Eq. 6 is a cut-set constraint over *every* node subset — exponentially
-many rows.  We replace it with the standard single-commodity-flow encoding
-of Steiner connectivity, which is equivalent for the integral problem and
-compact (O(|E|) rows):
+many rows.  We replace it with the standard disaggregated (one commodity
+per facility) flow encoding of Steiner connectivity, which is equivalent
+for the integral problem and polynomial (O(|F|·|E|) rows):
 
-* one unit of flow is produced at the producer per open facility,
-* each open facility consumes one unit,
-* flow may only traverse edges bought for dissemination
-  (``flow ≤ |F| · z_e``),
+* one unit of commodity ``k`` leaves the producer iff facility ``k`` is
+  open, and facility ``k`` consumes it,
+* commodity ``k`` may only traverse edges bought for dissemination
+  (``f^k_a ≤ z_e``),
 
 so the ``z_e = 1`` edges necessarily connect all open facilities to the
 producer.  The objective and constraints (4), (5), (7) are verbatim.
 
 The model is built from a :class:`~repro.core.confl.ConFLInstance`, i.e.
-with the fairness/contention costs of the *current* storage state — the
-exact solver iterates chunks exactly like Algorithm 1 does (Eq. 8).
+with the fairness/contention costs of the *current* storage state.  It is
+the test suite's MILP oracle for :func:`~repro.exact.solver.solve_exact`.
 """
 
 from __future__ import annotations
@@ -56,34 +56,20 @@ class ChunkModel:
         return caches, assignment, tree_edges
 
 
-def build_chunk_model(
-    instance: ConFLInstance,
-    name: str = "confl",
-    connectivity: str = "multiflow",
-) -> ChunkModel:
+def build_chunk_model(instance: ConFLInstance, name: str = "confl") -> ChunkModel:
     """Build the single-chunk ILP from a ConFL instance snapshot.
 
-    ``connectivity`` selects how Eq. 6 is encoded:
+    Eq. 6 is encoded as one flow commodity per facility with per-arc
+    capacity ``z_e``, whose LP relaxation forces ``z_e ≥ max_k f^k_a``
+    (a single shared commodity would only force ``z_e ≥ Σ_k f^k_a / |F|``).
 
-    * ``"multiflow"`` (default) — one flow commodity per facility with
-      per-arc capacity ``z_e``; the tightest LP relaxation of the three
-      and, despite being the largest model, the fastest to solve on the
-      paper's grid sizes;
-    * ``"flow"`` — compact single-commodity flow;
-    * ``"none"`` — omit connectivity; the caller runs the cut-generation
-      loop (:func:`solve_chunk_with_cuts`) that adds violated cut-set rows
-      of Eq. 6 lazily.  Singleton cuts (δ({i}) ≥ y_i) are preseeded.
-
-    In every mode a deterministic, strictly increasing micro-epsilon is
-    added to each facility's opening cost: on the first chunk all
-    ``f_i = 0`` (empty caches), leaving the optimum massively degenerate,
-    and unbroken symmetry is what makes branch-and-bound crawl.  The
-    epsilons (< 1e-4 total) are orders of magnitude below any real cost
-    difference, so the selected optimum is an exact optimum of the
-    unperturbed model too.
+    A deterministic, strictly increasing micro-epsilon is added to each
+    facility's opening cost: on the first chunk all ``f_i = 0`` (empty
+    caches), leaving the optimum massively degenerate, and unbroken
+    symmetry is what makes branch-and-bound crawl.  The epsilons (< 1e-4
+    total) are orders of magnitude below any real cost difference, so the
+    selected optimum is an exact optimum of the unperturbed model too.
     """
-    if connectivity not in ("multiflow", "flow", "none"):
-        raise ValueError(f"unknown connectivity mode {connectivity!r}")
     model = Model(name)
     producer = instance.producer
     clients = list(instance.clients)
@@ -122,108 +108,46 @@ def build_chunk_model(
         incident.setdefault(u, []).append((u, v))
         incident.setdefault(v, []).append((v, u))
 
-    if connectivity == "flow" and facilities:
-        # Constraint (6), flow form: one unit shipped per open facility.
-        flow_vars: Dict[Tuple[Node, Node], Variable] = {}
+    # Constraint (6), disaggregated: one unit of commodity k flows from the
+    # producer to facility k iff y_k = 1, and every arc a used by any
+    # commodity needs z_e = 1 (f^k_a ≤ z_e).
+    for k in facilities:
+        flow_k: Dict[Tuple[Node, Node], Variable] = {}
         for u, v in edge_list:
-            flow_vars[(u, v)] = model.continuous_var(f"f_{u}_{v}")
-            flow_vars[(v, u)] = model.continuous_var(f"f_{v}_{u}")
-        num_f = len(facilities)
+            flow_k[(u, v)] = model.continuous_var(f"f{k}_{u}_{v}")
+            flow_k[(v, u)] = model.continuous_var(f"f{k}_{v}_{u}")
 
-        def net_outflow(node: Node):
+        def net_out_k(node: Node, flows=flow_k):
             out_arcs = incident.get(node, [])
-            return lin_sum(flow_vars[a] for a in out_arcs) - lin_sum(
-                flow_vars[(b, a)] for a, b in out_arcs
+            return lin_sum(flows[a] for a in out_arcs) - lin_sum(
+                flows[(b, a)] for a, b in out_arcs
             )
 
         model.add_constraint(
-            net_outflow(producer) == lin_sum(open_vars.values()),
-            name="flow_producer",
+            net_out_k(producer) - open_vars[k] == 0,
+            name=f"mf_src_{k}",
         )
         for node in instance.steiner_graph.nodes():
             if node == producer:
                 continue
-            demand = open_vars.get(node)
-            if demand is not None:
+            if node == k:
                 model.add_constraint(
-                    net_outflow(node) + demand == 0, name=f"flow_{node}"
+                    net_out_k(node) + open_vars[k] == 0,
+                    name=f"mf_sink_{k}",
                 )
             else:
-                model.add_constraint(net_outflow(node) == 0, name=f"flow_{node}")
-        # Flow only on bought edges (per-direction caps: tighter LP).
+                model.add_constraint(
+                    net_out_k(node) == 0, name=f"mf_{k}_{node}"
+                )
         for u, v in edge_list:
-            cap = float(num_f)
             model.add_constraint(
-                flow_vars[(u, v)] - cap * edge_vars[(u, v)] <= 0,
-                name=f"cap_{u}_{v}",
+                flow_k[(u, v)] - edge_vars[(u, v)] <= 0,
+                name=f"mfcap_{k}_{u}_{v}",
             )
             model.add_constraint(
-                flow_vars[(v, u)] - cap * edge_vars[(u, v)] <= 0,
-                name=f"cap_{v}_{u}",
+                flow_k[(v, u)] - edge_vars[(u, v)] <= 0,
+                name=f"mfcap_{k}_{v}_{u}",
             )
-
-    if connectivity == "multiflow" and facilities:
-        # Constraint (6), disaggregated: one unit of commodity k flows
-        # from the producer to facility k iff y_k = 1, and every arc a
-        # used by any commodity needs z_e = 1 (f^k_a ≤ z_e).  The LP
-        # relaxation forces z_e ≥ max_k f^k_a instead of ≥ Σ/|F|, which
-        # is what makes this encoding branch so much less.
-        for k in facilities:
-            flow_k: Dict[Tuple[Node, Node], Variable] = {}
-            for u, v in edge_list:
-                flow_k[(u, v)] = model.continuous_var(f"f{k}_{u}_{v}")
-                flow_k[(v, u)] = model.continuous_var(f"f{k}_{v}_{u}")
-
-            def net_out_k(node: Node, flows=flow_k):
-                out_arcs = incident.get(node, [])
-                return lin_sum(flows[a] for a in out_arcs) - lin_sum(
-                    flows[(b, a)] for a, b in out_arcs
-                )
-
-            model.add_constraint(
-                net_out_k(producer) - open_vars[k] == 0,
-                name=f"mf_src_{k}",
-            )
-            for node in instance.steiner_graph.nodes():
-                if node == producer:
-                    continue
-                if node == k:
-                    model.add_constraint(
-                        net_out_k(node) + open_vars[k] == 0,
-                        name=f"mf_sink_{k}",
-                    )
-                else:
-                    model.add_constraint(
-                        net_out_k(node) == 0, name=f"mf_{k}_{node}"
-                    )
-            for u, v in edge_list:
-                model.add_constraint(
-                    flow_k[(u, v)] - edge_vars[(u, v)] <= 0,
-                    name=f"mfcap_{k}_{u}_{v}",
-                )
-                model.add_constraint(
-                    flow_k[(v, u)] - edge_vars[(u, v)] <= 0,
-                    name=f"mfcap_{k}_{v}_{u}",
-                )
-
-    if connectivity == "none" and facilities:
-        # Preseed the singleton cut-set rows of Eq. 6: an open facility
-        # needs at least one bought incident edge.  The cut loop adds the
-        # rest lazily.
-        for i in facilities:
-            arcs = incident.get(i, [])
-            edges_at_i = [
-                (u, v) if (u, v) in edge_vars else (v, u) for u, v in arcs
-            ]
-            if edges_at_i:
-                # dict.fromkeys dedupes while keeping first-seen order;
-                # set() here would emit constraint terms in hash order.
-                model.add_constraint(
-                    lin_sum(edge_vars[e] for e in dict.fromkeys(edges_at_i))
-                    - open_vars[i]
-                    >= 0,
-                    name=f"cut0_{i}",
-                )
 
     # Objective (Eq. 8's inner problem): fairness + access + M·dissemination.
     # Per-facility micro-epsilons (see docstring): break the massive

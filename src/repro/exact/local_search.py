@@ -12,13 +12,13 @@ Dijkstra, so each evaluation is ~|A|² table lookups plus a tiny MST).
 Final incumbents with few enough terminals are re-priced with the exact
 Dreyfus–Wagner DP, which also yields the tree edges that get committed.
 
-Role in the reproduction: the paper's ``Brtf`` uses PuLP; the MILP stack
-in :mod:`repro.exact.ilp_formulation` is provably exact but this
-environment's MILP backend is far too slow beyond toy sizes (see
-EXPERIMENTS.md), so ``solve_exact(method="local")`` is the practical
-optimum reference for the 4×4 / 6×6 figures.  The test suite verifies the
-local search matches the subset-enumeration optimum on every instance
-small enough to enumerate.
+Role in the reproduction: the paper's ``Brtf`` uses PuLP; the MILP in
+:mod:`repro.exact.ilp_formulation` is provably exact but far too slow
+beyond toy sizes (see EXPERIMENTS.md), so this search is what
+:func:`~repro.exact.solver.solve_exact` runs: the practical optimum
+reference for the 4×4 / 6×6 figures.  The test suite verifies the local
+search matches the subset-enumeration optimum (and the MILP) on every
+instance small enough to enumerate.
 """
 
 from __future__ import annotations

@@ -2,149 +2,40 @@
 
 The paper obtains its optimum "by brute-force" with the PuLP modeler
 (Sec. V-A), iterating the per-chunk problem of Eq. 8: solve one chunk's
-ConFL ILP exactly with the current fairness/contention costs, commit, and
+problem with the current fairness/contention costs, commit, and
 continue — exactly the iteration scheme Theorem 1 analyses, so the
 empirical ratio ``Appx / Brtf`` is the quantity bounded by 6.55.
 
-Solution methods (``method=``):
-
-* ``"local"`` (default) — multi-start add/drop/swap local search with
-  exact Dreyfus–Wagner Steiner pricing
-  (:mod:`repro.exact.local_search`).  Matches the enumeration optimum on
-  every instance small enough to enumerate (verified in the test suite)
-  and is the only method fast enough for the paper's 4×4/6×6 figures in
-  this offline environment, whose MILP backend is extremely slow (see
-  EXPERIMENTS.md).
-* ``"multiflow"`` / ``"flow"`` — provably exact MILP encodings of
-  Eqs. 3–7 (disaggregated / single-commodity flow for Eq. 6).
-* ``"cuts"`` — lazy cut generation adding violated Eq. 6 rows.
-
-Two MILP backends (our branch-and-bound, scipy's HiGHS) solve identical
-models; the test suite cross-checks them, the local search, and a
-subset-enumeration brute force (:mod:`repro.exact.brute_force`) on tiny
-instances.
+Each chunk is solved by multi-start add/drop/swap local search with exact
+Dreyfus–Wagner Steiner pricing (:mod:`repro.exact.local_search`), warm
+started from the dual-ascent admins.  The test suite checks it against two
+independent exact oracles on every instance small enough for them: subset
+enumeration (:mod:`repro.exact.brute_force`) and the MILP of Eqs. 3–7
+(:mod:`repro.exact.ilp_formulation`, solved by HiGHS), which is far too
+slow for the paper's 4×4/6×6 figures (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import List
 
-from repro.errors import SolverError
-from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_order
-from repro.ilp import lin_sum
 from repro.core.commit import commit_chunk
-from repro.core.confl import ConFLInstance, build_confl_instance
+from repro.core.confl import build_confl_instance
+from repro.core.dual_ascent import dual_ascent
 from repro.core.placement import CachePlacement, ChunkPlacement, edge_key
 from repro.core.problem import CachingProblem, ProblemState
-from repro.exact.ilp_formulation import ChunkModel, build_chunk_model
-
-Node = Hashable
+from repro.exact.local_search import optimize_chunk_local
 
 ALGORITHM_NAME = "bruteforce"
 
-_MAX_CUT_ROUNDS = 200
 
-
-def solve_chunk_with_cuts(
-    instance: ConFLInstance,
-    backend: str = "auto",
-    time_limit: Optional[float] = None,
-    name: str = "confl",
-) -> Tuple[List[Node], Dict[Node, Node], List[Tuple[Node, Node]], float]:
-    """Optimal (caches, assignment, tree_edges, objective) via lazy cuts."""
-    chunk_model = build_chunk_model(instance, name=name, connectivity="none")
-    model = chunk_model.model
-    for _ in range(_MAX_CUT_ROUNDS):
-        solution = model.solve(backend=backend, time_limit=time_limit)
-        caches, assignment, tree_edges = chunk_model.extract(solution)
-        violations = _disconnected_components(instance, caches, tree_edges)
-        if not violations:
-            return caches, assignment, tree_edges, solution.objective
-        for component, open_nodes in violations:
-            boundary = _boundary_edges(instance, component)
-            for i in open_nodes:
-                model.add_constraint(
-                    lin_sum(chunk_model.edge_vars[e] for e in boundary)
-                    - chunk_model.open_vars[i]
-                    >= 0,
-                    name=f"cut_{i}_{model.num_constraints}",
-                )
-    raise SolverError(
-        f"cut generation did not converge in {_MAX_CUT_ROUNDS} rounds"
-    )
-
-
-def _disconnected_components(
-    instance: ConFLInstance,
-    caches: List[Node],
-    tree_edges: List[Tuple[Node, Node]],
-) -> List[Tuple[Set[Node], List[Node]]]:
-    """Components of the z-edge subgraph that hold caches but no producer."""
-    if not caches:
-        return []
-    z_graph = Graph()
-    z_graph.add_nodes(instance.steiner_graph.nodes())
-    for u, v in tree_edges:
-        z_graph.add_edge(u, v)
-    reachable = set(bfs_order(z_graph, instance.producer))
-    stranded = [i for i in caches if i not in reachable]
-    if not stranded:
-        return []
-    violations: List[Tuple[Set[Node], List[Node]]] = []
-    seen: Set[Node] = set()
-    for i in stranded:
-        if i in seen:
-            continue
-        component = set(bfs_order(z_graph, i))
-        seen |= component
-        open_in_component = [c for c in caches if c in component]
-        violations.append((component, open_in_component))
-    return violations
-
-
-def _boundary_edges(
-    instance: ConFLInstance, component: Set[Node]
-) -> List[Tuple[Node, Node]]:
-    """δ(S): graph edges with exactly one endpoint in ``component``,
-    keyed in the edge-variable orientation."""
-    boundary = []
-    for u, v, _ in instance.steiner_graph.edges():
-        if (u in component) != (v in component):
-            boundary.append((u, v))
-    return boundary
-
-
-def solve_exact_chunk(
-    state: ProblemState,
-    chunk: int,
-    backend: str = "auto",
-    time_limit: Optional[float] = None,
-    method: str = "local",
-) -> ChunkPlacement:
+def solve_exact_chunk(state: ProblemState, chunk: int) -> ChunkPlacement:
     """Optimally place one chunk under the current storage state."""
     instance = build_confl_instance(state)
-    if method == "local":
-        from repro.core.dual_ascent import dual_ascent
-        from repro.exact.local_search import optimize_chunk_local
-
-        warm_start = dual_ascent(instance).admins
-        caches, assignment, tree_edges, _ = optimize_chunk_local(
-            instance, starts=[warm_start]
-        )
-    elif method == "cuts":
-        caches, assignment, tree_edges, _ = solve_chunk_with_cuts(
-            instance, backend=backend, time_limit=time_limit,
-            name=f"confl_chunk{chunk}",
-        )
-    elif method in ("flow", "multiflow"):
-        chunk_model = build_chunk_model(
-            instance, name=f"confl_chunk{chunk}", connectivity=method
-        )
-        solution = chunk_model.model.solve(backend=backend, time_limit=time_limit)
-        caches, assignment, tree_edges = chunk_model.extract(solution)
-    else:
-        raise SolverError(f"unknown exact method {method!r}")
+    warm_start = dual_ascent(instance).admins
+    caches, assignment, tree_edges, _ = optimize_chunk_local(
+        instance, starts=[warm_start]
+    )
     return commit_chunk(
         state,
         chunk,
@@ -154,43 +45,17 @@ def solve_exact_chunk(
     )
 
 
-def solve_exact(
-    problem: CachingProblem,
-    backend: str = "auto",
-    time_limit_per_chunk: Optional[float] = None,
-    method: str = "local",
-) -> CachePlacement:
+def solve_exact(problem: CachingProblem) -> CachePlacement:
     """Run the iterated exact solver over all chunks of ``problem``.
-
-    Parameters
-    ----------
-    backend:
-        ``"auto"`` (HiGHS when available), ``"highs"``, or ``"bnb"`` for
-        the in-repo branch-and-bound.
-    time_limit_per_chunk:
-        Optional wall-clock limit per chunk ILP (best effort; with
-        ``method="cuts"`` it applies per cut round).
-    method:
-        ``"local"`` (default; enumeration-verified local search),
-        ``"multiflow"`` / ``"flow"`` (exact MILP), or ``"cuts"``
-        (lazy Eq. 6 rows).
 
     Warning: still exponential in the worst case — the paper notes brute
     force "fails to obtain results within meaningful time" beyond ~100
     nodes.
     """
     state = problem.new_state()
-    placements: List[ChunkPlacement] = []
-    for chunk in problem.chunks:
-        placements.append(
-            solve_exact_chunk(
-                state,
-                chunk,
-                backend=backend,
-                time_limit=time_limit_per_chunk,
-                method=method,
-            )
-        )
+    placements: List[ChunkPlacement] = [
+        solve_exact_chunk(state, chunk) for chunk in problem.chunks
+    ]
     return CachePlacement(
         problem=problem, chunks=placements, algorithm=ALGORITHM_NAME
     )

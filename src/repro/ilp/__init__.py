@@ -1,12 +1,10 @@
-"""ILP substrate: a from-scratch PuLP-style modeler and MILP solvers.
+"""ILP substrate: a from-scratch PuLP-style modeler over scipy's HiGHS.
 
 The paper's brute-force optimum uses the PuLP modeler (Sec. V-A); this
-package replaces it offline with an equivalent modeling layer plus two
-interchangeable solver backends (own branch-and-bound, scipy HiGHS).
+package replaces it offline with an equivalent modeling layer whose
+:meth:`Model.solve` calls :func:`scipy.optimize.milp` (HiGHS).
 """
 
-from repro.ilp.branch_and_bound import BnBResult, branch_and_bound
-from repro.ilp.export import to_lp_string, write_lp
 from repro.ilp.expression import (
     BINARY,
     CONTINUOUS,
@@ -17,27 +15,17 @@ from repro.ilp.expression import (
     lin_sum,
 )
 from repro.ilp.model import MAXIMIZE, MINIMIZE, Model, Solution
-from repro.ilp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
 
 __all__ = [
     "BINARY",
-    "BnBResult",
     "CONTINUOUS",
     "Constraint",
-    "INFEASIBLE",
     "INTEGER",
-    "LPResult",
     "LinExpr",
     "MAXIMIZE",
     "MINIMIZE",
     "Model",
-    "OPTIMAL",
     "Solution",
-    "UNBOUNDED",
     "Variable",
-    "branch_and_bound",
     "lin_sum",
-    "solve_lp",
-    "to_lp_string",
-    "write_lp",
 ]

@@ -2,28 +2,21 @@
 
 A drop-in, from-scratch replacement for the subset of PuLP the paper's
 brute-force evaluation needs (DESIGN.md §5): declare variables, add linear
-constraints, set an objective, call :meth:`Model.solve`.
-
-Two interchangeable MILP backends are provided:
-
-* ``"bnb"`` — our own branch-and-bound over LP relaxations
-  (:mod:`repro.ilp.branch_and_bound`), with the LP solved either by
-  :mod:`scipy.optimize.linprog` (default) or the pure-numpy simplex in
-  :mod:`repro.ilp.simplex`.
-* ``"highs"`` — :func:`scipy.optimize.milp` (the HiGHS solver bundled with
-  scipy), used as an independent cross-check.
-
-``backend="auto"`` prefers HiGHS and falls back to branch-and-bound.
+constraints, set an objective, call :meth:`Model.solve`, which hands the
+flattened model to :func:`scipy.optimize.milp` (the HiGHS solver bundled
+with scipy).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+import contextlib
+import os
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import InfeasibleError, ModelError, UnboundedError
+from repro.errors import InfeasibleError, ModelError, SolverError, UnboundedError
 from repro.ilp.expression import (
     BINARY,
     CONTINUOUS,
@@ -47,8 +40,6 @@ class Solution:
     status: str
     objective: float
     values: Dict[Variable, float]
-    backend: str
-    nodes_explored: int = 0
 
     def value(self, item: Union[Variable, LinExpr]) -> float:
         """Value of a variable or expression under this solution."""
@@ -72,7 +63,6 @@ class _MatrixForm:
     b_eq: Optional[np.ndarray]
     bounds: List[Tuple[Optional[float], Optional[float]]]
     integrality: np.ndarray
-    variables: List[Variable] = field(default_factory=list)
 
 
 class Model:
@@ -86,7 +76,7 @@ class Model:
     >>> m.set_objective(3*x[0] + 4*x[1] + 5*x[2])
     >>> sol = m.solve()
     >>> round(sol.objective)
-    7
+    8
     """
 
     def __init__(self, name: str = "model", sense: str = MINIMIZE) -> None:
@@ -180,7 +170,7 @@ class Model:
     # Flattening
     # ------------------------------------------------------------------
     def to_matrix_form(self) -> _MatrixForm:
-        """Flatten to minimization-oriented matrices for the backends."""
+        """Flatten to minimization-oriented matrices for the solver."""
         n = len(self.variables)
         sign = 1.0 if self.sense == MINIMIZE else -1.0
         c = np.zeros(n)
@@ -222,7 +212,6 @@ class Model:
             b_eq=np.asarray(rhs_eq) if rhs_eq else None,
             bounds=bounds,
             integrality=integrality,
-            variables=list(self.variables),
         )
 
     def _check_owned(self, var: Variable) -> None:
@@ -235,66 +224,73 @@ class Model:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        backend: str = "auto",
-        time_limit: Optional[float] = None,
-        gap: float = 1e-9,
-        lp_engine: str = "scipy",
-    ) -> Solution:
-        """Solve the model and return a :class:`Solution`.
-
-        Parameters
-        ----------
-        backend:
-            ``"highs"``, ``"bnb"``, or ``"auto"`` (HiGHS when importable,
-            otherwise branch-and-bound).
-        time_limit:
-            Optional wall-clock limit in seconds (best effort).
-        gap:
-            Absolute optimality gap tolerated by branch-and-bound.
-        lp_engine:
-            LP relaxation engine for ``"bnb"``: ``"scipy"`` or ``"simplex"``
-            (our pure-numpy implementation).
+    def solve(self) -> Solution:
+        """Solve the model with HiGHS and return a :class:`Solution`.
 
         Raises
         ------
         InfeasibleError / UnboundedError
             When the model is proven infeasible or unbounded.
+        SolverError
+            When HiGHS stops without an optimum (iteration limit, numerical
+            trouble...).
         """
-        from repro.ilp import backends
+        from scipy.optimize import Bounds, LinearConstraint, milp
 
         form = self.to_matrix_form()
-        if backend == "auto":
-            backend = "highs" if backends.highs_available() else "bnb"
-        if backend == "highs":
-            raw = backends.solve_with_highs(form, time_limit=time_limit)
-        elif backend == "bnb":
-            raw = backends.solve_with_branch_and_bound(
-                form, time_limit=time_limit, gap=gap, lp_engine=lp_engine
+        constraints = []
+        if form.A_ub is not None:
+            constraints.append(LinearConstraint(form.A_ub, -np.inf, form.b_ub))
+        if form.A_eq is not None:
+            constraints.append(LinearConstraint(form.A_eq, form.b_eq, form.b_eq))
+        lower = [-np.inf if lb is None else lb for lb, _ in form.bounds]
+        upper = [np.inf if ub is None else ub for _, ub in form.bounds]
+        with _silence_native_stdout():
+            result = milp(
+                c=form.c,
+                constraints=constraints or None,
+                integrality=form.integrality,
+                bounds=Bounds(lower, upper),
             )
-        else:
-            raise ModelError(f"unknown backend {backend!r}")
-
-        status, x, objective, nodes = raw
-        if status == "infeasible":
+        if result.status == 2:
             raise InfeasibleError(f"model {self.name!r} is infeasible")
-        if status == "unbounded":
+        if result.status == 3:
             raise UnboundedError(f"model {self.name!r} is unbounded")
-        if status != "optimal":
-            raise ModelError(f"solver returned unexpected status {status!r}")
+        if result.status != 0:
+            raise SolverError(f"HiGHS failed on model {self.name!r}: {result.message}")
 
         sign = 1.0 if self.sense == MINIMIZE else -1.0
-        values = {var: float(x[var.index]) for var in self.variables}
+        values = {var: float(result.x[var.index]) for var in self.variables}
         # Snap integral variables onto the lattice for clean downstream use.
         for var in self.variables:
             if var.is_integral:
                 values[var] = float(round(values[var]))
-        true_objective = sign * (objective + form.offset)
         return Solution(
             status="optimal",
-            objective=true_objective,
+            objective=sign * (float(result.fun) + form.offset),
             values=values,
-            backend=backend,
-            nodes_explored=nodes,
         )
+
+
+@contextlib.contextmanager
+def _silence_native_stdout() -> Iterator[None]:
+    """Redirect C-level stdout to /dev/null for the duration.
+
+    HiGHS (inside scipy) prints debug lines directly to the process's
+    stdout, bypassing Python's ``sys.stdout``; an fd-level redirect is the
+    only way to keep solver runs quiet (and ``--json`` stdout parseable).
+    """
+    try:
+        stdout_fd = os.dup(1)
+    except OSError:  # pragma: no cover - no real stdout (embedded etc.)
+        yield
+        return
+    try:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), 1)
+            try:
+                yield
+            finally:
+                os.dup2(stdout_fd, 1)
+    finally:
+        os.close(stdout_fd)

@@ -130,3 +130,23 @@ def test_removed_bench_command_is_unknown(capsys):
 def test_experiment_all_accepted():
     args = build_parser().parse_args(["experiment", "all", "--fast"])
     assert args.id == "all"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--grid", "0"], "solve: grid dimensions must be positive"),
+    (["serve", "--grid", "0", "--requests", "10"],
+     "serve: grid dimensions must be positive"),
+    (["solve", "--random", "1"], "solve: need at least 2 nodes"),
+    (["adapt", "--nodes", "1"], "adapt: need at least 2 nodes"),
+    (["solve", "--grid", "3", "--chunks", "-1"],
+     "solve: num_chunks must be >= 0"),
+    (["solve", "--grid", "3", "--capacity", "-2"],
+     "solve: capacity must be >= 0"),
+], ids=["solve-grid0", "serve-grid0", "solve-random1", "adapt-nodes1",
+        "solve-chunks-neg", "solve-capacity-neg"])
+def test_bad_problem_sizes_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -38,6 +38,11 @@ class TestCachingProblem:
         with pytest.raises(ProblemError):
             CachingProblem(graph=grid_graph(3), producer=0, num_chunks=-1)
 
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ProblemError):
+            CachingProblem(graph=grid_graph(3), producer=0, num_chunks=1,
+                           capacity=-2)
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ProblemError):
             CachingProblem(
