@@ -148,6 +148,7 @@ class CostModel:
         # :meth:`invalidate_topology` drops them).
         self._path_cache: Dict[Node, Dict[Node, Node]] = {}
         self._children_cache: Dict[Node, Dict[Node, List[Node]]] = {}
+        self._hops_cache: Dict[Node, Dict[Node, int]] = {}
         # Storage-dependent structures, dropped (or patched) on invalidate.
         self._tree_cache: Dict[
             Node, Tuple[Dict[Node, float], Dict[Node, Node]]
@@ -233,6 +234,7 @@ class CostModel:
         """
         self._path_cache.clear()
         self._children_cache.clear()
+        self._hops_cache.clear()
         self.invalidate()
 
     def _full_invalidate(self) -> None:
@@ -425,6 +427,22 @@ class CostModel:
                     children.setdefault(parent, []).append(node)
             self._children_cache[source] = children
         return children
+
+    def hop_counts(self, source: Node) -> Dict[Node, int]:
+        """Hop distance from ``source`` to every reachable node.
+
+        Read off the cached BFS tree, in its (breadth-first) order.  Like
+        the tree it is topology-only: it survives storage invalidation and
+        is dropped by :meth:`invalidate_topology`.  The returned dict is
+        the cached one; do not mutate it.
+        """
+        hops = self._hops_cache.get(source)
+        if hops is None:
+            hops = {}
+            for node, parent in self._hop_tree(source).items():
+                hops[node] = 0 if node == source else hops[parent] + 1
+            self._hops_cache[source] = hops
+        return hops
 
     def _contention_tree(
         self, source: Node

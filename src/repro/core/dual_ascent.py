@@ -27,13 +27,26 @@ which matches the dual feasibility argument of Theorem 1.
 
 Determinism: clients and facilities are processed in their instance order
 (graph insertion order), so runs are exactly reproducible.
+
+Event-driven implementation (the standard primal-dual loop of Jung et al.
+[20]): every active client starts at ``α = 0`` and gains the same
+``step · jump`` per event loop, so all active bids equal one clock ``t``.
+Each client's servers are sorted by ``c_ij`` once, and a pointer marks the
+first one it cannot yet afford.  Everything before the pointer is a
+still-closed facility the client is tight with (an affordable open server
+would have frozen it), so the next client event, the freeze check and the
+tight refresh read only entries at or past the pointer.  Facilities keep a
+count of their active tight clients, and only those with at least ``M``
+are priced.  Rounds, bids, payments, freeze order and ``tight[i]``
+insertion order are exactly those of the round-by-round rule above.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.errors import SolverError
 from repro.analysis import contracts
@@ -85,6 +98,33 @@ class DualAscentResult:
     span_counts: Dict[Node, int] = field(default_factory=dict)
 
 
+def _servers_by_cost(
+    connect: Dict[Node, Dict[Node, float]],
+    producer: Node,
+    facilities: List[Node],
+    clients: List[Node],
+) -> Tuple[Dict[Node, List[float]], Dict[Node, List[Node]]]:
+    """Each client's servers in the order its bid reaches them.
+
+    Per client: the facilities cheaper than the producer, by ``c_ij``
+    (ties in facility order), then the producer, then an ``inf`` cost
+    that stops every scan.  A client whose bid reaches the producer's
+    cost freezes onto it — the producer wins every tie — so nothing
+    dearer is ever read.
+    """
+    servers = [producer] + facilities
+    columns = zip(*[list(map(connect[s].__getitem__, clients)) for s in servers])
+    costs_of: Dict[Node, List[float]] = {}
+    servers_of: Dict[Node, List[Node]] = {}
+    for j, column in zip(clients, columns):
+        order = sorted(range(1, len(servers)), key=column.__getitem__)
+        costs = list(map(column.__getitem__, order))
+        cut = bisect.bisect_left(costs, column[0])
+        costs_of[j] = costs[:cut] + [column[0], math.inf]
+        servers_of[j] = [servers[x] for x in order[:cut]] + [producer]
+    return costs_of, servers_of
+
+
 def dual_ascent(
     instance: ConFLInstance, config: DualAscentConfig = DualAscentConfig()
 ) -> DualAscentResult:
@@ -106,42 +146,59 @@ def dual_ascent(
     connect = instance.connect_cost
     open_cost = instance.open_cost
     threshold = config.resolved_threshold(instance)
+    step = config.step
 
+    # t: the bid of every still-active client (they all rise together);
+    # alpha[j] is written when j freezes.
+    t = 0.0
     alpha: Dict[Node, float] = {j: 0.0 for j in clients}
+    active: List[Node] = list(clients)
     frozen: Set[Node] = set()
     target: Dict[Node, Node] = {}
     admins: List[Node] = []
-    admin_set: Set[Node] = set()
+    # Open servers and their tie-break rank: the order [producer] + admins.
+    open_rank: Dict[Node, int] = {producer: -1}
     # T[i]: clients that went tight with facility i while still bidding.
     tight: Dict[Node, Set[Node]] = {i: set() for i in facilities}
+    # How many members of T[i] are still bidding.
+    active_tight: Dict[Node, int] = {i: 0 for i in facilities}
     # Payments toward f_i, locked in place when a contributor freezes.
     locked_payment: Dict[Node, float] = {i: 0.0 for i in facilities}
 
+    costs_of, servers_of = _servers_by_cost(connect, producer, facilities, clients)
+    # ptr[j]: the first entry of j's lists that j cannot afford yet.
+    ptr: Dict[Node, int] = {j: 0 for j in clients}
+
     def facility_payment(i: Node) -> float:
         """Σ β_ij: live bids of unfrozen tight clients + locked payments."""
-        live = sum(
-            alpha[j] - connect[i][j] for j in tight[i] if j not in frozen
-        )
+        live = sum(t - connect[i][j] for j in tight[i] if j not in frozen)
         return locked_payment[i] + live
 
     def freeze(j: Node, server: Node) -> None:
         """FROZEN: stop j's bids, lock its β contributions, record target."""
         frozen.add(j)
         target[j] = server
-        for i in facilities:
-            if j in tight[i]:
-                locked_payment[i] += max(0.0, alpha[j] - connect[i][j])
+        alpha[j] = t
+        costs = costs_of[j]
+        servers = servers_of[j]
+        for k in range(ptr[j]):
+            i = servers[k]
+            locked_payment[i] += max(0.0, t - costs[k])
+            active_tight[i] -= 1
 
     def cheapest_open_server(j: Node) -> Optional[Node]:
         """Best already-open server j can afford (ADMIN or producer)."""
+        costs = costs_of[j]
+        servers = servers_of[j]
         best: Optional[Node] = None
         best_cost = math.inf
-        candidates = [producer] + admins
-        for i in candidates:
-            cost = connect[i][j]
-            if alpha[j] >= cost and cost < best_cost:
-                best = i
-                best_cost = cost
+        best_rank = 0
+        k = ptr[j]
+        while costs[k] <= t and costs[k] <= best_cost:
+            rank = open_rank.get(servers[k])
+            if rank is not None and (best is None or rank < best_rank):
+                best, best_cost, best_rank = servers[k], costs[k], rank
+            k += 1
         return best
 
     def rounds_to_next_event() -> int:
@@ -151,49 +208,27 @@ def dual_ascent(
         tight with a new facility, a facility's payment reaching ``f_i``)
         every round just adds ``step`` to all active bids — so the
         trajectory is identical if those rounds are applied at once.
-        This event-driven jump is what keeps Algorithm 1 fast in practice
-        (cf. Fig. 5) without changing any outcome.
+        The next client event is the cheapest entry at any active
+        client's pointer; the next facility event is the smallest
+        deficit among facilities with at least ``M`` active tight
+        clients.  This event-driven jump is what keeps Algorithm 1 fast
+        in practice (cf. Fig. 5) without changing any outcome.
         """
-        step = config.step
-        best = math.inf
-        open_servers = [producer] + admins
-        for j in clients:
-            if j in frozen:
-                continue
-            aj = alpha[j]
-            nearest = math.inf
-            for i in open_servers:
-                gap = connect[i][j] - aj
-                if gap < nearest:
-                    nearest = gap
-            for i in facilities:
-                if i in admin_set or j in tight[i]:
-                    continue
-                gap = connect[i][j] - aj
-                if gap < nearest:
-                    nearest = gap
-            if nearest <= 0:
-                return 1
-            rounds_needed = max(1, math.ceil(nearest / step - 1e-12))
-            if rounds_needed < best:
-                best = rounds_needed
+        nearest = min(costs_of[j][ptr[j]] for j in active) - t
+        if nearest <= 0:
+            return 1
+        best = max(1, math.ceil(nearest / step - 1e-12))
         for i in facilities:
-            if i in admin_set:
-                continue
-            active_count = sum(1 for j in tight[i] if j not in frozen)
-            if active_count < threshold:
+            count = active_tight[i]
+            if count < threshold or i in open_rank:
                 continue
             deficit = open_cost[i] - facility_payment(i)
             if deficit <= 0:
                 return 1
-            rounds_needed = max(
-                1, math.ceil(deficit / (active_count * step) - 1e-12)
-            )
+            rounds_needed = max(1, math.ceil(deficit / (count * step) - 1e-12))
             if rounds_needed < best:
                 best = rounds_needed
-        if not math.isfinite(best):
-            return 1
-        return int(best)
+        return best
 
     rounds = 0
     event_loops = 0
@@ -224,41 +259,43 @@ def dual_ascent(
                 f"dual ascent did not converge in {config.max_rounds} rounds"
             )
         # Line 18: raise bids of every active client (jumped in one step).
-        for j in clients:
-            if j not in frozen:
-                alpha[j] += config.step * jump
+        t += step * jump
 
         # Conditions 1-2 (lines 21-26): connect to ADMIN / producer.
-        for j in clients:
-            if j in frozen:
-                continue
-            server = cheapest_open_server(j)
-            if server is not None:
-                freeze(j, server)
-                direct_freezes += 1
+        for j in active:
+            if costs_of[j][ptr[j]] <= t:
+                server = cheapest_open_server(j)
+                if server is not None:
+                    freeze(j, server)
+                    direct_freezes += 1
 
         # Lines 19-20: refresh tight sets (β, γ bids) of active clients.
-        for j in clients:
+        # A client still bidding here affords no open server, so every
+        # entry its pointer passes is a still-closed facility.
+        for j in active:
             if j in frozen:
                 continue
-            aj = alpha[j]
-            for i in facilities:
-                if i not in admin_set and aj >= connect[i][j]:
-                    tight[i].add(j)
+            costs = costs_of[j]
+            servers = servers_of[j]
+            k = ptr[j]
+            while costs[k] <= t:
+                i = servers[k]
+                tight[i].add(j)
+                active_tight[i] += 1
+                k += 1
+            ptr[j] = k
 
         # Condition 3 (lines 27-45): open fully paid, well-supported
         # facilities.  Deterministic facility order; openings within a
         # round see the freezes caused by earlier openings.
         for i in facilities:
-            if i in admin_set:
-                continue
-            active_tight = [j for j in tight[i] if j not in frozen]
-            if len(active_tight) < threshold:
+            if active_tight[i] < threshold or i in open_rank:
                 continue
             if facility_payment(i) + 1e-12 < open_cost[i]:
                 continue
-            admin_set.add(i)
+            open_rank[i] = len(admins)
             admins.append(i)
+            supporters = [j for j in tight[i] if j not in frozen]
             if trace.enabled:
                 trace.instant(
                     "dual_ascent.admin_open",
@@ -268,19 +305,19 @@ def dual_ascent(
                         "round": rounds,
                         "payment": facility_payment(i),
                         "open_cost": open_cost[i],
-                        "tight_clients": len(active_tight),
+                        "tight_clients": len(supporters),
                     },
                 )
-            for j in active_tight:
+            for j in supporters:
                 freeze(j, i)
+        active = [j for j in active if j not in frozen]
 
         # Per-iteration trace: the dual trajectory (bid levels, tight
         # edges, freezes, openings) as one instant event per event-loop
         # round.  Payload construction is gated so the default
         # NullTracer costs one attribute read per iteration.
         if trace.enabled:
-            total_tight = sum(len(t) for t in tight.values())
-            active_alpha = [alpha[j] for j in clients if j not in frozen]
+            total_tight = sum(len(members) for members in tight.values())
             trace.instant(
                 "dual_ascent.round",
                 track="dual_ascent",
@@ -293,7 +330,7 @@ def dual_ascent(
                     "new_admins": len(admins) - admins_before,
                     "tight_edges": total_tight,
                     "new_tight_edges": total_tight - tight_edges,
-                    "alpha_active_max": max(active_alpha, default=0.0),
+                    "alpha_active_max": t if active else 0.0,
                 },
             )
             tight_edges = total_tight
@@ -303,24 +340,26 @@ def dual_ascent(
         # residual infeasibility (clients still bidding).  One
         # attribute read per iteration when telemetry is off.
         if series_on:
-            t = series_base + rounds
+            at = series_base + rounds
             obs.series_point(
-                "dual_ascent.objective", t, sum(alpha.values())
+                "dual_ascent.objective",
+                at,
+                sum(alpha[j] if j in frozen else t for j in clients),
             )
             obs.series_point(
                 "dual_ascent.frozen",
-                t,
+                at,
                 frozen_base + len(frozen),
                 kind="counter",
             )
             obs.series_point(
                 "dual_ascent.admins",
-                t,
+                at,
                 admins_base + len(admins),
                 kind="counter",
             )
             obs.series_point(
-                "dual_ascent.unserved", t, len(clients) - len(frozen)
+                "dual_ascent.unserved", at, len(clients) - len(frozen)
             )
 
     payments = {i: facility_payment(i) for i in facilities}

@@ -29,7 +29,6 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.analysis import contracts
-from repro.graphs.traversal import hop_distances
 from repro.core.commit import commit_chunk
 from repro.core.placement import CachePlacement, ChunkPlacement
 from repro.core.problem import CachingProblem, ProblemState
@@ -229,8 +228,6 @@ class ChunkSession:
         #: Nodes still unserved when a faulty session quiesced (sorted by
         #: the deterministic node order; empty outside FULL fault mode).
         self.unserved: List[Node] = []
-        # Hop distances from every node (for scoped delivery + latency).
-        self._hops: Dict[Node, Dict[Node, int]] = {}
         # Resolved once per session: the per-message trace guard must be
         # a plain attribute read, not a context-var lookup per radio send.
         self._trace = get_tracer()
@@ -605,11 +602,9 @@ class ChunkSession:
 
     # ------------------------------------------------------------------
     def _hops_from(self, source: Node) -> Dict[Node, int]:
-        cached = self._hops.get(source)
-        if cached is None:
-            cached = hop_distances(self.graph, source)
-            self._hops[source] = cached
-        return cached
+        """Hop counts from ``source`` (scoped delivery + latency), cached
+        per problem by the cost model."""
+        return self.state.costs.hop_counts(source)
 
     def _hop(self, src: Node, dst: Node) -> int:
         return self._hops_from(src)[dst]

@@ -14,22 +14,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 from repro.obs import get_recorder, get_tracer
 
 Handler = Callable[[], None]
 
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    handler: Handler = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    fired: bool = field(default=False, compare=False)
+# A queued event is a plain list ``[time, seq, handler, cancelled, fired]``:
+# heapq orders it by (time, seq) in C, and the unique seq means the handler
+# is never compared.  A list, not a tuple, so a handle can flag it in place.
+_Event = List[Any]
+_TIME = 0
+_HANDLER = 2
+_CANCELLED = 3
+_FIRED = 4
 
 
 class EventHandle:
@@ -43,13 +42,14 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Cancel the event if it has not fired yet."""
-        if not self._event.cancelled and not self._event.fired:
-            self._event.cancelled = True
+        event = self._event
+        if not event[_CANCELLED] and not event[_FIRED]:
+            event[_CANCELLED] = True
             self._sim._note_cancelled()
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return bool(self._event[_CANCELLED])
 
 
 class Simulator:
@@ -103,7 +103,7 @@ class Simulator:
         """Schedule ``handler`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = _Event(self._now + delay, next(self._seq), handler)
+        event = [self._now + delay, next(self._seq), handler, False, False]
         heapq.heappush(self._queue, event)
         live = len(self._queue) - self._cancelled
         if live > self._max_queue_depth:
@@ -134,7 +134,7 @@ class Simulator:
         """
         self._cancelled += 1
         if self._cancelled * 2 > len(self._queue):
-            self._queue = [e for e in self._queue if not e.cancelled]
+            self._queue = [e for e in self._queue if not e[_CANCELLED]]
             heapq.heapify(self._queue)
             self._cancelled = 0
 
@@ -142,13 +142,13 @@ class Simulator:
         """Execute the next event.  Returns False when the queue is empty."""
         while self._queue:
             event = heapq.heappop(self._queue)
-            if event.cancelled:
+            if event[_CANCELLED]:
                 self._cancelled -= 1
                 continue
-            self._now = event.time
+            self._now = event[_TIME]
             self._events_processed += 1
-            event.fired = True
-            event.handler()
+            event[_FIRED] = True
+            event[_HANDLER]()
             return True
         return False
 
@@ -163,7 +163,7 @@ class Simulator:
                 next_event = self._peek()
                 if next_event is None:
                     return
-                if until is not None and next_event.time > until:
+                if until is not None and next_event[_TIME] > until:
                     self._now = until
                     return
                 self.step()
@@ -191,7 +191,7 @@ class Simulator:
                     )
 
     def _peek(self) -> Optional[_Event]:
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][_CANCELLED]:
             heapq.heappop(self._queue)
             self._cancelled -= 1
         return self._queue[0] if self._queue else None

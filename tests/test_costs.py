@@ -19,8 +19,17 @@ from repro.errors import (
     NoPathError,
     ProblemError,
 )
-from repro.graphs import Graph, grid_graph, path_graph
+import repro.core.costs as costs_module
+from repro.distributed import solve_distributed
+from repro.graphs import (
+    Graph,
+    connected_random_network,
+    grid_graph,
+    hop_distances,
+    path_graph,
+)
 from repro.obs import Recorder, use_recorder
+from repro.workloads import random_problem
 
 
 class TestFairnessDegreeCost:
@@ -163,6 +172,43 @@ class TestCostModel:
         assert model._path_cache == {}
         assert model._children_cache == {}
         assert model._cost_cache == {}
+
+
+class TestHopCounts:
+    """hop_counts: BFS hop distances read off the cached hop trees."""
+
+    def test_matches_hop_distances_in_order(self):
+        graph, _ = connected_random_network(40, seed=3)
+        model = CostModel(graph, StorageState(graph.nodes(), 5))
+        for source in graph.nodes():
+            assert list(model.hop_counts(source).items()) == list(
+                hop_distances(graph, source).items()
+            )
+
+    def test_survives_storage_changes_not_topology_changes(self, grid4):
+        model = CostModel(grid4, StorageState(grid4.nodes(), 5))
+        hops = model.hop_counts(0)
+        model.storage.add(5, 0)
+        model.invalidate(dirty_nodes=[5])
+        model.invalidate()
+        assert model.hop_counts(0) is hops
+        grid4.add_edge(0, 15)
+        model.invalidate_topology()
+        assert model.hop_counts(0)[15] == 1
+
+    def test_dist_runs_one_bfs_per_source(self, monkeypatch):
+        # Every chunk session of a run shares the cost model's trees.
+        sources = []
+        real_bfs_tree = costs_module.bfs_tree
+
+        def counting_bfs_tree(graph, source):
+            sources.append(source)
+            return real_bfs_tree(graph, source)
+
+        monkeypatch.setattr(costs_module, "bfs_tree", counting_bfs_tree)
+        problem, _ = random_problem(30, seed=2017)
+        solve_distributed(problem)
+        assert sorted(sources) == sorted(problem.graph.nodes())
 
 
 class TestIncrementalInvalidation:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     CachingProblem,
@@ -10,9 +12,130 @@ from repro.core import (
     build_confl_instance,
     dual_ascent,
 )
+from repro.core.commit import commit_chunk
+from repro.core.dual_ascent import DualAscentResult
 from repro.errors import SolverError
-from repro.graphs import grid_graph, path_graph, star_graph
+from repro.graphs import (
+    balanced_tree,
+    connected_random_network,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+)
 from repro.workloads import grid_problem
+
+
+def reference_dual_ascent(instance, config):
+    """Algorithm 1 lines 17–46 taken literally: every round raises each
+    active bid by one step and rescans every (client, facility) pair.
+
+    The oracle for the event-driven :func:`dual_ascent`.  Exact float
+    identity holds for steps and costs that are sums of powers of two
+    (integer contention costs, steps 0.5 / 1 / 2), where ``k`` additions
+    of ``step`` equal one addition of ``k · step``.
+    """
+    producer = instance.producer
+    clients = list(instance.clients)
+    facilities = [
+        i for i in instance.facilities if math.isfinite(instance.open_cost[i])
+    ]
+    connect = instance.connect_cost
+    threshold = config.resolved_threshold(instance)
+    alpha = {j: 0.0 for j in clients}
+    frozen, target, admins = set(), {}, []
+    tight = {i: set() for i in facilities}
+    locked = {i: 0.0 for i in facilities}
+
+    def payment(i):
+        live = sum(alpha[j] - connect[i][j] for j in tight[i] if j not in frozen)
+        return locked[i] + live
+
+    def freeze(j, server):
+        frozen.add(j)
+        target[j] = server
+        for i in facilities:
+            if j in tight[i]:
+                locked[i] += max(0.0, alpha[j] - connect[i][j])
+
+    rounds = 0
+    while len(frozen) < len(clients):
+        rounds += 1
+        for j in clients:
+            if j not in frozen:
+                alpha[j] += config.step
+        for j in clients:  # conditions 1-2: cheapest affordable open server
+            if j in frozen:
+                continue
+            best = None
+            for i in [producer] + admins:
+                cost = connect[i][j]
+                if alpha[j] >= cost and (best is None or cost < connect[best][j]):
+                    best = i
+            if best is not None:
+                freeze(j, best)
+        for j in clients:  # lines 19-20: tight with affordable closed ones
+            if j in frozen:
+                continue
+            for i in facilities:
+                if i not in admins and alpha[j] >= connect[i][j]:
+                    tight[i].add(j)
+        for i in facilities:  # condition 3: paid and M-supported opens
+            if i in admins:
+                continue
+            supporters = [j for j in tight[i] if j not in frozen]
+            if len(supporters) < threshold:
+                continue
+            if payment(i) + 1e-12 < instance.open_cost[i]:
+                continue
+            admins.append(i)
+            for j in supporters:
+                freeze(j, i)
+        assert rounds <= config.max_rounds
+    return DualAscentResult(
+        admins=admins,
+        assignment=dict(target),
+        alpha=alpha,
+        rounds=rounds,
+        payments={i: payment(i) for i in facilities},
+        span_counts={i: len(tight[i]) for i in facilities},
+    )
+
+
+def _topology(kind, size, seed):
+    if kind == "grid":
+        return grid_graph(size)
+    if kind == "line":
+        return path_graph(4 * size)
+    if kind == "ring":
+        return cycle_graph(4 * size)
+    if kind == "star":
+        return star_graph(4 * size)
+    if kind == "tree":
+        return balanced_tree(2, size)
+    return connected_random_network(5 * size, seed=seed)[0]
+
+
+@st.composite
+def dual_cases(draw):
+    """A problem on a small generated topology plus dual-ascent knobs."""
+    kind = draw(st.sampled_from(["grid", "line", "ring", "star", "tree", "rgg"]))
+    graph = _topology(
+        kind,
+        draw(st.integers(min_value=2, max_value=5)),
+        draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    problem = CachingProblem(
+        graph=graph,
+        producer=draw(st.sampled_from(sorted(graph.nodes()))),
+        num_chunks=draw(st.integers(min_value=1, max_value=4)),
+        capacity=draw(st.sampled_from([1, 3, 5])),
+    )
+    config = DualAscentConfig(
+        step=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        span_threshold=draw(st.sampled_from([1, 2, 3])),
+    )
+    return problem, config
 
 
 class TestConFLInstance:
@@ -168,14 +291,25 @@ class TestDualInvariants:
         for admin in result.admins:
             assert result.span_counts[admin] >= threshold
 
-    def test_jump_optimization_preserves_trajectory(self, small_problem):
-        """Event-jumping must give the same result as tiny uniform steps
-        (it only skips rounds in which nothing can happen)."""
-        instance = build_confl_instance(small_problem.new_state())
-        coarse = dual_ascent(instance, DualAscentConfig(step=1.0))
-        fine = dual_ascent(instance, DualAscentConfig(step=1.0))
-        assert coarse.admins == fine.admins
-        assert coarse.assignment == fine.assignment
+    @given(case=dual_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_jump_optimization_preserves_trajectory(self, case):
+        """The event-driven ascent equals the literal round-by-round one
+        (it only skips rounds in which nothing can happen) on every
+        chunk, with each chunk committed before the next is built."""
+        problem, config = case
+        state = problem.new_state()
+        for chunk in problem.chunks:
+            instance = build_confl_instance(state)
+            fast = dual_ascent(instance, config)
+            slow = reference_dual_ascent(instance, config)
+            assert fast.admins == slow.admins
+            assert list(fast.assignment.items()) == list(slow.assignment.items())
+            assert list(fast.alpha.items()) == list(slow.alpha.items())
+            assert fast.rounds == slow.rounds
+            assert list(fast.payments.items()) == list(slow.payments.items())
+            assert fast.span_counts == slow.span_counts
+            commit_chunk(state, chunk, list(fast.admins))
 
 
 class TestWorkedExample:
