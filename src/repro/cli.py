@@ -625,6 +625,7 @@ def _parse_fault_config(args: argparse.Namespace):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported lazily: serve pulls in the solver + delay layers.
+    from repro.errors import ProblemError
     from repro.serve import (
         SELECTION_POLICIES,
         WORKLOADS,
@@ -648,13 +649,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if built is None:
         return 2
     problem, label = built
-    if args.rate is not None:
-        workload = workload_cls(seed=args.seed, rate=args.rate)
-    else:
-        workload = workload_cls(seed=args.seed)
-    config = ServeConfig(
-        failure_rate=args.failure_rate, seed=args.seed, engine=args.engine
-    )
+    try:
+        if args.rate is not None:
+            workload = workload_cls(seed=args.seed, rate=args.rate)
+        else:
+            workload = workload_cls(seed=args.seed)
+        config = ServeConfig(
+            failure_rate=args.failure_rate, seed=args.seed, engine=args.engine
+        )
+    except ProblemError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     name = _ALGO_ALIASES.get(args.algorithm, args.algorithm)
     if args.adaptive is not None:
         return _serve_adaptive(args, problem, workload, config, label, name)

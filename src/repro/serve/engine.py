@@ -578,11 +578,13 @@ class ServeEngine(ServeView):
             obs.series_point("serve.timeouts", t, timeouts, kind="counter")
             obs.series_point("serve.inflight", t, len(heap))
 
+        # The stream ends after the skipped prefix plus the requests to
+        # serve, so the last batch draws nothing the replay drops.
         stream = self.workload.stream_batches(
             self.problem.clients, self.problem.num_chunks,
             config.batch_size,
+            limit=config.skip_requests + self.num_requests,
         )
-        remaining = self.num_requests
         # Epoch hook: drop the skipped stream prefix batch by batch.
         # Skipped requests never enter the tallies or the float chain,
         # matching the reference path's pre-scheduling burn exactly.
@@ -590,6 +592,9 @@ class ServeEngine(ServeView):
         # The reference path's arrival-event times round through
         # schedule_at (now + (t - now)); mirror the chain exactly.
         effective = 0.0
+        # Stop at the last request instead of asking the spent stream
+        # for one more batch.
+        remaining = self.num_requests
         while remaining > 0:
             batch = next(stream, None)
             if batch is None:
@@ -603,8 +608,6 @@ class ServeEngine(ServeView):
                 clients = clients[to_skip:]
                 chunks = chunks[to_skip:]
                 to_skip = 0
-            if len(times) > remaining:
-                times = times[:remaining]
             remaining -= len(times)
             batches += 1
             generated += len(times)

@@ -33,7 +33,7 @@ The :data:`SELECTION_POLICIES` registry maps CLI names to classes;
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Sequence, Type
+from typing import Dict, Hashable, List, Sequence, Tuple, Type
 
 Node = Hashable
 
@@ -108,20 +108,61 @@ class CheapestCost(ReplicaSelector):
 
 class LeastLoaded(ReplicaSelector):
     """Go wherever the queue is shortest; ties break toward the cheaper
-    path, then the earlier candidate."""
+    path, then the earlier candidate.
+
+    The choice is the minimum of ``(queue_depth, cost)`` over the
+    candidates, found by a ranked walk instead of a full scan.  The
+    first call for a ``(client, chunk)`` after :meth:`bind` stable-sorts
+    the candidates by cost (ties keep candidate order) and caches that
+    rank; costs are frozen for a replay, so the rank stays valid until
+    the next :meth:`bind`.  Each call walks the rank: the first idle
+    replica is the answer (no key beats ``(0, lowest idle cost)``), and
+    when none is idle the first replica of minimum depth is.  A failover
+    passes the candidates minus the dead server tried; the walk skips
+    servers missing from ``candidates``, and ties still resolve as in
+    ``candidates`` because that list keeps the ranked list's order.  A
+    candidate list that is not an order-preserving subset of the ranked
+    one is ranked afresh for that call.
+    """
 
     name = "least-loaded"
 
+    def bind(self, view: ServeView) -> None:
+        super().bind(view)
+        # (client, chunk) → (candidates as first seen, cost rank).
+        self._ranks: Dict[Tuple[Node, int], Tuple[List[Node], List[Node]]] = {}
+
     def choose(self, client: Node, chunk: int, candidates: Sequence[Node]) -> Node:
-        view = self._view
-        best = candidates[0]
-        best_key = (view.queue_depth(best), view.cost(best, client))
-        for server in candidates[1:]:
-            key = (view.queue_depth(server), view.cost(server, client))
-            if key < best_key:
+        entry = self._ranks.get((client, chunk))
+        if entry is None:
+            entry = (list(candidates), self._rank(client, candidates))
+            self._ranks[(client, chunk)] = entry
+        seen, ranked = entry
+        members = None
+        if candidates != seen:
+            remaining = iter(seen)
+            if all(server in remaining for server in candidates):
+                members = set(candidates)
+            else:
+                ranked = self._rank(client, candidates)
+        queue_depth = self._view.queue_depth
+        best = None
+        best_depth = 0
+        for server in ranked:
+            if members is not None and server not in members:
+                continue
+            depth = queue_depth(server)
+            if not depth:
+                return server
+            if best is None or depth < best_depth:
                 best = server
-                best_key = key
+                best_depth = depth
         return best
+
+    def _rank(self, client: Node, candidates: Sequence[Node]) -> List[Node]:
+        """``candidates`` by cost to ``client``; the sort is stable."""
+        cost = self._view.cost
+        return sorted(candidates, key=lambda server: cost(server, client))
 
 
 class PowerOfTwoChoices(ReplicaSelector):

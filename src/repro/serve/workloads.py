@@ -43,7 +43,9 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterator, List, Sequence, Tuple, Type
+from typing import (
+    Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Type,
+)
 
 from repro.errors import ProblemError
 
@@ -52,8 +54,8 @@ Node = Hashable
 DEFAULT_SEED = 2017
 
 #: Requests per struct-of-arrays batch from :meth:`Workload.stream_batches`.
-#: Large enough to amortize the per-batch Python overhead, small enough
-#: that a partially-consumed final batch wastes little generation work.
+#: Large enough to amortize the per-batch Python overhead; the batched
+#: engine passes a ``limit``, so the final batch is cut to fit.
 DEFAULT_BATCH_SIZE = 8192
 
 #: One struct-of-arrays event batch: parallel ``(times, clients, chunks)``
@@ -119,25 +121,34 @@ class Workload:
         clients: Sequence[Node],
         num_chunks: int,
         batch_size: int = DEFAULT_BATCH_SIZE,
+        limit: Optional[int] = None,
     ) -> Iterator[RequestBatch]:
         """The same stream as :meth:`stream`, in struct-of-arrays batches.
 
         Yields ``(times, clients, chunks)`` parallel list columns of
-        ``batch_size`` requests each, endlessly.  The RNG is consumed in
-        exactly the per-request order (interarrival, client, chunk), so
-        column ``i`` of batch ``b`` equals request ``b * batch_size + i``
-        of :meth:`stream` — the batched engine's equivalence guarantee
-        starts here.  A zero-rate workload yields no batches.
+        ``batch_size`` requests each — endlessly, or until ``limit``
+        requests have been drawn, the last batch then holding the rest.
+        The RNG is consumed in exactly the per-request order
+        (interarrival, client, chunk), so column ``i`` of batch ``b``
+        equals request ``b * batch_size + i`` of :meth:`stream` — the
+        batched engine's equivalence guarantee starts here.  A
+        zero-rate workload yields no batches.
         """
         if batch_size < 1:
             raise ProblemError(f"batch_size must be >= 1, got {batch_size}")
+        if limit is not None and limit < 0:
+            raise ProblemError(f"limit must be >= 0, got {limit}")
         clients = self._check_stream_args(clients, num_chunks)
         if self.rate == 0:
             return iter(())
-        return self._generate_batches(clients, num_chunks, batch_size)
+        return self._generate_batches(clients, num_chunks, batch_size, limit)
 
     def _generate_batches(
-        self, clients: List[Node], num_chunks: int, batch_size: int
+        self,
+        clients: List[Node],
+        num_chunks: int,
+        batch_size: int,
+        limit: Optional[int],
     ) -> Iterator[RequestBatch]:
         rng = random.Random(self.seed)
         state = self._prepare(rng, clients, num_chunks)
@@ -145,11 +156,14 @@ class Workload:
         pick_client = self._pick_client
         pick_chunk = self._pick_chunk
         now = 0.0
-        while True:
+        left = math.inf if limit is None else limit
+        while left > 0:
+            size = min(batch_size, left)
+            left -= size
             times: List[float] = []
             batch_clients: List[Node] = []
             batch_chunks: List[int] = []
-            for _ in range(batch_size):
+            for _ in range(size):
                 now += interarrival(rng, now)
                 times.append(now)
                 # Client before chunk: Request(...) evaluates its keyword

@@ -51,7 +51,7 @@ from repro.experiments.runner import SOLVERS
 from repro.obs import get_recorder, get_tracer
 from repro.obs.manifest import build_manifest
 from repro.serve import SELECTION_POLICIES, WORKLOADS, ServeConfig
-from repro.serve.engine import ENGINE_BATCHED, ENGINES, serve_placement
+from repro.serve.engine import ENGINE_BATCHED, serve_placement
 from repro.workloads import grid_problem, random_problem
 
 SWEEP_SCHEMA = "repro-sweep/1"
@@ -153,6 +153,8 @@ class SweepGrid:
                     f"unknown workload {name!r}; "
                     f"choose from {sorted(WORKLOADS)}"
                 )
+            if self.rate is not None:
+                WORKLOADS[name](rate=self.rate)  # raises on a bad rate
         for name in self.policies:
             if name not in SELECTION_POLICIES:
                 raise ProblemError(
@@ -168,10 +170,9 @@ class SweepGrid:
             raise ProblemError(
                 f"requests must be >= 0, got {self.requests}"
             )
-        if self.engine not in ENGINES:
-            raise ProblemError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
+        # Every cell builds this config; a bad failure rate or engine
+        # fails here, before any worker spawns.
+        ServeConfig(failure_rate=self.failure_rate, engine=self.engine)
         from repro.adaptive import ADAPTIVE_POLICIES
 
         for name in self.adaptive:

@@ -150,3 +150,25 @@ def test_bad_problem_sizes_exit_2(argv, message, capsys):
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["serve", "--grid", "3", "--failure-rate", "1.5"],
+     "serve: failure_rate must be in [0, 1], got 1.5"),
+    (["serve", "--grid", "3", "--rate", "-1"],
+     "serve: request rate must be >= 0, got -1.0"),
+    (["sweep", "--failure-rate", "1.5"],
+     "sweep: failure_rate must be in [0, 1], got 1.5"),
+    (["sweep", "--rate", "-1"],
+     "sweep: request rate must be >= 0, got -1.0"),
+], ids=["serve-failure-rate", "serve-rate", "sweep-failure-rate",
+        "sweep-rate"])
+def test_bad_serve_inputs_exit_2(argv, message, capsys, tmp_path,
+                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -164,6 +164,27 @@ class TestWorkloadStreams:
         flat = flat[:200]
         assert flat == [(r.time, r.client, r.chunk) for r in requests]
 
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_limited_batches_stop_at_the_limit(self, name):
+        # 200 is not a multiple of 64: three full batches, then the 8
+        # requests left, then the stream ends.
+        workload = WORKLOADS[name](seed=17)
+        requests = take(workload, CLIENTS, 4, 200)
+        batches = list(
+            workload.stream_batches(CLIENTS, 4, batch_size=64, limit=200)
+        )
+        assert [len(times) for times, _, _ in batches] == [64, 64, 64, 8]
+        flat = [
+            row for times, clients, chunks in batches
+            for row in zip(times, clients, chunks)
+        ]
+        assert flat == [(r.time, r.client, r.chunk) for r in requests]
+
+    def test_limit_validation(self):
+        assert list(UniformWorkload().stream_batches(CLIENTS, 3, limit=0)) == []
+        with pytest.raises(ProblemError):
+            UniformWorkload().stream_batches(CLIENTS, 3, limit=-1)
+
 
 class _StaticView:
     """A scripted ServeView for selection-policy unit tests."""
@@ -301,6 +322,25 @@ class TestBatchedEquivalence:
             for size in (1, 3, 100, 8192)
         ]
         assert len(set(reports)) == 1
+
+    @pytest.mark.parametrize("skip", [0, 100])
+    def test_batched_draws_only_the_requests_it_reads(
+        self, placement, skip, monkeypatch
+    ):
+        drawn = []
+        original = ZipfWorkload.stream_batches
+
+        def counted(self, *args, **kwargs):
+            for batch in original(self, *args, **kwargs):
+                drawn.append(len(batch[0]))
+                yield batch
+
+        monkeypatch.setattr(ZipfWorkload, "stream_batches", counted)
+        serve_placement(
+            placement, ZipfWorkload(seed=5), 300,
+            config=ServeConfig(seed=5, batch_size=64, skip_requests=skip),
+        )
+        assert sum(drawn) == skip + 300
 
     def test_batched_counters_match_per_request(self, placement):
         workload = ZipfWorkload(seed=9)
