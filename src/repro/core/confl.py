@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Mapping, Tuple
+
+import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.core.problem import ProblemState
@@ -45,6 +47,10 @@ class ConFLInstance:
         server → client → weighted connection cost
         ``contention_weight · c_ij`` (``c_ii = 0``); servers include the
         producer.
+    connect_matrix:
+        The same weighted costs as one float64 array: row 0 is the
+        producer, row ``1 + f`` the ``f``-th facility, and the columns
+        follow ``clients``.
     steiner_graph:
         Topology re-weighted with dissemination edge costs
         ``contention_weight · c_e`` (the ``M`` scale is applied by the
@@ -58,10 +64,13 @@ class ConFLInstance:
     facilities: Tuple[Node, ...]
     open_cost: Dict[Node, float]
     connect_cost: Dict[Node, Dict[Node, float]]
+    connect_matrix: np.ndarray
     steiner_graph: Graph
     dissemination_scale: float
     raw_open_cost: Dict[Node, float] = field(default_factory=dict)
-    raw_connect_cost: Dict[Node, Dict[Node, float]] = field(default_factory=dict)
+    raw_connect_cost: Mapping[Node, Mapping[Node, float]] = field(
+        default_factory=dict
+    )
 
     def max_connect_cost(self) -> float:
         """``max c_ij`` — bounds the dual-ascent round count (Sec. IV-B)."""
@@ -95,14 +104,15 @@ def build_confl_instance(state: ProblemState) -> ConFLInstance:
     }
 
     servers = [producer] + facilities
-    raw_connect: Dict[Node, Dict[Node, float]] = {}
-    connect: Dict[Node, Dict[Node, float]] = {}
-    for server in servers:
-        row = state.costs.all_contention_costs(server)
-        raw_connect[server] = row
-        connect[server] = {
-            client: problem.contention_weight * row[client] for client in clients
-        }
+    raw_connect = {
+        server: state.costs.all_contention_costs(server) for server in servers
+    }
+    weighted = state.costs.cost_rows(servers, clients)
+    weighted *= problem.contention_weight
+    connect = {
+        server: dict(zip(clients, row.tolist()))
+        for server, row in zip(servers, weighted)
+    }
 
     steiner_graph = Graph()
     steiner_graph.add_nodes(graph.nodes())
@@ -117,6 +127,7 @@ def build_confl_instance(state: ProblemState) -> ConFLInstance:
         facilities=tuple(facilities),
         open_cost=open_cost,
         connect_cost=connect,
+        connect_matrix=weighted,
         steiner_graph=steiner_graph,
         dissemination_scale=problem.dissemination_scale,
         raw_open_cost=raw_open,

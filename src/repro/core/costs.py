@@ -29,29 +29,58 @@ recomputes all ``c_ij`` after every chunk placement (lines 5–16).
 Incremental recomputation
 -------------------------
 
-Under the default ``"hops"`` policy PATH(i, j) depends only on the
-topology, so the per-source BFS hop trees (and their child adjacency)
-survive storage changes unconditionally.  A committed chunk changes
-``S(k)`` only at the nodes that cached it, and each such change shifts a
-cached cost row by a constant ``w_k · ΔS(k)`` on exactly the targets
-whose tree path passes through ``k`` — the subtree below ``k`` (or every
-target, when ``k`` is the row's source).  :meth:`invalidate` therefore
-accepts the set of *dirty* nodes and patches the retained rows in place
-instead of rebuilding the full ``c_ij`` matrix; the argument-free call
-remains the full-recompute fallback, and ``REPRO_SANITIZE=1``
-cross-checks every patch against a fresh rebuild
+Every cost row lives in one ``n×n`` float64 matrix, indexed by node
+position in graph order; unreachable targets hold ``inf`` and ``c_ii``
+holds 0.  Under the default ``"hops"`` policy PATH(i, j) depends only on
+the topology, so each source's BFS hop tree is built once and laid out
+in DFS preorder: the subtree below any node ``k`` then occupies one
+contiguous *Euler range* ``[tin_k, tout_k)`` of that source's
+positions.  The ranges are topology-only, built beside the hop trees
+and dropped only by :meth:`CostModel.invalidate_topology`.
+
+A row is one difference array over the source's Euler positions: node
+``k`` adds ``x_k = w_k (1 + S(k))`` over its own range, so one
+``cumsum`` yields the summed node costs of every root-to-target path.
+The ``x`` vector is maintained, not re-read from storage per row.
+
+A committed chunk changes ``S(k)`` only at the nodes that cached it,
+and each such change shifts ``c_ij`` by ``w_k · ΔS(k)`` on exactly the
+targets whose path passes through ``k`` — ``k``'s Euler range (minus
+the source itself when ``k`` is the source, since ``c_ii`` stays 0).
+:meth:`CostModel.invalidate` therefore takes the set of *dirty* nodes
+and queues each shift as a range add over every built row; the next
+read writes everything queued into one difference array per row (one
+vectorised write per dirty node) and applies it with one ``cumsum``.
+The argument-free call remains the full-recompute fallback, and
+``REPRO_SANITIZE=1`` cross-checks every patch against a fresh build
 (:func:`repro.analysis.contracts.check_incremental_cost_rows`).
 
-Because all node costs are integers (degree × occupancy), patched sums
-are exact in float64: a patched row equals a freshly rebuilt one bit for
-bit.  Under the ``"contention"`` policy storage changes can reroute
-paths, so dirty invalidation falls back to the full drop there.
+Every entry is an integer-valued float far below 2^53 (degrees times
+occupancies, summed along a path), so summation order cannot change a
+bit: a patched row equals a freshly built one exactly.  Under the
+``"contention"`` policy storage changes can reroute paths, so its rows
+(built by Dijkstra into the same matrix) are dropped on every
+invalidation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Optional, TYPE_CHECKING, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TYPE_CHECKING,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.errors import NodeNotFoundError, NoPathError, ProblemError
 from repro.analysis import contracts
@@ -96,6 +125,15 @@ def path_contention_cost(
     return float(
         sum(graph.degree(k) * (1 + storage.used(k)) for k in path)
     )
+
+
+class _HopTree(NamedTuple):
+    """One source's topology-only BFS structures."""
+
+    parents: Dict[Node, Node]  # BFS parent pointers, in BFS order
+    hops: Dict[Node, int]  # hop distance of each node, same order
+    reach: np.ndarray  # row-store positions of the keys, same order
+    preorder: List[Node]  # the nodes by Euler position tin
 
 
 class CostModel:
@@ -143,22 +181,49 @@ class CostModel:
         self.battery = battery
         self.battery_weight = battery_weight
         self._version = 0
-        # Topology-only structures: BFS hop trees and their child lists.
-        # They survive every storage invalidation (only
-        # :meth:`invalidate_topology` drops them).
-        self._path_cache: Dict[Node, Dict[Node, Node]] = {}
-        self._children_cache: Dict[Node, Dict[Node, List[Node]]] = {}
-        self._hops_cache: Dict[Node, Dict[Node, int]] = {}
-        # Storage-dependent structures, dropped (or patched) on invalidate.
+        self._allocate()
+
+    def _allocate(self) -> None:
+        """Size every cache to the graph's current node set."""
+        self._nodes: List[Node] = list(self.graph.nodes())
+        self._index: Dict[Node, int] = {
+            node: position for position, node in enumerate(self._nodes)
+        }
+        n = len(self._nodes)
+        # Topology-only structures, kept until invalidate_topology():
+        # the BFS hop trees and their Euler ranges [tin, tout) (row =
+        # source, column = node; ``n`` marks a node outside the source's
+        # tree, or a tree not built yet).
+        self._hop_trees: Dict[Node, _HopTree] = {}
+        positions = np.min_scalar_type(n)  # the narrowest type holding n
+        self._tin = np.full((n, n), n, dtype=positions)
+        self._tout = np.full((n, n), n, dtype=positions)
+        # Storage-dependent structures: the row store (valid where
+        # ``_built``), the (node position, delta) range adds queued for
+        # it, the rows read as dicts since the last change, and the
+        # contention policy's Dijkstra trees.
+        self._matrix = np.empty((n, n))
+        self._built = np.zeros(n, dtype=bool)
+        self._pending: List[Tuple[int, float]] = []
+        self._views: Dict[Node, Dict[Node, float]] = {}
         self._tree_cache: Dict[
             Node, Tuple[Dict[Node, float], Dict[Node, Node]]
         ] = {}
-        self._cost_cache: Dict[Node, Dict[Node, float]] = {}
-        # The S(k) values the cached cost rows reflect; deltas against it
-        # drive the incremental patches.
-        self._used_snapshot: Dict[Node, int] = {
-            node: storage.used(node) for node in graph.nodes()
-        }
+        self._snapshot_storage()
+
+    def _snapshot_storage(self) -> None:
+        """Re-read every ``S(k)`` and the node costs ``x_k`` it implies.
+
+        The snapshot is what the stored rows reflect; deltas against it
+        drive the incremental patches.
+        """
+        used = self.storage.used
+        self._used = [used(node) for node in self._nodes]
+        degree = self.graph.degree
+        self._x = np.array(
+            [degree(node) * (1 + s) for node, s in zip(self._nodes, self._used)],
+            dtype=float,
+        )
 
     # ------------------------------------------------------------------
     def invalidate(self, dirty_nodes: Optional[Iterable[Node]] = None) -> None:
@@ -168,13 +233,13 @@ class CostModel:
         ----------
         dirty_nodes:
             The nodes whose occupancy ``S(k)`` changed since the last
-            call.  When given (and the policy is ``"hops"``), cached cost
-            rows are patched in place by adding ``w_k · ΔS(k)`` to every
-            target routed through ``k`` — the retained BFS trees tell us
-            exactly which ones.  ``None`` is the full-recompute fallback:
-            every cached row (and, under ``"contention"``, every Dijkstra
-            tree) is dropped.  The hop trees themselves are topology-only
-            and survive either way.
+            call.  When given (and the policy is ``"hops"``), each one's
+            ``w_k · ΔS(k)`` is queued as a range add over its Euler range
+            in every built row — exactly the targets routed through
+            ``k``.  ``None`` is the full-recompute fallback: every stored
+            row (and, under ``"contention"``, every Dijkstra tree) is
+            dropped.  The hop trees themselves are topology-only and
+            survive either way.
         """
         self._version += 1
         recorder = get_recorder()
@@ -192,17 +257,20 @@ class CostModel:
             # every cached Dijkstra tree and cost row is suspect.
             self._full_invalidate()
             return
+        rows = np.flatnonzero(self._built)
         patched = False
         for node in dirty:
+            k = self._index[node]
             used = self.storage.used(node)
-            delta_units = used - self._used_snapshot[node]
+            delta_units = used - self._used[k]
             if delta_units == 0:
                 continue
-            self._used_snapshot[node] = used
-            delta = float(self.graph.degree(node) * delta_units)
-            if delta:
-                for source, row in self._cost_cache.items():
-                    self._patch_row(source, row, node, delta)
+            self._used[k] = used
+            delta = self.graph.degree(node) * delta_units
+            self._x[k] += delta
+            if delta and rows.size:
+                self._pending.append((k, float(delta)))
+                self._views.clear()
             patched = True
             recorder.count("costs.incremental_patches")
         trace = get_tracer()
@@ -213,16 +281,21 @@ class CostModel:
                 args={
                     "mode": "incremental",
                     "dirty": sorted(str(node) for node in dirty),
-                    "rows_patched": len(self._cost_cache) if patched else 0,
+                    "rows_patched": int(rows.size) if patched else 0,
                 },
             )
-        if patched and self._cost_cache and contracts.sanitize_enabled():
+        if patched and rows.size and contracts.sanitize_enabled():
+            self._flush()
+            sources = {self._nodes[p]: p for p in rows.tolist()}
             contracts.check_incremental_cost_rows(
                 dirty_nodes=dirty,
-                patched=self._cost_cache,
+                patched={
+                    source: self._row_dict(source, self._matrix[p])
+                    for source, p in sources.items()
+                },
                 fresh={
-                    source: self._build_row(source)
-                    for source in self._cost_cache
+                    source: self._row_dict(source, self._build_row(source))
+                    for source in sources
                 },
             )
 
@@ -232,9 +305,7 @@ class CostModel:
         Call this after mutating the graph itself (adding/removing edges
         or nodes); plain storage changes only need :meth:`invalidate`.
         """
-        self._path_cache.clear()
-        self._children_cache.clear()
-        self._hops_cache.clear()
+        self._allocate()
         self.invalidate()
 
     def _full_invalidate(self) -> None:
@@ -246,72 +317,64 @@ class CostModel:
                 track="commit",
                 args={
                     "mode": "full",
-                    "rows_dropped": len(self._cost_cache),
+                    "rows_dropped": int(self._built.sum()),
                     "trees_dropped": len(self._tree_cache),
                 },
             )
-        self._cost_cache.clear()
+        self._pending.clear()
+        self._built[:] = False
+        self._views.clear()
         self._tree_cache.clear()
-        used = self.storage.used
-        self._used_snapshot = {node: used(node) for node in self.graph.nodes()}
+        self._snapshot_storage()
         get_recorder().count("costs.full_rebuilds")
 
-    def _patch_row(
-        self, source: Node, row: Dict[Node, float], dirty: Node, delta: float
-    ) -> None:
-        """Add ``delta`` to every entry of ``row`` routed through ``dirty``.
+    def _flush(self) -> None:
+        """Apply the queued range adds with one ``cumsum`` per built row.
 
-        ``row`` is the cached cost row of ``source``; the affected targets
-        are the subtree below ``dirty`` in the source's BFS tree (every
-        target except the source itself when ``dirty == source`` — paths
-        always include their source, but ``c_ii`` stays 0).
+        Dirty node ``k``'s ``+delta`` covers its Euler range
+        ``[tin_k, tout_k)`` of each row's source, starting one slot later
+        in ``k``'s own row (``c_ii`` stays 0); a ``k`` outside a source's
+        tree has the empty range ``[n, n)``.  Every range goes into one
+        difference array per row, in the rows' Euler coordinates.
         """
-        if dirty == source:
-            for target in row:
-                if target != source:
-                    row[target] += delta
-            return
-        if dirty not in self._hop_tree(source):
-            return  # unreachable from this source: no path uses it
-        children = self._children_of(source)
-        stack = [dirty]
-        while stack:
-            node = stack.pop()
-            row[node] += delta
-            stack.extend(children.get(node, ()))
+        rows = np.flatnonzero(self._built)
+        # Every row built: views of the stores, not gathered copies.
+        select = slice(None) if len(rows) == len(self._nodes) else rows
+        tin = self._tin[select]
+        shift = np.zeros((len(rows), len(self._nodes) + 1))
+        at = np.arange(len(rows))
+        for k, delta in self._pending:
+            shift[at, tin[:, k] + (rows == k)] += delta
+            shift[at, self._tout[rows, k]] -= delta
+        self._pending.clear()
+        np.cumsum(shift, axis=1, out=shift)
+        self._matrix[select] += np.take_along_axis(shift, tin, axis=1)
 
     def affected_targets(self, source: Node, via: Node) -> frozenset:
         """Targets of ``source`` whose PATH passes through ``via``.
 
         The dirty region of a single-node occupancy change, as seen from
         one source: exactly the entries of ``source``'s cost row that a
-        ``ΔS(via)`` shifts.  Under the ``"hops"`` policy this is the BFS
-        subtree below ``via`` (every target but the source itself when
-        ``via == source``, since ``c_ii`` stays 0); unreachable ``via``
-        affects nothing.  Under ``"contention"`` a storage change can
-        reroute paths, so the conservative answer is every reachable
-        target.  The adaptive move evaluator uses this to re-price only
-        the demand actually touched by a candidate move.
+        ``ΔS(via)`` shifts.  Under the ``"hops"`` policy this is ``via``'s
+        Euler range in the source's BFS tree (every target but the
+        source itself when ``via == source``, since ``c_ii`` stays 0);
+        unreachable ``via`` affects nothing.  Under ``"contention"`` a
+        storage change can reroute paths, so the conservative answer is
+        every reachable target.  The adaptive move evaluator uses this
+        to re-price only the demand actually touched by a candidate move.
         """
         if via not in self.graph:
             raise ProblemError(f"node {via!r} is not in the graph")
         if self.path_policy != PATH_POLICY_HOPS:
             return frozenset(
-                node for node in self._all_costs_from(source) if node != source
+                node for node in self.all_contention_costs(source)
+                if node != source
             )
-        tree = self._hop_tree(source)
-        if via == source:
-            return frozenset(node for node in tree if node != source)
-        if via not in tree:
-            return frozenset()
-        children = self._children_of(source)
-        affected = []
-        stack = [via]
-        while stack:
-            node = stack.pop()
-            affected.append(node)
-            stack.extend(children.get(node, ()))
-        return frozenset(affected)
+        preorder = self._hop_tree(source).preorder
+        p = self._index[source]
+        k = self._index[via]
+        start = self._tin.item(p, k) + (p == k)
+        return frozenset(preorder[start:self._tout.item(p, k)])
 
     def fairness_cost(self, node: Node) -> float:
         """Eq. 1 for ``node``, plus the weighted battery term (footnote 1)
@@ -339,9 +402,9 @@ class CostModel:
         if source == target:
             return [source]
         if self.path_policy == PATH_POLICY_HOPS:
-            parents = self._hop_tree(source)
-            return path_from_tree(parents, source, target)
-        _, parents = self._contention_tree(source)
+            parents = self._hop_tree(source).parents
+        else:
+            _, parents = self._contention_tree(source)
         return path_from_tree(parents, source, target)
 
     def contention_cost(self, source: Node, target: Node) -> float:
@@ -354,11 +417,12 @@ class CostModel:
         """
         if source == target:
             return 0.0
-        cached = self._cost_cache.get(source)
-        if cached is not None and target in cached:
+        # The row lookup of _costs_from, inlined: this is the hot read.
+        costs = self._views.get(source)
+        if costs is None:
+            costs = self._costs_from(source)
+        else:
             get_recorder().count("costs.row_cache_hits")
-            return cached[target]
-        costs = self._all_costs_from(source)
         try:
             return costs[target]
         except KeyError:
@@ -366,11 +430,32 @@ class CostModel:
                 raise NodeNotFoundError(target) from None
             raise NoPathError(source, target) from None
 
-    def all_contention_costs(self, source: Node) -> Dict[Node, float]:
-        """``c_ij`` from ``source`` to every reachable node (``c_ii = 0``)."""
-        return dict(self._all_costs_from(source))
+    def all_contention_costs(self, source: Node) -> Mapping[Node, float]:
+        """``c_ij`` from ``source`` to every reachable node (``c_ii = 0``).
 
-    def cost_matrix(self) -> Dict[Node, Dict[Node, float]]:
+        A read-only mapping in BFS order (Dijkstra settle order under
+        ``"contention"``).  It is a snapshot: every caller shares one
+        underlying row until the next storage change, and the mapping
+        keeps its values after that change.
+        """
+        return MappingProxyType(self._costs_from(source))
+
+    def cost_rows(
+        self, sources: Sequence[Node], targets: Sequence[Node]
+    ) -> np.ndarray:
+        """``c_ij`` for every source × target pair, as a new float64 array.
+
+        Row ``a`` holds ``sources[a]``'s costs to ``targets`` in order;
+        unreachable pairs hold ``inf``.
+        """
+        rows = [self._row(source) for source in sources]
+        try:
+            columns = [self._index[target] for target in targets]
+        except KeyError as exc:
+            raise NodeNotFoundError(exc.args[0]) from None
+        return self._matrix[np.ix_(rows, columns)]
+
+    def cost_matrix(self) -> Dict[Node, Mapping[Node, float]]:
         """Full ``c_ij`` matrix (Algorithm 1, lines 8–13)."""
         return {node: self.all_contention_costs(node) for node in self.graph.nodes()}
 
@@ -409,24 +494,49 @@ class CostModel:
         return weighted
 
     # ------------------------------------------------------------------
-    def _hop_tree(self, source: Node) -> Dict[Node, Node]:
-        tree = self._path_cache.get(source)
+    def _hop_tree(self, source: Node) -> _HopTree:
+        tree = self._hop_trees.get(source)
         if tree is None:
-            tree = bfs_tree(self.graph, source)
-            self._path_cache[source] = tree
+            tree = self._index_tree(source, bfs_tree(self.graph, source))
+            self._hop_trees[source] = tree
             get_recorder().count("costs.tree_rebuilds")
         return tree
 
-    def _children_of(self, source: Node) -> Dict[Node, List[Node]]:
-        """Child lists of the BFS tree rooted at ``source`` (cached)."""
-        children = self._children_cache.get(source)
-        if children is None:
-            children = {}
-            for node, parent in self._hop_tree(source).items():
-                if node != source:
-                    children.setdefault(parent, []).append(node)
-            self._children_cache[source] = children
-        return children
+    def _index_tree(self, source: Node, parents: Dict[Node, Node]) -> _HopTree:
+        """Hop counts and Euler ranges of one BFS tree.
+
+        The tree is laid out in DFS preorder with children in BFS order:
+        subtree sizes accumulate leaves-up (reverse BFS order), then each
+        child claims the next free slot of its parent's range root-down,
+        so the subtree of ``k`` fills ``[tin_k, tin_k + size_k)`` of the
+        ``preorder`` list.
+        """
+        order = list(parents)  # BFS order: every parent before its children
+        slot_of = dict(zip(order, range(len(order))))
+        up = list(map(slot_of.__getitem__, map(parents.__getitem__, order)))
+        size = [1] * len(order)
+        for i in range(len(order) - 1, 0, -1):
+            size[up[i]] += size[i]
+        depth = [0] * len(order)
+        tin = [0] * len(order)
+        free = [1] * len(order)
+        for i in range(1, len(order)):
+            p = up[i]
+            tin[i] = free[p]
+            free[p] += size[i]
+            free[i] = tin[i] + 1
+            depth[i] = depth[p] + 1
+        preorder = order[:]
+        for node, slot in zip(order, tin):
+            preorder[slot] = node
+        hops = dict(zip(order, depth))
+        reach = np.fromiter(
+            map(self._index.__getitem__, order), dtype=np.intp, count=len(order)
+        )
+        row = self._index[source]
+        self._tin[row, reach] = tin
+        self._tout[row, reach] = np.add(tin, size)
+        return _HopTree(parents, hops, reach, preorder)
 
     def hop_counts(self, source: Node) -> Dict[Node, int]:
         """Hop distance from ``source`` to every reachable node.
@@ -436,13 +546,7 @@ class CostModel:
         is dropped by :meth:`invalidate_topology`.  The returned dict is
         the cached one; do not mutate it.
         """
-        hops = self._hops_cache.get(source)
-        if hops is None:
-            hops = {}
-            for node, parent in self._hop_tree(source).items():
-                hops[node] = 0 if node == source else hops[parent] + 1
-            self._hops_cache[source] = hops
-        return hops
+        return self._hop_tree(source).hops
 
     def _contention_tree(
         self, source: Node
@@ -456,32 +560,60 @@ class CostModel:
             get_recorder().count("costs.tree_rebuilds")
         return cached
 
-    def _build_row(self, source: Node) -> Dict[Node, float]:
-        """A fresh cost row for ``source`` from the current storage."""
+    def _build_row(self, source: Node) -> np.ndarray:
+        """A fresh cost row for ``source`` (``inf`` where unreachable)."""
+        row_index = self._index[source]
+        n = len(self._nodes)
         if self.path_policy == PATH_POLICY_HOPS:
-            children = self._children_of(source)
-            # Walk the BFS tree accumulating node costs root-to-leaf.
-            costs: Dict[Node, float] = {source: 0.0}
-            stack = [(source, self.node_cost(source))]
-            while stack:
-                node, acc = stack.pop()
-                for child in children.get(node, ()):
-                    total = acc + self.node_cost(child)
-                    costs[child] = total
-                    stack.append((child, total))
-            return costs
-        dist, _ = self._contention_tree(source)
-        return {
-            node: (0.0 if node == source else value)
-            for node, value in dist.items()
-        }
+            # x_k over k's Euler range, summed by one cumsum: the entry
+            # at tin_j is the node-cost total of the root-to-j path.
+            tree = self._hop_tree(source)
+            tin = self._tin[row_index]
+            diff = np.bincount(tin, weights=self._x, minlength=n + 1)
+            diff -= np.bincount(
+                self._tout[row_index], weights=self._x, minlength=n + 1
+            )
+            row = np.cumsum(diff)[tin]
+            if len(tree.reach) < n:
+                row[tin == n] = math.inf
+        else:
+            dist, _ = self._contention_tree(source)
+            row = np.full(n, math.inf)
+            row[[self._index[node] for node in dist]] = list(dist.values())
+        row[row_index] = 0.0
+        return row
 
-    def _all_costs_from(self, source: Node) -> Dict[Node, float]:
-        cached = self._cost_cache.get(source)
-        if cached is not None:
+    def _row_dict(self, source: Node, row: np.ndarray) -> Dict[Node, float]:
+        """``row``'s reachable entries as a plain dict, in tree order."""
+        if self.path_policy == PATH_POLICY_HOPS:
+            tree = self._hop_tree(source)
+            keys, reach = tree.parents, tree.reach
+        else:
+            keys, _ = self._contention_tree(source)
+            reach = [self._index[node] for node in keys]
+        return dict(zip(keys, row[reach].tolist()))
+
+    def _row(self, source: Node) -> int:
+        """Row-store index of ``source``: built, with every patch applied."""
+        row = self._index.get(source)
+        if row is None:
+            raise NodeNotFoundError(source)
+        if self._pending:
+            self._flush()
+        if self._built[row]:
             get_recorder().count("costs.row_cache_hits")
-            return cached
+            return row
         get_recorder().count("costs.row_builds")
-        costs = self._build_row(source)
-        self._cost_cache[source] = costs
+        self._matrix[row] = self._build_row(source)
+        self._built[row] = True
+        return row
+
+    def _costs_from(self, source: Node) -> Dict[Node, float]:
+        """``source``'s row as a dict, shared until the next change."""
+        costs = self._views.get(source)
+        if costs is not None:
+            get_recorder().count("costs.row_cache_hits")
+            return costs
+        row = self._row(source)
+        costs = self._views[source] = self._row_dict(source, self._matrix[row])
         return costs

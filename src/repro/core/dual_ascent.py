@@ -43,10 +43,11 @@ insertion order are exactly those of the round-by-round rule above.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.errors import SolverError
 from repro.analysis import contracts
@@ -99,10 +100,7 @@ class DualAscentResult:
 
 
 def _servers_by_cost(
-    connect: Dict[Node, Dict[Node, float]],
-    producer: Node,
-    facilities: List[Node],
-    clients: List[Node],
+    instance: ConFLInstance, facilities: List[Node]
 ) -> Tuple[Dict[Node, List[float]], Dict[Node, List[Node]]]:
     """Each client's servers in the order its bid reaches them.
 
@@ -110,18 +108,33 @@ def _servers_by_cost(
     (ties in facility order), then the producer, then an ``inf`` cost
     that stops every scan.  A client whose bid reaches the producer's
     cost freezes onto it — the producer wins every tie — so nothing
-    dearer is ever read.
+    dearer is ever read.  ``facilities`` is a subsequence of the
+    instance's; one stable sort of ``connect_matrix`` ranks them for
+    every client at once.
     """
-    servers = [producer] + facilities
-    columns = zip(*[list(map(connect[s].__getitem__, clients)) for s in servers])
+    row_of = {node: 1 + f for f, node in enumerate(instance.facilities)}
+    matrix = instance.connect_matrix
+    # clients × facilities, so each client's sort runs over contiguous memory.
+    ranked = np.take(matrix.T, [row_of[i] for i in facilities], axis=1)
+    order = np.argsort(ranked, axis=1, kind="stable")
+    ranked.sort(axis=1, kind="stable")
+    producer_costs = matrix[0]
+    cuts = (ranked < producer_costs[:, None]).sum(axis=1)
+    # Only the entries before each client's cut are ever read.
+    kept = np.arange(len(facilities)) < cuts[:, None]
+    kept_costs = ranked[kept].tolist()
+    kept_servers = list(map(facilities.__getitem__, order[kept].tolist()))
+    del ranked, order, kept  # free the sort buffers before the lists grow
+    producer = instance.producer
     costs_of: Dict[Node, List[float]] = {}
     servers_of: Dict[Node, List[Node]] = {}
-    for j, column in zip(clients, columns):
-        order = sorted(range(1, len(servers)), key=column.__getitem__)
-        costs = list(map(column.__getitem__, order))
-        cut = bisect.bisect_left(costs, column[0])
-        costs_of[j] = costs[:cut] + [column[0], math.inf]
-        servers_of[j] = [servers[x] for x in order[:cut]] + [producer]
+    start = 0
+    for j, end, own in zip(
+        instance.clients, np.cumsum(cuts).tolist(), producer_costs.tolist()
+    ):
+        costs_of[j] = kept_costs[start:end] + [own, math.inf]
+        servers_of[j] = kept_servers[start:end] + [producer]
+        start = end
     return costs_of, servers_of
 
 
@@ -165,7 +178,7 @@ def dual_ascent(
     # Payments toward f_i, locked in place when a contributor freezes.
     locked_payment: Dict[Node, float] = {i: 0.0 for i in facilities}
 
-    costs_of, servers_of = _servers_by_cost(connect, producer, facilities, clients)
+    costs_of, servers_of = _servers_by_cost(instance, facilities)
     # ptr[j]: the first entry of j's lists that j cannot afford yet.
     ptr: Dict[Node, int] = {j: 0 for j in clients}
 

@@ -10,7 +10,7 @@ round-trip exactly.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Hashable, List
+from typing import Any, Callable, Dict, Hashable, List
 
 from repro.errors import ProblemError
 from repro.graphs.graph import Graph
@@ -74,11 +74,13 @@ def graph_to_dict(graph: Graph) -> Dict[str, Any]:
 
 
 def graph_from_dict(payload: Dict[str, Any]) -> Graph:
+    nodes = _field(payload, "nodes", _decode_all, "graph")
+    edges = _field(payload, "edges", _decode_edges, "graph")
     graph = Graph()
-    for node in payload["nodes"]:
-        graph.add_node(decode_node(node))
-    for u, v, w in payload["edges"]:
-        graph.add_edge(decode_node(u), decode_node(v), float(w))
+    for node in nodes:
+        graph.add_node(node)
+    for u, v, w in edges:
+        graph.add_edge(u, v, w)
     return graph
 
 
@@ -99,18 +101,16 @@ def problem_to_dict(problem: CachingProblem) -> Dict[str, Any]:
 
 
 def problem_from_dict(payload: Dict[str, Any]) -> CachingProblem:
-    capacity = {
-        decode_node(node): int(cap) for node, cap in payload["capacity"]
-    }
+    where = "problem"
     return CachingProblem(
-        graph=graph_from_dict(payload["graph"]),
-        producer=decode_node(payload["producer"]),
-        num_chunks=int(payload["num_chunks"]),
-        capacity=capacity,
-        fairness_weight=float(payload["fairness_weight"]),
-        contention_weight=float(payload["contention_weight"]),
-        dissemination_scale=float(payload["dissemination_scale"]),
-        path_policy=payload["path_policy"],
+        graph=_field(payload, "graph", graph_from_dict, where),
+        producer=_field(payload, "producer", decode_node, where),
+        num_chunks=_field(payload, "num_chunks", int, where),
+        capacity=_field(payload, "capacity", _decode_capacity, where),
+        fairness_weight=_field(payload, "fairness_weight", float, where),
+        contention_weight=_field(payload, "contention_weight", float, where),
+        dissemination_scale=_field(payload, "dissemination_scale", float, where),
+        path_policy=_field(payload, "path_policy", _string, where),
     )
 
 
@@ -147,32 +147,34 @@ def placement_to_dict(placement: CachePlacement) -> Dict[str, Any]:
 
 def placement_from_dict(payload: Dict[str, Any]) -> CachePlacement:
     """Invert :func:`placement_to_dict`; validates the result."""
+    if not isinstance(payload, dict):
+        raise ProblemError(
+            f"placement must be a JSON object, got {type(payload).__name__}"
+        )
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ProblemError(
             f"unsupported placement format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    problem = problem_from_dict(payload["problem"])
+    problem = _field(payload, "problem", problem_from_dict, "placement")
     chunks: List[ChunkPlacement] = []
-    for entry in payload["chunks"]:
-        stage = entry["stage_cost"]
+    for index, entry in enumerate(_field(payload, "chunks", _list, "placement")):
+        where = f"placement.chunks[{index}]"
+        stage = _field(entry, "stage_cost", _object, where)
+        stage_where = f"{where}.stage_cost"
         chunks.append(
             ChunkPlacement(
-                chunk=int(entry["chunk"]),
-                caches=frozenset(decode_node(n) for n in entry["caches"]),
-                assignment={
-                    decode_node(c): decode_node(s)
-                    for c, s in entry["assignment"]
-                },
-                tree_edges=frozenset(
-                    edge_key(decode_node(u), decode_node(v))
-                    for u, v in entry["tree_edges"]
-                ),
+                chunk=_field(entry, "chunk", int, where),
+                caches=_field(entry, "caches", _decode_set, where),
+                assignment=_field(entry, "assignment", _decode_assignment, where),
+                tree_edges=_field(entry, "tree_edges", _decode_tree, where),
                 stage_cost=StageCost(
-                    fairness=float(stage["fairness"]),
-                    access=float(stage["access"]),
-                    dissemination=float(stage["dissemination"]),
+                    fairness=_field(stage, "fairness", float, stage_where),
+                    access=_field(stage, "access", float, stage_where),
+                    dissemination=_field(
+                        stage, "dissemination", float, stage_where
+                    ),
                 ),
             )
         )
@@ -193,3 +195,69 @@ def load_placement(path: str) -> CachePlacement:
     """Read a placement back; raises on malformed/infeasible content."""
     with open(path, "r", encoding="utf-8") as handle:
         return placement_from_dict(json.load(handle))
+
+
+# ----------------------------------------------------------------------
+# Field access: a missing or mistyped field raises ProblemError naming it
+# ----------------------------------------------------------------------
+def _field(
+    payload: Any, key: str, convert: Callable[[Any], Any], where: str
+) -> Any:
+    """``convert(payload[key])``, or a :class:`ProblemError` naming
+    ``where.key`` when the field is missing or its value malformed."""
+    if not isinstance(payload, dict):
+        raise ProblemError(
+            f"{where} must be a JSON object, got {type(payload).__name__}"
+        )
+    if key not in payload:
+        raise ProblemError(f"{where}: missing field {key!r}")
+    try:
+        return convert(payload[key])
+    except (KeyError, TypeError, ValueError, ProblemError) as exc:
+        raise ProblemError(f"{where}.{key}: malformed value ({exc})") from None
+
+
+def _string(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _list(value: Any) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _object(value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _decode_all(value: Any) -> List[Node]:
+    return [decode_node(node) for node in _list(value)]
+
+
+def _decode_set(value: Any) -> frozenset:
+    return frozenset(_decode_all(value))
+
+
+def _decode_edges(value: Any) -> list:
+    return [
+        (decode_node(u), decode_node(v), float(w)) for u, v, w in _list(value)
+    ]
+
+
+def _decode_capacity(value: Any) -> Dict[Node, int]:
+    return {decode_node(node): int(cap) for node, cap in _list(value)}
+
+
+def _decode_assignment(value: Any) -> Dict[Node, Node]:
+    return {decode_node(c): decode_node(s) for c, s in _list(value)}
+
+
+def _decode_tree(value: Any) -> frozenset:
+    return frozenset(
+        edge_key(decode_node(u), decode_node(v)) for u, v in _list(value)
+    )

@@ -61,9 +61,10 @@ from __future__ import annotations
 
 import heapq
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Deque, Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.costs import CostModel
 from repro.core.placement import CachePlacement
@@ -191,7 +192,11 @@ class ServeEngine(ServeView):
         self.config = config
         self.selector = make_selector(policy)
         self.rng = random.Random(config.seed)
-        self.selector.bind(self)
+        # A proxy, not the engine: a strong back-reference would make
+        # engine → selector → engine a cycle, and every finished replay
+        # (cost model, storage, request buffers) would wait for the
+        # cyclic garbage collector.
+        self.selector.bind(weakref.proxy(self))
 
         graph = self.problem.graph
         self._storage = placement.final_storage()
@@ -224,7 +229,7 @@ class ServeEngine(ServeView):
         # (server, client) → DCF service seconds; the storage state is
         # frozen during a replay, so this cache is exact.
         self._service_cache: Dict[Tuple[Node, Node], float] = {}
-        self._cost_rows: Dict[Node, Dict[Node, float]] = {}
+        self._cost_rows: Dict[Node, Mapping[Node, float]] = {}
 
         # Per-(client, chunk) request counts (record_demand only) — the
         # demand signal the adaptive control plane estimates from.
@@ -446,8 +451,14 @@ class ServeEngine(ServeView):
             else:
                 self._busy[server] = False
 
-        schedule_next()
-        sim.run(max_events=max(10_000_000, 4 * self.num_requests))
+        try:
+            schedule_next()
+            sim.run(max_events=max(10_000_000, 4 * self.num_requests))
+        finally:
+            # The handlers reach each other (and the engine) through
+            # closure cells; emptying the cells breaks those cycles, so
+            # the finished engine is freed without the cyclic collector.
+            del schedule_next, arrive, enqueue, start_service, complete
 
     # -- hot path: struct-of-arrays batches + a heap of completions ----
     def _replay_batched(self, obs, trace) -> None:

@@ -151,27 +151,33 @@ class TestCostModel:
             CostModel(grid4, storage, path_policy="teleport")
 
     def test_full_invalidate_drops_cost_rows_keeps_hop_trees(self, model):
-        # Regression: a stale _cost_cache after a storage mutation would
+        # Regression: a stale stored row after a storage mutation would
         # silently serve pre-mutation contention costs.  The BFS hop
-        # trees depend only on topology and must survive.
+        # trees and their Euler ranges depend only on topology and must
+        # survive.
         model.contention_cost(0, 2)
         model.path(0, 15)
-        assert model._path_cache and model._cost_cache
-        trees_before = dict(model._path_cache)
+        assert model._hop_trees and model._built.any()
+        trees_before = dict(model._hop_trees)
+        ranges_before = model._tin.copy(), model._tout.copy()
         model.storage.add(1, 0)
         model.invalidate()
-        assert model._cost_cache == {}
-        assert model._path_cache == trees_before
+        assert not model._built.any()
+        assert model._hop_trees.keys() == trees_before.keys()
+        assert all(model._hop_trees[s] is t for s, t in trees_before.items())
+        assert (model._tin == ranges_before[0]).all()
+        assert (model._tout == ranges_before[1]).all()
         # Fresh lookups rebuild from the mutated storage, not the caches.
         assert model.contention_cost(0, 2) == 2 + 3 * 2 + 3
 
     def test_topology_invalidate_drops_everything(self, model):
         model.contention_cost(0, 2)
-        assert model._path_cache and model._cost_cache
+        assert model._hop_trees and model._built.any()
         model.invalidate_topology()
-        assert model._path_cache == {}
-        assert model._children_cache == {}
-        assert model._cost_cache == {}
+        assert model._hop_trees == {}
+        n = model.graph.num_nodes
+        assert (model._tin == n).all() and (model._tout == n).all()
+        assert not model._built.any()
 
 
 class TestHopCounts:
@@ -271,10 +277,10 @@ class TestIncrementalInvalidation:
 
     def test_hop_trees_survive_dirty_invalidation(self, model):
         model.cost_matrix()
-        tree = model._path_cache[0]
+        tree = model._hop_trees[0]
         model.storage.add(5, 0)
         model.invalidate(dirty_nodes=(5,))
-        assert model._path_cache[0] is tree
+        assert model._hop_trees[0] is tree
 
     def test_counters(self, model):
         rec = Recorder()
@@ -301,23 +307,23 @@ class TestIncrementalInvalidation:
         storage = StorageState(grid4.nodes(), 5, producer=9)
         model = CostModel(grid4, storage, PATH_POLICY_CONTENTION)
         model.all_contention_costs(0)
-        assert model._cost_cache and model._tree_cache
+        assert model._built.any() and model._tree_cache
         rec = Recorder()
         with use_recorder(rec):
             storage.add(5, 0)
             model.invalidate(dirty_nodes=(5,))
-        assert model._cost_cache == {}
+        assert not model._built.any()
         assert model._tree_cache == {}
         assert rec.counter("costs.full_rebuilds") == 1
         fresh = CostModel(grid4, storage, PATH_POLICY_CONTENTION)
         assert model.cost_matrix() == fresh.cost_matrix()
 
     def test_sanitizer_catches_inconsistent_patch(self, model, monkeypatch):
-        # Corrupt a cached row, then trigger an incremental patch: the
-        # REPRO_SANITIZE cross-check must notice the divergence.
+        # Corrupt a stored matrix entry, then trigger an incremental
+        # patch: the REPRO_SANITIZE cross-check must notice the divergence.
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         model.cost_matrix()
-        model._cost_cache[0][15] += 1.0
+        model._matrix[model._index[0], model._index[15]] += 1.0
         model.storage.add(5, 0)
         with pytest.raises(InvariantError):
             model.invalidate(dirty_nodes=(5,))

@@ -125,3 +125,98 @@ class TestPlacementCodec:
         payload["chunks"][0]["assignment"] = payload["chunks"][0]["assignment"][:1]
         with pytest.raises(ProblemError):
             placement_from_dict(payload)
+
+
+def _drop(key):
+    def mutate(document):
+        del document[key]
+    return mutate
+
+
+def _set(key, value):
+    def mutate(document):
+        document[key] = value
+    return mutate
+
+
+PROBLEM_DEFECTS = {
+    "missing-graph": (_drop("graph"), "graph"),
+    "missing-producer": (_drop("producer"), "producer"),
+    "missing-num-chunks": (_drop("num_chunks"), "num_chunks"),
+    "missing-capacity": (_drop("capacity"), "capacity"),
+    "missing-weight": (_drop("fairness_weight"), "fairness_weight"),
+    "missing-policy": (_drop("path_policy"), "path_policy"),
+    "text-num-chunks": (_set("num_chunks", "three"), "num_chunks"),
+    "null-num-chunks": (_set("num_chunks", None), "num_chunks"),
+    "list-weight": (_set("contention_weight", [1.0]), "contention_weight"),
+    "numeric-policy": (_set("path_policy", 3), "path_policy"),
+    "capacity-not-pairs": (_set("capacity", [1, 2]), "capacity"),
+    "capacity-not-list": (_set("capacity", 5), "capacity"),
+    "producer-untagged": (_set("producer", 0), "producer"),
+    "graph-not-object": (_set("graph", []), "graph"),
+    "graph-no-edges": (lambda d: d["graph"].pop("edges"), "edges"),
+    "edge-too-short": (lambda d: d["graph"]["edges"][0].pop(), "edges"),
+    "edge-weight-text": (
+        lambda d: d["graph"]["edges"][0].__setitem__(2, "heavy"), "edges"
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(PROBLEM_DEFECTS))
+def test_malformed_problem_raises_problem_error_naming_field(defect):
+    mutate, field = PROBLEM_DEFECTS[defect]
+    document = json.loads(json.dumps(problem_to_dict(grid_problem(3))))
+    mutate(document)
+    with pytest.raises(ProblemError, match=field):
+        problem_from_dict(document)
+
+
+def _chunk(mutate):
+    def apply(document):
+        mutate(document["chunks"][0])
+    return apply
+
+
+PLACEMENT_DEFECTS = {
+    "missing-problem": (_drop("problem"), "problem"),
+    "missing-chunks": (_drop("chunks"), "chunks"),
+    "chunks-not-list": (_set("chunks", {"0": {}}), "chunks"),
+    "chunk-not-object": (_set("chunks", [3]), r"chunks\[0\]"),
+    "missing-chunk-id": (_chunk(lambda c: c.pop("chunk")), "chunk"),
+    "missing-caches": (_chunk(lambda c: c.pop("caches")), "caches"),
+    "missing-assignment": (_chunk(lambda c: c.pop("assignment")), "assignment"),
+    "missing-tree": (_chunk(lambda c: c.pop("tree_edges")), "tree_edges"),
+    "missing-stage-cost": (_chunk(lambda c: c.pop("stage_cost")), "stage_cost"),
+    "missing-access": (
+        _chunk(lambda c: c["stage_cost"].pop("access")), "access"
+    ),
+    "text-fairness": (
+        _chunk(lambda c: c["stage_cost"].__setitem__("fairness", "x")),
+        "fairness",
+    ),
+    "assignment-not-pairs": (
+        _chunk(lambda c: c.__setitem__("assignment", [1])), "assignment"
+    ),
+    "caches-untagged": (
+        _chunk(lambda c: c.__setitem__("caches", [5])), "caches"
+    ),
+    "tree-edge-triple": (
+        _chunk(lambda c: c.__setitem__("tree_edges", [[1, 2, 3]])), "tree_edges"
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(PLACEMENT_DEFECTS))
+def test_malformed_placement_raises_problem_error_naming_field(defect):
+    mutate, field = PLACEMENT_DEFECTS[defect]
+    placement = solve_approximation(grid_problem(3, num_chunks=2))
+    document = json.loads(json.dumps(placement_to_dict(placement)))
+    mutate(document)
+    with pytest.raises(ProblemError, match=field):
+        placement_from_dict(document)
+
+
+@pytest.mark.parametrize("document", [[], "placement", 3, None])
+def test_non_object_placement_raises_problem_error(document):
+    with pytest.raises(ProblemError, match="placement must be a JSON object"):
+        placement_from_dict(document)
