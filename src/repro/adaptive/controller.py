@@ -6,10 +6,10 @@ workload stream:
 1. **Bootstrap** — one-shot Algorithm 1 places every chunk; the result
    is both the live starting placement and the frozen *static* baseline
    the run is scored against.
-2. **Serve an epoch** — requests ``[k·R, (k+1)·R)`` of the stream replay
-   against the current placement (:class:`~repro.serve.engine.ServeEngine`
-   with the epoch ``skip_requests`` hook); the engine exports raw
-   per-``(client, chunk)`` demand counts.
+2. **Serve an epoch** — the next ``R`` requests of the one stream the
+   run opened (requests ``[k·R, (k+1)·R)`` at epoch ``k``) replay against
+   the current placement (:class:`~repro.serve.engine.ServeEngine`); the
+   engine exports raw per-``(client, chunk)`` demand counts.
 3. **Estimate & compare** — counts fold into an EWMA of the joint
    request distribution (:mod:`repro.adaptive.signals`).  After
    ``warmup_epochs`` of observation the estimate is frozen as the
@@ -49,7 +49,7 @@ supported (move revert cannot refund drained energy).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 from repro.analysis import contracts
 from repro.core.approximation import ApproximationConfig, solve_approximation
@@ -63,10 +63,11 @@ from repro.online.replacement import REPLACEMENT_POLICIES
 from repro.serve.engine import (
     ServeConfig,
     ServeEngine,
-    _sanitize_serve_equivalence,
+    _run_checked,
+    request_stream,
 )
 from repro.serve.stats import ServeReport
-from repro.serve.workloads import Workload
+from repro.serve.workloads import RequestBatch, Workload
 from repro.adaptive.moves import (
     DEFAULT_MIN_GAIN,
     MOVE_CACHE,
@@ -126,8 +127,8 @@ class AdaptiveConfig:
     selection_policy:
         Replica-selection policy the serve engine replays under.
     serve:
-        Base engine knobs; the controller overrides ``skip_requests``
-        (epoch windowing) and ``record_demand`` per epoch.
+        Base engine knobs; the controller turns ``record_demand`` on
+        for every epoch.
     approx:
         Algorithm 1 configuration for the bootstrap solve and every
         scoped re-solve.
@@ -292,6 +293,14 @@ class AdaptiveController:
             for placement in chunks
         }
 
+        # One stream for the whole run; each epoch reads the next R
+        # requests of it, starting with what the last epoch left of its
+        # boundary batch.
+        stream = request_stream(
+            problem, self.workload, config.epochs * config.epoch_requests
+        )
+        carry: List[Tuple[RequestBatch, int]] = []
+
         estimator = DemandEstimator(config.ewma_alpha)
         reference: Optional[DemandSnapshot] = None
 
@@ -321,7 +330,9 @@ class AdaptiveController:
                 # their drift so the adaptive side can repair them.
                 forced_dirty |= damaged
 
-                report, counts = self._serve_epoch(epoch, chunks)
+                report, counts = self._serve_epoch(
+                    chunks, _window(stream, carry, config.epoch_requests)
+                )
                 self.last_serve_report = report
 
                 # Price this epoch's actual demand under both placements.
@@ -412,35 +423,24 @@ class AdaptiveController:
 
     # ------------------------------------------------------------------
     def _serve_epoch(
-        self, epoch: int, chunks: List[ChunkPlacement]
+        self, chunks: List[ChunkPlacement], window: Iterator[RequestBatch]
     ) -> Tuple[ServeReport, Dict[Tuple[Node, int], int]]:
-        """Replay epoch ``epoch``'s request window; export its demand."""
+        """Replay one epoch's request window; export its demand."""
         config = self.config
         placement = CachePlacement(
             problem=self.problem, chunks=list(chunks),
             algorithm=ALGORITHM_NAME,
-        )
-        serve_config = replace(
-            config.serve,
-            skip_requests=(
-                config.serve.skip_requests + epoch * config.epoch_requests
-            ),
-            record_demand=True,
         )
         engine = ServeEngine(
             placement,
             self.workload,
             config.epoch_requests,
             policy=config.selection_policy,
-            config=serve_config,
+            config=replace(config.serve, record_demand=True),
         )
-        report = engine.run()
         # Same REPRO_SANITIZE cross-check serve_placement() runs: the
         # batched epoch replay must match the per-request reference.
-        _sanitize_serve_equivalence(
-            report, placement, self.workload, config.epoch_requests,
-            config.selection_policy, serve_config,
-        )
+        report = _run_checked(engine, config.selection_policy, window)
         return report, engine.demand_counts()
 
     def _apply_churn(
@@ -797,6 +797,33 @@ class _AdaptStats:
         self.resolves = 0
         self.resolves_reverted = 0
         self.adaptation_cost = 0.0
+
+
+def _window(
+    stream: Iterator[RequestBatch],
+    carry: List[Tuple[RequestBatch, int]],
+    count: int,
+) -> Iterator[RequestBatch]:
+    """The next ``count`` requests of ``stream``, in batches.
+
+    First the unread rest of the batch ``carry`` holds (with the offset
+    of its first unread request), then whole batches, then a last batch
+    cut to fit, whose rest stays in ``carry`` for the next window.  No
+    batch grows, and the rest is kept without a copy; the window ends
+    early only where the stream does.
+    """
+    while count > 0:
+        batch, start = carry.pop() if carry else (next(stream, None), 0)
+        if batch is None:
+            return
+        times, clients, chunks = batch
+        stop = min(len(times), start + count)
+        if stop < len(times):
+            carry.append((batch, stop))
+        if stop - start < len(times):
+            batch = (times[start:stop], clients[start:stop], chunks[start:stop])
+        count -= stop - start
+        yield batch
 
 
 def _rebase_reference(

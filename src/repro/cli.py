@@ -64,8 +64,9 @@ List everything available::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.problem import CachingProblem
 from repro.experiments import REGISTRY, run_algorithms, summarize
@@ -118,12 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--show-map", action="store_true",
         help="print a per-node load map (grid topologies only)",
     )
-    solve.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a structured event trace and write it as Chrome "
+    _add_observability_flags(
+        solve, "solve",
+        trace_help="record a structured event trace and write it as Chrome "
         "trace-event JSON (open in Perfetto / chrome://tracing)",
     )
-    _add_series_flags(solve, "solve")
     faults = solve.add_argument_group(
         "fault injection (dist only)",
         "radio faults for the distributed protocol; any non-default "
@@ -211,11 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the ServeReport as JSON instead of a table",
     )
     serve.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a structured event trace of the solve + replay and "
-        "write it as Chrome trace-event JSON",
-    )
-    serve.add_argument(
         "--adaptive", nargs="?", const="hybrid", default=None,
         metavar="POLICY",
         help="run the closed adaptive control loop instead of a one-shot "
@@ -232,7 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests per epoch with --adaptive "
         "(default: --requests / --epochs)",
     )
-    _add_series_flags(serve, "solve + replay")
+    _add_observability_flags(
+        serve, "solve + replay",
+        trace_help="record a structured event trace of the solve + replay "
+        "and write it as Chrome trace-event JSON",
+    )
 
     adapt = sub.add_parser(
         "adapt",
@@ -334,12 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", "-o", default=None, metavar="PATH",
         help="also write the repro-adaptive/1 JSON document to PATH",
     )
-    adapt.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a structured event trace of the whole control loop "
-        "and write it as Chrome trace-event JSON",
+    _add_observability_flags(
+        adapt, "control loop",
+        trace_help="record a structured event trace of the whole control "
+        "loop and write it as Chrome trace-event JSON",
     )
-    _add_series_flags(adapt, "control loop")
 
     sweep = sub.add_parser(
         "sweep",
@@ -405,12 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", "-o", default="SWEEP.json", metavar="PATH",
         help="where to write the repro-sweep/1 JSON document",
     )
-    sweep.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a structured event trace of the sweep (parent "
+    _add_observability_flags(
+        sweep, "sweep (parent process only)",
+        trace_help="record a structured event trace of the sweep (parent "
         "process only) and write it as Chrome trace-event JSON",
     )
-    _add_series_flags(sweep, "sweep (parent process only)")
 
     monitor = sub.add_parser(
         "monitor",
@@ -528,24 +525,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     outcome = None
-    with _maybe_series(args) as series_rec, \
-            _maybe_trace(args.trace) as tracer:
-        if fault_config is not None:
-            from repro.distributed import solve_distributed
-            from repro.errors import SimulationError
+    if fault_config is not None:
+        from repro.distributed import solve_distributed
+        from repro.errors import SimulationError
 
-            try:
+        try:
+            with _observed(args):
                 outcome = solve_distributed(problem, fault_config)
-            except SimulationError as exc:
-                # Bad churn kind / unknown node / producer churn: user
-                # input, not a solver bug.
-                print(f"solve: {exc}", file=sys.stderr)
-                return 2
-            placement = outcome.placement
-        else:
+        except SimulationError as exc:
+            # Bad churn kind / unknown node / producer churn: user
+            # input, not a solver bug.
+            print(f"solve: {exc}", file=sys.stderr)
+            return 2
+        placement = outcome.placement
+    else:
+        with _observed(args):
             placement = run_algorithms(problem, [name])[name]
-    _write_trace(tracer, args.trace)
-    _write_series(series_rec, args)
     s = summarize(name, placement)
     print(f"{name} on {label}: {problem.num_chunks} chunks, "
           f"capacity {args.capacity}")
@@ -626,21 +621,11 @@ def _parse_fault_config(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported lazily: serve pulls in the solver + delay layers.
     from repro.errors import ProblemError
-    from repro.serve import (
-        SELECTION_POLICIES,
-        WORKLOADS,
-        ServeConfig,
-    )
+    from repro.serve import ServeConfig
     from repro.serve.engine import serve_placement
 
-    workload_cls = WORKLOADS.get(args.workload)
+    workload_cls = _workload_class(args)
     if workload_cls is None:
-        print(f"unknown workload {args.workload!r}; "
-              f"choose from {sorted(WORKLOADS)}", file=sys.stderr)
-        return 2
-    if args.policy not in SELECTION_POLICIES:
-        print(f"unknown policy {args.policy!r}; "
-              f"choose from {sorted(SELECTION_POLICIES)}", file=sys.stderr)
         return 2
     if args.requests < 0:
         print("--requests must be >= 0", file=sys.stderr)
@@ -663,15 +648,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     name = _ALGO_ALIASES.get(args.algorithm, args.algorithm)
     if args.adaptive is not None:
         return _serve_adaptive(args, problem, workload, config, label, name)
-    with _maybe_series(args) as series_rec, \
-            _maybe_trace(args.trace) as tracer:
+    with _observed(args):
         placement = run_algorithms(problem, [name])[name]
         report = serve_placement(
             placement, workload, args.requests,
             policy=args.policy, config=config,
         )
-    _write_trace(tracer, args.trace)
-    _write_series(series_rec, args)
     if args.json:
         print(report.to_json())
     else:
@@ -709,14 +691,11 @@ def _serve_adaptive(
             selection_policy=args.policy,
             serve=config,
         )
-        with _maybe_series(args) as series_rec, \
-                _maybe_trace(args.trace) as tracer:
+        with _observed(args):
             report = run_adaptive(problem, workload, adaptive_config)
     except ProblemError as exc:
         print(f"serve --adaptive: {exc}", file=sys.stderr)
         return 2
-    _write_trace(tracer, args.trace)
-    _write_series(series_rec, args)
     if args.json:
         print(report.to_json())
     else:
@@ -732,16 +711,10 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     """``repro adapt``: the full-control closed loop with every knob."""
     from repro.adaptive import ADAPTIVE_POLICIES, AdaptiveConfig, run_adaptive
     from repro.errors import ProblemError
-    from repro.serve import SELECTION_POLICIES, WORKLOADS, ServeConfig
+    from repro.serve import ServeConfig
 
-    workload_cls = WORKLOADS.get(args.workload)
+    workload_cls = _workload_class(args)
     if workload_cls is None:
-        print(f"unknown workload {args.workload!r}; "
-              f"choose from {sorted(WORKLOADS)}", file=sys.stderr)
-        return 2
-    if args.policy not in SELECTION_POLICIES:
-        print(f"unknown policy {args.policy!r}; "
-              f"choose from {sorted(SELECTION_POLICIES)}", file=sys.stderr)
         return 2
     if args.adaptive_policy not in ADAPTIVE_POLICIES:
         print(f"unknown adaptive policy {args.adaptive_policy!r}; "
@@ -769,12 +742,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         print("--shift-period only applies to the shift workload",
               file=sys.stderr)
         return 2
-    try:
-        workload = workload_cls(**kwargs)
-    except TypeError as exc:
-        print(f"workload {args.workload!r} rejected its arguments: {exc}",
-              file=sys.stderr)
-        return 2
 
     churn = []
     for spec in args.churn or ():
@@ -789,6 +756,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             return 2
 
     try:
+        workload = workload_cls(**kwargs)
         config = AdaptiveConfig(
             epochs=args.epochs,
             epoch_requests=args.epoch_requests,
@@ -806,14 +774,11 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             replacement=args.replacement,
             churn_schedule=tuple(churn),
         )
-        with _maybe_series(args) as series_rec, \
-                _maybe_trace(args.trace) as tracer:
+        with _observed(args):
             report = run_adaptive(problem, workload, config)
     except ProblemError as exc:
         print(f"adapt: {exc}", file=sys.stderr)
         return 2
-    _write_trace(tracer, args.trace)
-    _write_series(series_rec, args)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
@@ -873,11 +838,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ProblemError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
-    with _maybe_series(args) as series_rec, \
-            _maybe_trace(args.trace) as tracer:
+    with _observed(args):
         document = run_sweep(grid, workers=workers)
-    _write_trace(tracer, args.trace)
-    _write_series(series_rec, args)
     write_sweep(document, args.output)
     print(render_sweep(document))
     print(f"\nwrote {args.output} ({workers} worker"
@@ -885,9 +847,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_series_flags(parser, what: str) -> None:
-    """The shared ``--series`` / ``--openmetrics`` flags (streaming
-    telemetry; see docs/OBSERVABILITY.md)."""
+def _workload_class(args: argparse.Namespace):
+    """The generator ``--workload`` names, once ``--policy`` is known too.
+
+    Returns None, after printing the choices, when either name is
+    unknown.
+    """
+    from repro.serve import SELECTION_POLICIES, WORKLOADS
+
+    workload_cls = WORKLOADS.get(args.workload)
+    if workload_cls is None:
+        print(f"unknown workload {args.workload!r}; "
+              f"choose from {sorted(WORKLOADS)}", file=sys.stderr)
+        return None
+    if args.policy not in SELECTION_POLICIES:
+        print(f"unknown policy {args.policy!r}; "
+              f"choose from {sorted(SELECTION_POLICIES)}", file=sys.stderr)
+        return None
+    return workload_cls
+
+
+def _add_observability_flags(parser, what: str, trace_help: str) -> None:
+    """The shared ``--trace`` / ``--series`` / ``--openmetrics`` flags
+    (event traces and streaming telemetry; see docs/OBSERVABILITY.md)."""
+    parser.add_argument(
+        "--trace", default=None, metavar="PATH", help=trace_help,
+    )
     parser.add_argument(
         "--series", nargs="?", const="SERIES.json", default=None,
         metavar="PATH",
@@ -903,87 +888,52 @@ def _add_series_flags(parser, what: str) -> None:
     )
 
 
-def _maybe_series(args):
-    """Context manager installing a SeriesRecorder when ``--series`` or
-    ``--openmetrics`` is set.
+@contextlib.contextmanager
+def _observed(args: argparse.Namespace) -> Iterator[None]:
+    """Install what ``--trace`` / ``--series`` / ``--openmetrics`` ask for
+    around a run, and write their files once it returns.
 
-    Yields the recorder (or None); the default stays a zero-cost
-    NullRecorder.  Composes with ``_maybe_trace`` — they install into
-    independent slots.
+    A live Tracer for ``--trace``, a SeriesRecorder for ``--series`` or
+    ``--openmetrics``; without the flags the defaults stay zero-cost
+    no-ops.  A run that raises writes nothing.  Status lines go to
+    stderr: `repro serve --json > report.json` must stay
+    machine-parseable with any of the flags on.
     """
-    import contextlib
+    from repro.obs import (
+        SeriesConfig, SeriesRecorder, Tracer, use_recorder, use_tracer,
+    )
 
-    series_path = getattr(args, "series", None)
-    metrics_path = getattr(args, "openmetrics", None)
-    if series_path is None and metrics_path is None:
-        return contextlib.nullcontext(None)
-    from repro.obs import SeriesConfig, SeriesRecorder, use_recorder
+    recorder = tracer = None
+    with contextlib.ExitStack() as stack:
+        if args.series is not None or args.openmetrics is not None:
+            recorder = SeriesRecorder(SeriesConfig(snapshot_path=args.series))
+            stack.enter_context(use_recorder(recorder))
+        if args.trace is not None:
+            tracer = Tracer()
+            stack.enter_context(use_tracer(tracer))
+        yield
+    if tracer is not None:
+        from repro.obs.manifest import build_manifest
 
-    @contextlib.contextmanager
-    def _installed():
-        recorder = SeriesRecorder(SeriesConfig(snapshot_path=series_path))
-        with use_recorder(recorder):
-            yield recorder
+        tracer.write(args.trace, manifest=build_manifest())
+        suffix = ""
+        if tracer.dropped:
+            suffix = f" ({tracer.dropped} events dropped; ring buffer full)"
+        print(f"wrote trace {args.trace}: {len(tracer.events)} events"
+              f"{suffix}", file=sys.stderr)
+    if recorder is not None:
+        recorder.finalize()
+        dump = recorder.dump()
+        if args.series is not None:
+            print(f"wrote series {args.series}: {len(dump['series'])} "
+                  f"series, {len(dump['histograms'])} histograms "
+                  f"(tail live with `repro monitor {args.series}`)",
+                  file=sys.stderr)
+        if args.openmetrics is not None:
+            from repro.obs import write_openmetrics
 
-    return _installed()
-
-
-def _write_series(recorder, args) -> None:
-    """Finalize the snapshot and write the OpenMetrics exposition."""
-    if recorder is None:
-        return
-    recorder.finalize()
-    series_path = getattr(args, "series", None)
-    metrics_path = getattr(args, "openmetrics", None)
-    dump = recorder.dump()
-    # Status lines go to stderr: `repro serve --json > report.json`
-    # must stay machine-parseable even with --series/--openmetrics.
-    if series_path is not None:
-        print(f"wrote series {series_path}: {len(dump['series'])} series, "
-              f"{len(dump['histograms'])} histograms "
-              f"(tail live with `repro monitor {series_path}`)",
-              file=sys.stderr)
-    if metrics_path is not None:
-        from repro.obs import write_openmetrics
-
-        write_openmetrics(dump, metrics_path)
-        print(f"wrote openmetrics {metrics_path}", file=sys.stderr)
-
-
-def _maybe_trace(path: Optional[str]):
-    """Context manager installing a live Tracer when ``path`` is set.
-
-    Yields the tracer (or None), so callers can export after the solve
-    completes; tracing stays a NullTracer no-op without ``--trace``.
-    """
-    import contextlib
-
-    from repro.obs import Tracer, use_tracer
-
-    if path is None:
-        return contextlib.nullcontext(None)
-
-    @contextlib.contextmanager
-    def _installed():
-        tracer = Tracer()
-        with use_tracer(tracer):
-            yield tracer
-
-    return _installed()
-
-
-def _write_trace(tracer, path: Optional[str]) -> None:
-    if tracer is None or path is None:
-        return
-    from repro.obs.manifest import build_manifest
-
-    tracer.write(path, manifest=build_manifest())
-    suffix = ""
-    if tracer.dropped:
-        suffix = f" ({tracer.dropped} events dropped; ring buffer full)"
-    # stderr, like _write_series: `--json --trace` must keep stdout parseable.
-    print(f"wrote trace {path}: {len(tracer.events)} events{suffix}",
-          file=sys.stderr)
+            write_openmetrics(dump, args.openmetrics)
+            print(f"wrote openmetrics {args.openmetrics}", file=sys.stderr)
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:

@@ -1,10 +1,14 @@
 """The request-plane event loop: replay a workload against a placement.
 
 This is the accessing phase of the paper (Sec. III, Eq. 2) promoted from
-a static cost summation to a served system.  A
-:class:`~repro.serve.workloads.Workload` stream is replayed against the
-*final* storage state of any
-:class:`~repro.core.placement.CachePlacement`:
+a static cost summation to a served system.  A request stream — the
+struct-of-arrays batches of
+:meth:`~repro.serve.workloads.Workload.stream_batches` — is replayed
+against the *final* storage state of any
+:class:`~repro.core.placement.CachePlacement`.  The engine never draws
+requests itself: :meth:`ServeEngine.run` replays the batches its caller
+hands it.  :func:`serve_placement` opens a fresh stream per replay; the
+adaptive controller carries one stream across its epochs.
 
 * **Per-cache FIFO service queues.**  Each serving node transmits one
   chunk at a time; a request arriving at a busy server waits in its
@@ -32,9 +36,8 @@ assert it per workload × policy):
   :class:`~repro.distributed.simulator.Simulator` event per arrival and
   per completion, one Python callback each.  Transparent, traceable,
   and ~10x too slow past a few hundred thousand requests.
-* ``engine="batched"`` (the default) — the hot path: requests are
-  generated in struct-of-arrays batches
-  (:meth:`~repro.serve.workloads.Workload.stream_batches`), each
+* ``engine="batched"`` (the default) — the hot path: requests stay in
+  their struct-of-arrays batch columns, each
   ``(client, chunk)`` pair is resolved to its server once per replay
   when the policy is load-independent, and per-cache FIFO queues
   collapse to a dict of queue-free times drained through a single heap
@@ -64,17 +67,22 @@ import random
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.core.costs import CostModel
 from repro.core.placement import CachePlacement
+from repro.core.problem import CachingProblem
 from repro.delay.dcf import DcfParameters, path_delay
 from repro.distributed.simulator import Simulator
 from repro.errors import ProblemError
 from repro.obs import get_recorder, get_tracer
 from repro.serve.selection import ReplicaSelector, ServeView, make_selector
 from repro.serve.stats import ServeReport, build_report
-from repro.serve.workloads import DEFAULT_BATCH_SIZE, Request, Workload
+from repro.serve.workloads import (
+    DEFAULT_BATCH_SIZE, Request, RequestBatch, Workload,
+)
 
 Node = Hashable
 
@@ -91,6 +99,9 @@ ENGINES = (ENGINE_BATCHED, ENGINE_PER_REQUEST)
 @dataclass(frozen=True)
 class ServeConfig:
     """Engine knobs (all deterministic given ``seed``).
+
+    The request stream is not among them: its caller draws it, in
+    whatever batches it likes, and hands it to :meth:`ServeEngine.run`.
 
     Parameters
     ----------
@@ -113,16 +124,6 @@ class ServeConfig:
         ``"per-request"`` (the reference event loop).  Both produce
         byte-identical reports; the flag exists for the equivalence
         tests and for tracing individual simulator events.
-    batch_size:
-        Requests per struct-of-arrays batch on the batched path.
-    skip_requests:
-        Discard this many requests from the front of the workload stream
-        before serving begins.  This is the epoch hook for the adaptive
-        control loop (``docs/ADAPTIVE.md``): epoch ``k`` replays
-        requests ``[k*R, (k+1)*R)`` of one continuous stream by skipping
-        ``k*R``.  Skipped requests consume workload RNG draws but touch
-        no queues, tallies, or engine RNG, so both replay paths stay
-        byte-identical.
     record_demand:
         Tally per-``(client, chunk)`` request counts during the replay
         (exported via :meth:`ServeEngine.demand_counts`).  Both engines
@@ -136,18 +137,12 @@ class ServeConfig:
     dcf: DcfParameters = DcfParameters()
     seed: int = DEFAULT_ENGINE_SEED
     engine: str = ENGINE_BATCHED
-    batch_size: int = DEFAULT_BATCH_SIZE
-    skip_requests: int = 0
     record_demand: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.failure_rate <= 1.0:
             raise ProblemError(
                 f"failure_rate must be in [0, 1], got {self.failure_rate}"
-            )
-        if self.skip_requests < 0:
-            raise ProblemError(
-                f"skip_requests must be >= 0, got {self.skip_requests}"
             )
         if self.timeout < 0:
             raise ProblemError(f"timeout must be >= 0, got {self.timeout}")
@@ -159,18 +154,15 @@ class ServeConfig:
             raise ProblemError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.batch_size < 1:
-            raise ProblemError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
 
 
 class ServeEngine(ServeView):
     """One replay of a request stream against one placement.
 
-    Build it, call :meth:`run`, read the :class:`ServeReport`.  The
-    engine is also the :class:`~repro.serve.selection.ServeView` its
-    policy observes the network through.
+    Build it, call :meth:`run` with the stream's batches, read the
+    :class:`ServeReport`.  The engine is also the
+    :class:`~repro.serve.selection.ServeView` its policy observes the
+    network through.
     """
 
     def __init__(
@@ -229,7 +221,6 @@ class ServeEngine(ServeView):
         # (server, client) → DCF service seconds; the storage state is
         # frozen during a replay, so this cache is exact.
         self._service_cache: Dict[Tuple[Node, Node], float] = {}
-        self._cost_rows: Dict[Node, Mapping[Node, float]] = {}
 
         # Per-(client, chunk) request counts (record_demand only) — the
         # demand signal the adaptive control plane estimates from.
@@ -249,11 +240,7 @@ class ServeEngine(ServeView):
 
     # -- ServeView -----------------------------------------------------
     def cost(self, server: Node, client: Node) -> float:
-        row = self._cost_rows.get(server)
-        if row is None:
-            row = self._costs.all_contention_costs(server)
-            self._cost_rows[server] = row
-        return row[client]
+        return self._costs.contention_cost(server, client)
 
     def queue_depth(self, server: Node) -> int:
         if self._live_depth is not None:
@@ -275,8 +262,14 @@ class ServeEngine(ServeView):
         return dict(self._demand)
 
     # -- the replay ----------------------------------------------------
-    def run(self) -> ServeReport:
-        """Replay the stream; returns the summary report."""
+    def run(self, batches: Iterable[RequestBatch]) -> ServeReport:
+        """Replay the first ``num_requests`` requests of ``batches``.
+
+        ``batches`` is a struct-of-arrays request stream
+        (:meth:`~repro.serve.workloads.Workload.stream_batches`); the
+        replay reads no batch past the one holding its last request.
+        Returns the summary report.
+        """
         obs = get_recorder()
         trace = get_tracer()
         with trace.span(
@@ -301,9 +294,9 @@ class ServeEngine(ServeView):
             # zero-request document either way.
             if self.num_requests > 0 and self.problem.clients:
                 if self.config.engine == ENGINE_PER_REQUEST:
-                    self._replay_per_request(obs, trace)
+                    self._replay_per_request(obs, trace, batches)
                 else:
-                    self._replay_batched(obs, trace)
+                    self._replay_batched(obs, trace, batches)
         return build_report(
             workload=self.workload.name,
             policy=self.selector.name,
@@ -321,15 +314,11 @@ class ServeEngine(ServeView):
         )
 
     # -- reference path: one simulator event per arrival/completion ----
-    def _replay_per_request(self, obs, trace) -> None:
+    def _replay_per_request(
+        self, obs, trace, batches: Iterable[RequestBatch]
+    ) -> None:
         sim = Simulator()
-        stream = self.workload.stream(
-            self.problem.clients, self.problem.num_chunks
-        )
-        # Epoch hook: burn the epoch prefix without scheduling anything.
-        for _ in range(self.config.skip_requests):
-            if next(stream, None) is None:
-                break
+        stream = _requests(batches)
         remaining = self.num_requests
         record_demand = self.config.record_demand
         demand = self._demand
@@ -344,7 +333,8 @@ class ServeEngine(ServeView):
             nonlocal remaining
             if remaining <= 0:
                 return
-            # A finite stream (zero-rate workload) just stops scheduling.
+            # A finite stream (a short or zero-rate one) just stops
+            # scheduling.
             request = next(stream, None)
             if request is None:
                 return
@@ -461,7 +451,9 @@ class ServeEngine(ServeView):
             del schedule_next, arrive, enqueue, start_service, complete
 
     # -- hot path: struct-of-arrays batches + a heap of completions ----
-    def _replay_batched(self, obs, trace) -> None:
+    def _replay_batched(
+        self, obs, trace, batches: Iterable[RequestBatch]
+    ) -> None:
         """Array-form replay; byte-identical tallies to the event loop.
 
         Three structural changes buy the throughput (details and
@@ -519,7 +511,7 @@ class ServeEngine(ServeView):
         pop = heapq.heappop
         seq = 0
         heap_peak = 0
-        batches = 0
+        batch_count = 0
         generated = 0
         timeouts = 0
         failovers = 0
@@ -589,17 +581,7 @@ class ServeEngine(ServeView):
             obs.series_point("serve.timeouts", t, timeouts, kind="counter")
             obs.series_point("serve.inflight", t, len(heap))
 
-        # The stream ends after the skipped prefix plus the requests to
-        # serve, so the last batch draws nothing the replay drops.
-        stream = self.workload.stream_batches(
-            self.problem.clients, self.problem.num_chunks,
-            config.batch_size,
-            limit=config.skip_requests + self.num_requests,
-        )
-        # Epoch hook: drop the skipped stream prefix batch by batch.
-        # Skipped requests never enter the tallies or the float chain,
-        # matching the reference path's pre-scheduling burn exactly.
-        to_skip = config.skip_requests
+        stream = iter(batches)
         # The reference path's arrival-event times round through
         # schedule_at (now + (t - now)); mirror the chain exactly.
         effective = 0.0
@@ -611,22 +593,19 @@ class ServeEngine(ServeView):
             if batch is None:
                 break
             times, clients, chunks = batch
-            if to_skip:
-                if to_skip >= len(times):
-                    to_skip -= len(times)
-                    continue
-                times = times[to_skip:]
-                clients = clients[to_skip:]
-                chunks = chunks[to_skip:]
-                to_skip = 0
+            if len(times) > remaining:
+                # Serve exactly what the reference path schedules.
+                times = times[:remaining]
+                clients = clients[:remaining]
+                chunks = chunks[:remaining]
             remaining -= len(times)
-            batches += 1
+            batch_count += 1
             generated += len(times)
             if traced:
                 trace.instant(
                     "serve.batch",
                     track="serve",
-                    args={"index": batches - 1, "requests": len(times)},
+                    args={"index": batch_count - 1, "requests": len(times)},
                 )
             if load_independent:
                 # Selection reads no queue state, so completions only
@@ -719,7 +698,7 @@ class ServeEngine(ServeView):
             obs.count("serve.failovers", failovers)
         if timeouts:
             obs.count("serve.timeouts", timeouts)
-        obs.count("serve.batch.batches", batches)
+        obs.count("serve.batch.batches", batch_count)
         obs.count("serve.batch.requests", generated)
         if load_independent:
             obs.count("serve.batch.table_entries", len(resolved))
@@ -764,6 +743,31 @@ class ServeEngine(ServeView):
         return cached
 
 
+def _requests(batches: Iterable[RequestBatch]) -> Iterator[Request]:
+    """The per-request path's view of a batch stream: one
+    :class:`Request` per column entry, in stream order."""
+    index = 0
+    for times, clients, chunks in batches:
+        for time, client, chunk in zip(times, clients, chunks):
+            yield Request(index=index, time=time, client=client, chunk=chunk)
+            index += 1
+
+
+def request_stream(
+    problem: CachingProblem, workload: Workload, limit: int
+) -> Iterator[RequestBatch]:
+    """A fresh stream of ``limit`` requests of ``workload`` on ``problem``.
+
+    Batches of :data:`~repro.serve.workloads.DEFAULT_BATCH_SIZE`, the
+    last one cut to fit.  A problem without clients issues no requests.
+    """
+    if not problem.clients:
+        return iter(())
+    return workload.stream_batches(
+        problem.clients, problem.num_chunks, DEFAULT_BATCH_SIZE, limit=limit
+    )
+
+
 def serve_placement(
     placement: CachePlacement,
     workload: Workload,
@@ -773,66 +777,65 @@ def serve_placement(
 ) -> ServeReport:
     """Replay ``num_requests`` of ``workload`` against ``placement``.
 
-    The one-call entry point: builds a :class:`ServeEngine`, runs it,
-    returns the :class:`~repro.serve.stats.ServeReport`.
+    The one-call entry point: builds a :class:`ServeEngine`, runs it on
+    a fresh request stream, returns the
+    :class:`~repro.serve.stats.ServeReport`.
     """
-    resolved = config if config is not None else ServeConfig()
     engine = ServeEngine(
         placement,
         workload,
         num_requests,
         policy=policy,
-        config=resolved,
+        config=config if config is not None else ServeConfig(),
     )
-    report = engine.run()
-    _sanitize_serve_equivalence(
-        report, placement, workload, num_requests, policy, resolved
-    )
-    return report
+    stream = request_stream(placement.problem, workload, num_requests)
+    return _run_checked(engine, policy, stream)
 
 
-def _sanitize_serve_equivalence(
-    report: ServeReport,
-    placement: CachePlacement,
-    workload: Workload,
-    num_requests: int,
+def _run_checked(
+    engine: ServeEngine,
     policy: Union[str, ReplicaSelector],
-    config: ServeConfig,
-) -> None:
-    """REPRO_SANITIZE cross-check: batched == per-request, byte for byte.
+    batches: Iterable[RequestBatch],
+) -> ServeReport:
+    """``engine.run(batches)``, cross-checked under REPRO_SANITIZE.
 
-    Only for batched replays small enough that a serial shadow run is
-    cheap (``SERVE_EQUIVALENCE_MAX_REQUESTS``).  The shadow replay runs
-    under null obs sinks so counters and traces record one serve, not
-    two.
+    A batched replay small enough that a serial shadow run is cheap
+    (``SERVE_EQUIVALENCE_MAX_REQUESTS``) reads its batches from a list,
+    and a per-request engine built with the same ``policy`` replays that
+    list again; the two reports must match byte for byte.  The shadow
+    runs under null obs sinks so counters and traces record one serve,
+    not two.  Any other replay reads ``batches`` lazily, once.
     """
     from repro.analysis import contracts
 
+    config = engine.config
     if (
         not contracts.sanitize_enabled()
         or config.engine != ENGINE_BATCHED
-        or num_requests > contracts.SERVE_EQUIVALENCE_MAX_REQUESTS
+        or engine.num_requests > contracts.SERVE_EQUIVALENCE_MAX_REQUESTS
     ):
-        return
+        return engine.run(batches)
     from dataclasses import replace
 
     from repro.obs import NullRecorder, NullTracer, use_recorder, use_tracer
 
+    batches = list(batches)
+    report = engine.run(batches)
     shadow = ServeEngine(
-        placement,
-        workload,
-        num_requests,
+        engine.placement,
+        engine.workload,
+        engine.num_requests,
         policy=policy,
         config=replace(config, engine=ENGINE_PER_REQUEST),
     )
-    with use_recorder(NullRecorder()):
-        with use_tracer(NullTracer()):
-            reference = shadow.run()
+    with use_recorder(NullRecorder()), use_tracer(NullTracer()):
+        reference = shadow.run(batches)
     contracts.check_serve_equivalence(
         batched_json=report.to_json(),
         reference_json=reference.to_json(),
         context=(
-            f"serve_placement(requests={num_requests}, "
+            f"serve_placement(requests={engine.num_requests}, "
             f"seed={config.seed})"
         ),
     )
+    return report

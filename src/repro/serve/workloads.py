@@ -20,11 +20,12 @@ Every generator is
   per simulated second across the whole network (flash crowds add a
   burst window on top).
 
-Two stream shapes share one RNG schedule.  :meth:`Workload.stream`
-yields :class:`Request` objects (the per-request engine path);
+Two stream shapes share one RNG schedule.
 :meth:`Workload.stream_batches` yields struct-of-arrays batches —
-parallel ``times`` / ``clients`` / ``chunks`` list columns — for the
-batched engine hot path (see ``docs/SCALING.md``).  Both draw
+parallel ``times`` / ``clients`` / ``chunks`` list columns — the shape
+both serve engines replay (see ``docs/SCALING.md``);
+:meth:`Workload.stream` yields :class:`Request` objects, the
+independent reference the batches are tested against.  Both draw
 interarrival, client, chunk per request in that exact order from the
 same seeded RNG, so the value sequences are identical; the equivalence
 tests assert it for every generator.
@@ -54,8 +55,8 @@ Node = Hashable
 DEFAULT_SEED = 2017
 
 #: Requests per struct-of-arrays batch from :meth:`Workload.stream_batches`.
-#: Large enough to amortize the per-batch Python overhead; the batched
-#: engine passes a ``limit``, so the final batch is cut to fit.
+#: Large enough to amortize the per-batch Python overhead; replays open
+#: their streams with a ``limit``, so the final batch is cut to fit.
 DEFAULT_BATCH_SIZE = 8192
 
 #: One struct-of-arrays event batch: parallel ``(times, clients, chunks)``

@@ -14,6 +14,7 @@ export the signal layer builds on, the drift workload generators, and
 the adapt surfaces of the CLI and the sweep runner.
 """
 
+import itertools
 import json
 
 import pytest
@@ -32,6 +33,7 @@ from repro.adaptive import (
     chunk_drift,
     run_adaptive,
 )
+from repro.adaptive.controller import _window
 from repro.core.approximation import solve_approximation
 from repro.errors import ProblemError
 from repro.serve.engine import (
@@ -410,22 +412,26 @@ class TestConfigValidation:
 
 class TestDemandExport:
     def _engine(self, engine_name, skip):
+        """An engine that replayed requests ``[skip, skip + 600)`` of one
+        stream, handed to it as an epoch window is."""
         problem = small_problem()
         placement = solve_approximation(problem)
-        config = ServeConfig(
-            seed=7, engine=engine_name, skip_requests=skip,
-            record_demand=True,
+        workload = ZipfWorkload(seed=7, rate=4.0)
+        config = ServeConfig(seed=7, engine=engine_name, record_demand=True)
+        stream = workload.stream_batches(
+            problem.clients, problem.num_chunks, 256
         )
-        return ServeEngine(
-            placement, ZipfWorkload(seed=7, rate=4.0), 600, config=config
-        )
+        carry = []
+        for _ in _window(stream, carry, skip):
+            pass
+        engine = ServeEngine(placement, workload, 600, config=config)
+        engine.run(_window(stream, carry, 600))
+        return engine
 
     @pytest.mark.parametrize("skip", [0, 500])
     def test_batched_and_per_request_export_identical_demand(self, skip):
         batched = self._engine("batched", skip)
         per_request = self._engine(ENGINE_PER_REQUEST, skip)
-        batched.run()
-        per_request.run()
         counts = batched.demand_counts()
         assert counts == per_request.demand_counts()
         assert sum(counts.values()) == 600
@@ -433,11 +439,54 @@ class TestDemandExport:
     def test_demand_off_by_default(self):
         problem = small_problem()
         placement = solve_approximation(problem)
+        workload = ZipfWorkload(seed=7)
         engine = ServeEngine(
-            placement, ZipfWorkload(seed=7), 100, config=ServeConfig(seed=7)
+            placement, workload, 100, config=ServeConfig(seed=7)
         )
-        engine.run()
+        engine.run(workload.stream_batches(
+            problem.clients, problem.num_chunks, limit=100
+        ))
         assert engine.demand_counts() == {}
+
+
+class TestCarriedStream:
+    """Epoch ``k`` replays requests ``[k*R, (k+1)*R)`` of one stream,
+    checked against :meth:`Workload.stream`, the independent per-request
+    generator.  The epoch sizes sit below, across and on a multiple of
+    the 8192-request batch."""
+
+    @pytest.mark.parametrize("epoch_requests", [1000, 9000, 8192])
+    def test_epoch_k_replays_its_slice_of_the_stream(
+        self, epoch_requests, monkeypatch
+    ):
+        problem = small_problem()
+        workload = ZipfWorkload(seed=11, rate=4.0)
+        handed = []
+        real_run = ServeEngine.run
+
+        def run(self, batches):
+            if self.config.engine != "batched":  # the sanitizer's shadow
+                return real_run(self, batches)
+            seen = []
+            handed.append(seen)
+
+            def record():
+                for batch in batches:
+                    seen.extend(zip(*batch))
+                    yield batch
+            return real_run(self, record())
+
+        monkeypatch.setattr(ServeEngine, "run", run)
+        epochs = 3
+        AdaptiveController(
+            problem, workload,
+            AdaptiveConfig(epochs=epochs, epoch_requests=epoch_requests),
+        ).run()
+        assert len(handed) == epochs
+        stream = workload.stream(problem.clients, problem.num_chunks)
+        for seen in handed:
+            expected = itertools.islice(stream, epoch_requests)
+            assert seen == [(r.time, r.client, r.chunk) for r in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,35 @@ class TestTraceExport:
         assert json.loads(trace_path.read_text())["traceEvents"]
 
 
+    @pytest.mark.parametrize("argv, json_out", [
+        (["solve", "--grid", "3", "--chunks", "1"], False),
+        (["serve", "--grid", "3", "--chunks", "1", "--requests", "100",
+          "--json"], True),
+        (["adapt", "--grid", "3", "--chunks", "2", "--capacity", "2",
+          "--epochs", "2", "--epoch-requests", "100", "--json"], True),
+        (["sweep", "--topology", "grid:3", "--chunks", "1", "--requests",
+          "100", "--workers", "1", "-o", "SWEEP.json"], False),
+    ], ids=["solve", "serve", "adapt", "sweep"])
+    def test_observability_flags_write_their_files(self, argv, json_out,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--trace", "t.json", "--series", "s.json",
+                            "--openmetrics", "m.txt"]) == 0
+        captured = capsys.readouterr()
+        if json_out:
+            assert isinstance(json.loads(captured.out), dict)
+        for line in ("wrote trace t.json", "wrote series s.json",
+                     "wrote openmetrics m.txt"):
+            assert line in captured.err
+        assert json.loads((tmp_path / "t.json").read_text())["traceEvents"]
+        series = json.loads((tmp_path / "s.json").read_text())
+        assert series["schema"] == "repro-series/1"
+        assert (tmp_path / "m.txt").read_text().endswith("# EOF\n")
+
+
 def test_removed_bench_command_is_unknown(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["bench"])
@@ -167,6 +196,26 @@ def test_bad_serve_inputs_exit_2(argv, message, capsys, tmp_path,
                                  monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["adapt", "--grid", "4", "--rate", "-1"],
+     "adapt: request rate must be >= 0, got -1.0"),
+    (["adapt", "--grid", "4", "--shift-period", "-2"],
+     "adapt: shift_period must be > 0, got -2.0"),
+    # The default shift period is one epoch: zero requests, zero seconds.
+    (["adapt", "--grid", "4", "--epoch-requests", "0"],
+     "adapt: shift_period must be > 0, got 0.0"),
+], ids=["adapt-rate", "adapt-shift-period", "adapt-epoch-requests0"])
+def test_bad_adapt_workload_args_exit_2(argv, message, capsys, tmp_path,
+                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--trace", "t.json"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err

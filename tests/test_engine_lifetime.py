@@ -33,9 +33,9 @@ def engine_refs(monkeypatch):
     refs = []
     real_run = ServeEngine.run
 
-    def run(self):
+    def run(self, batches):
         refs.append(weakref.ref(self))
-        return real_run(self)
+        return real_run(self, batches)
 
     monkeypatch.setattr(ServeEngine, "run", run)
     gc.collect()

@@ -27,6 +27,7 @@ from repro.serve import (
     LeastLoaded,
     PowerOfTwoChoices,
     ServeConfig,
+    ServeEngine,
     ServeReport,
     UniformWorkload,
     ZipfWorkload,
@@ -44,6 +45,23 @@ def placement():
 def take(workload, clients, num_chunks, n):
     return list(
         itertools.islice(workload.stream(clients, num_chunks), n)
+    )
+
+
+def replay(placement, workload, num_requests, batches, policy="cheapest",
+           config=ServeConfig()):
+    """One engine run on a caller-drawn stream of ``batches``."""
+    engine = ServeEngine(
+        placement, workload, num_requests, policy=policy, config=config
+    )
+    return engine.run(batches)
+
+
+def drawn_at(placement, workload, num_requests, batch_size):
+    """``num_requests`` of ``workload`` in batches of ``batch_size``."""
+    problem = placement.problem
+    return workload.stream_batches(
+        problem.clients, problem.num_chunks, batch_size, limit=num_requests
     )
 
 
@@ -304,43 +322,58 @@ class TestBatchedEquivalence:
                 failure_rate=0.3, seed=seed, engine="per-request"
             ),
         )
-        batched = serve_placement(
-            placement, workload, 300, policy=policy,
-            config=ServeConfig(
-                failure_rate=0.3, seed=seed, engine="batched", batch_size=64
-            ),
+        batched = replay(
+            placement, workload, 300, drawn_at(placement, workload, 300, 64),
+            policy=policy,
+            config=ServeConfig(failure_rate=0.3, seed=seed, engine="batched"),
         )
         assert batched.to_json() == reference.to_json()
 
     def test_batch_size_does_not_change_report(self, placement):
         workload = ZipfWorkload(seed=5)
         reports = [
-            serve_placement(
+            replay(
                 placement, workload, 300,
-                config=ServeConfig(seed=5, batch_size=size),
+                drawn_at(placement, workload, 300, size),
+                config=ServeConfig(seed=5),
             ).to_json()
             for size in (1, 3, 100, 8192)
         ]
-        assert len(set(reports)) == 1
+        assert reports == [serve_placement(
+            placement, workload, 300, config=ServeConfig(seed=5)
+        ).to_json()] * 4
 
     @pytest.mark.parametrize("skip", [0, 100])
-    def test_batched_draws_only_the_requests_it_reads(
-        self, placement, skip, monkeypatch
-    ):
-        drawn = []
-        original = ZipfWorkload.stream_batches
+    def test_batched_draws_only_the_requests_it_reads(self, placement, skip):
+        """Handed an endless stream that starts ``skip`` requests in, the
+        replay reads no batch past the one holding its last request, and
+        both engines serve the same window."""
+        workload = ZipfWorkload(seed=5)
+        problem = placement.problem
+        drawn = {}
 
-        def counted(self, *args, **kwargs):
-            for batch in original(self, *args, **kwargs):
-                drawn.append(len(batch[0]))
-                yield batch
+        def mid_stream(engine):
+            drawn[engine] = 0
+            to_skip = skip
+            for times, clients, chunks in workload.stream_batches(
+                problem.clients, problem.num_chunks, 64
+            ):
+                drawn[engine] += len(times)
+                cut = min(to_skip, len(times))
+                to_skip -= cut
+                if cut < len(times):
+                    yield times[cut:], clients[cut:], chunks[cut:]
 
-        monkeypatch.setattr(ZipfWorkload, "stream_batches", counted)
-        serve_placement(
-            placement, ZipfWorkload(seed=5), 300,
-            config=ServeConfig(seed=5, batch_size=64, skip_requests=skip),
-        )
-        assert sum(drawn) == skip + 300
+        reports = {
+            engine: replay(
+                placement, workload, 300, mid_stream(engine),
+                config=ServeConfig(seed=5, engine=engine),
+            ).to_json()
+            for engine in ("batched", "per-request")
+        }
+        assert drawn["batched"] == 64 * -(-(skip + 300) // 64)
+        assert reports["batched"] == reports["per-request"]
+        assert json.loads(reports["batched"])["completed"] == 300
 
     def test_batched_counters_match_per_request(self, placement):
         workload = ZipfWorkload(seed=9)
@@ -374,8 +407,6 @@ class TestBatchedEquivalence:
     def test_engine_flag_validated(self):
         with pytest.raises(ProblemError):
             ServeConfig(engine="bogus")
-        with pytest.raises(ProblemError):
-            ServeConfig(batch_size=0)
 
 
 class TestDegenerateReplays:
