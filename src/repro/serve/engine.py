@@ -37,13 +37,15 @@ assert it per workload × policy):
   per completion, one Python callback each.  Transparent, traceable,
   and ~10x too slow past a few hundred thousand requests.
 * ``engine="batched"`` (the default) — the hot path: requests stay in
-  their struct-of-arrays batch columns, each
-  ``(client, chunk)`` pair is resolved to its server once per replay
-  when the policy is load-independent, and per-cache FIFO queues
-  collapse to a dict of queue-free times drained through a single heap
-  of completion times.  One process sustains well over a million
-  requests; ``docs/SCALING.md`` documents the design and the measured
-  throughput.
+  their struct-of-arrays batch columns and per-cache FIFO queues
+  collapse to one queue-free time per server.  A load-independent
+  policy (``cheapest``) gets a columnar replay: each ``(chunk, client)``
+  pair is resolved to its server once per replay, one arrival-order
+  pass per batch runs the queue recurrence, and numpy accounts the
+  batch's completions.  A load-dependent policy drains a single heap of
+  completion times before every arrival.  One process sustains well
+  over a million requests; ``docs/SCALING.md`` documents the design and
+  the measured throughput.
 
 Determinism: the workload stream, the failure coin, and any randomized
 policy all draw from seeded RNGs, and completions are processed in
@@ -54,10 +56,12 @@ Observability: counters ``serve.requests`` / ``serve.failovers`` /
 ``serve.timeouts`` (bulk-incremented on the batched path, identical
 totals), batched-path counters ``serve.batch.batches`` /
 ``serve.batch.requests`` / ``serve.batch.table_entries`` and gauge
-``serve.batch.heap_peak``, gauge ``serve.queue_depth`` (per-request path
-only), and trace events ``serve.session`` (span) / ``serve.request``
-(one instant per completed request, both paths) on the ``serve`` track —
-all zero-cost when no recorder or tracer is installed.
+``serve.batch.heap_peak`` (most completions in flight; the columnar
+replay samples it after each batch), gauge ``serve.queue_depth``
+(per-request path only), and trace events ``serve.session`` (span) /
+``serve.request`` (one instant per completed request, both paths) on
+the ``serve`` track — all zero-cost when no recorder or tracer is
+installed.
 """
 
 from __future__ import annotations
@@ -70,6 +74,8 @@ from dataclasses import dataclass
 from typing import (
     Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union,
 )
+
+import numpy as np
 
 from repro.core.costs import CostModel
 from repro.core.placement import CachePlacement
@@ -450,39 +456,294 @@ class ServeEngine(ServeView):
             # the finished engine is freed without the cyclic collector.
             del schedule_next, arrive, enqueue, start_service, complete
 
-    # -- hot path: struct-of-arrays batches + a heap of completions ----
+    # -- hot path: struct-of-arrays batches ----------------------------
     def _replay_batched(
         self, obs, trace, batches: Iterable[RequestBatch]
     ) -> None:
         """Array-form replay; byte-identical tallies to the event loop.
 
-        Three structural changes buy the throughput (details and
-        measurements in ``docs/SCALING.md``):
+        Requests stay in their batch columns (parallel time/client/chunk
+        lists, never ``Request`` objects), and per-server FIFO queues
+        reduce to one queue-free time per server: ``start =
+        max(free[server], arrival)``, ``done = start + service``.  The
+        policy picks one of two forms (details and measurements in
+        ``docs/SCALING.md``):
 
-        1. *SoA event batches* — requests arrive as parallel
-           time/client/chunk list columns, never as ``Request`` objects.
-        2. *Resolved candidate tables* — for a load-independent policy
-           (``cheapest``), the ``(server, failovers, penalty)`` outcome
-           of the failover loop is a pure function of ``(chunk,
-           client)`` and is computed once per pair, not once per
-           request.
-        3. *Heap drain* — per-server FIFO queues reduce to one
-           queue-free time per server; completions sit in a single heap
-           and are popped in simulated-time order, exactly the order the
-           reference path's simulator fires them in.
+        * a *columnar replay* (:meth:`_replay_columnar`) when it is
+          load-independent (``cheapest``): one arrival-order pass per
+          batch over a per-``(chunk, client)`` row table, then array
+          accounting of the batch's completions;
+        * a *completion heap* (:meth:`_replay_heap`) when it reads live
+          queue depths (``least-loaded``, ``p2c``): completions drain
+          before every arrival, in simulated-time order.
 
         Float parity notes: the reference path schedules arrivals with
         ``Simulator.schedule_at``, whose event time is
         ``now + (t - now)`` — a rounding chain over the previous
-        arrival's event time, not the raw stream time.  This path
-        reproduces that chain (``effective``), and reuses the reference
-        path's exact latency/queue-delay expressions, so every float in
-        the report is bit-identical.
+        arrival's event time, not the raw stream time.  Both forms
+        reproduce that chain (``effective``), reuse the reference path's
+        exact latency/queue-delay expressions (elementwise in the
+        columnar form) and account completions in the order the
+        reference path's simulator fires them, so every float in the
+        report is bit-identical.
+        """
+        batches = self._cut_batches(trace, batches)
+        if self.selector.load_independent:
+            batch_count, heap_peak = self._replay_columnar(
+                obs, trace, batches
+            )
+        else:
+            batch_count, heap_peak = self._replay_heap(obs, trace, batches)
+        # Bulk counter increments: identical totals to the per-request
+        # path's per-event counts.
+        requests = len(self._latencies)
+        if requests:
+            obs.count("serve.requests", requests)
+        if self._failovers:
+            obs.count("serve.failovers", self._failovers)
+        if self._timeouts:
+            obs.count("serve.timeouts", self._timeouts)
+        obs.count("serve.batch.batches", batch_count)
+        obs.count("serve.batch.requests", requests)
+        obs.gauge("serve.batch.heap_peak", heap_peak)
+
+    def _cut_batches(
+        self, trace, batches: Iterable[RequestBatch]
+    ) -> Iterator[RequestBatch]:
+        """The first ``num_requests`` requests of ``batches``, batch by
+        batch: the last one cut to fit, no batch read past it, and one
+        ``serve.batch`` trace instant per batch."""
+        stream = iter(batches)
+        remaining = self.num_requests
+        index = 0
+        while remaining > 0:
+            batch = next(stream, None)
+            if batch is None:
+                return
+            times, clients, chunks = batch
+            if len(times) > remaining:
+                # Serve exactly what the reference path schedules.
+                times = times[:remaining]
+                clients = clients[:remaining]
+                chunks = chunks[:remaining]
+            remaining -= len(times)
+            if trace.enabled:
+                trace.instant(
+                    "serve.batch",
+                    track="serve",
+                    args={"index": index, "requests": len(times)},
+                )
+            index += 1
+            yield times, clients, chunks
+
+    def _replay_columnar(
+        self, obs, trace, batches: Iterator[RequestBatch]
+    ) -> Tuple[int, int]:
+        """Columnar replay of a load-independent policy.
+
+        The ``(server, failovers, penalty, service)`` outcome of the
+        failover loop is a pure function of ``(chunk, client)``, so
+        :meth:`_resolve_static` computes it once per pair, into a row of
+        the row table.  Per batch, one sequential pass runs the arrival
+        chain, looks up each request's row and runs the per-server
+        queue recurrence; that is the only per-request Python.  The
+        rest is array work: latencies, queue delays and timeouts per
+        batch, and served loads, self-served, failover, retry and
+        demand tallies from per-row request counts at the end.  Returns
+        the batch count and the most completions in flight after a
+        batch.
+
+        Accounting order is the reference path's completion-event
+        order.  Selection reads no queue state, so every completion due
+        before a batch's first arrival is already known when that batch
+        starts (a completion's arrival precedes it): at each batch start
+        the pending completions with ``done`` before that first arrival
+        are accounted, ordered by ``(done, seq)``, and the rest stay
+        pending; the final drain takes everything.  This is exactly the
+        drain of a completion heap, and it is not one global sort: a
+        self-served request has service 0, so its ``done`` can fall just
+        below its own batch's first arrival, and so below the ``done``
+        of a completion that batch's start already accounted.  Pending
+        columns hold only in-flight completions, kept in arrival
+        (``seq``) order, so a stable sort by ``done`` is the ``(done,
+        seq)`` order.
+        """
+        timeout = self.config.timeout
+        latencies = self._latencies
+        queue_delays = self._queue_delays
+        traced = trace.enabled
+        series_on = obs.series_enabled
+        resolve = self._resolve_static
+
+        node_index = {node: i for i, node in enumerate(self._served)}
+        free = [0.0] * len(node_index)  # node index → queue-free sim time
+        # The row table: chunk → client → (server index, service, row),
+        # filled lazily so only pairs that occur pay the resolution;
+        # per-row columns beside it, and request counts per row.
+        table: List[Dict[Node, Tuple[int, float, int]]] = [
+            {} for _ in self._candidates
+        ]
+        row_client: List[Node] = []
+        row_chunk: List[int] = []
+        row_server: List[Node] = []
+        row_attempts: List[int] = []
+        row_service: List[float] = []
+        row_penalty: List[float] = []
+        row_counts = np.zeros(0, dtype=np.int64)
+        # In-flight completions, in arrival order.
+        pending_done = np.empty(0)
+        pending_raw = np.empty(0)
+        pending_row = np.empty(0, dtype=np.intp)
+        timeouts = 0
+        heap_peak = 0
+        batch_count = 0
+
+        def new_row(client: Node, chunk: int) -> Tuple[int, float, int]:
+            server, attempts, penalty, service = resolve(client, chunk)
+            entry = (node_index[server], service, len(row_client))
+            table[chunk][client] = entry
+            row_client.append(client)
+            row_chunk.append(chunk)
+            row_server.append(server)
+            row_attempts.append(attempts)
+            row_service.append(service)
+            row_penalty.append(penalty)
+            return entry
+
+        def account(limit: Optional[float]) -> None:
+            """Account the pending completions due before ``limit``
+            (all of them when None) in ``(done, seq)`` order."""
+            nonlocal pending_done, pending_raw, pending_row, timeouts
+            if limit is None:
+                due = np.ones(len(pending_done), dtype=bool)
+            else:
+                due = pending_done < limit
+            done = pending_done[due]
+            raw = pending_raw[due]
+            rows = pending_row[due]
+            kept = ~due
+            pending_done = pending_done[kept]
+            pending_raw = pending_raw[kept]
+            pending_row = pending_row[kept]
+            if not len(done):
+                return
+            order = np.argsort(done, kind="stable")
+            done = done[order]
+            raw = raw[order]
+            rows = rows[order]
+            penalty = np.array(row_penalty)[rows]
+            latency = (done - raw) + penalty
+            queue_delay = (latency - np.array(row_service)[rows]) - penalty
+            timeouts += int(np.count_nonzero(latency > timeout))
+            self._makespan = float(done[-1])
+            lat = latency.tolist()
+            delay = queue_delay.tolist()
+            latencies.extend(lat)
+            queue_delays.extend(delay)
+            if series_on:
+                for value in lat:
+                    obs.observe("serve.latency_s", value)
+                for value in delay:
+                    obs.observe("serve.queue_delay_s", value)
+            if traced:
+                for row, latency_s, queue_delay_s, sim_time in zip(
+                    rows.tolist(), lat, delay, done.tolist()
+                ):
+                    trace.instant(
+                        "serve.request",
+                        track="serve",
+                        args={
+                            "client": str(row_client[row]),
+                            "chunk": row_chunk[row],
+                            "server": str(row_server[row]),
+                            "latency_s": latency_s,
+                            "queue_delay_s": queue_delay_s,
+                            "attempts": row_attempts[row] + 1,
+                            "sim_time": sim_time,
+                        },
+                    )
+
+        def sample() -> None:
+            failovers = int(np.dot(row_counts, row_attempts))
+            _sample_series(obs, effective, len(latencies), failovers,
+                           timeouts, len(pending_done))
+
+        # The reference path's arrival-event times round through
+        # schedule_at (now + (t - now)); mirror the chain exactly.
+        effective = 0.0
+        for times, clients, chunks in batches:
+            batch_count += 1
+            account(times[0])
+            dones: List[float] = []
+            rows: List[int] = []
+            add_done = dones.append
+            add_row = rows.append
+            for raw, client, chunk in zip(times, clients, chunks):
+                effective = effective + (raw - effective)
+                entry = table[chunk].get(client)
+                if entry is None:
+                    entry = new_row(client, chunk)
+                server, service, row = entry
+                start = free[server]
+                if start < effective:
+                    start = effective
+                done = start + service
+                free[server] = done
+                add_done(done)
+                add_row(row)
+            pending_done = np.concatenate((pending_done, dones))
+            pending_raw = np.concatenate((pending_raw, times))
+            pending_row = np.concatenate(
+                (pending_row, np.array(rows, dtype=np.intp))
+            )
+            counts = np.bincount(rows, minlength=len(row_client))
+            counts[: len(row_counts)] += row_counts
+            row_counts = counts
+            heap_peak = max(heap_peak, len(pending_done))
+            if series_on:
+                sample()
+        account(None)
+        if series_on:
+            sample()
+
+        failovers = retried = self_served = 0
+        record_demand = self.config.record_demand
+        demand = self._demand
+        served = self._served
+        for row, count in enumerate(row_counts.tolist()):
+            client = row_client[row]
+            server = row_server[row]
+            attempts = row_attempts[row]
+            served[server] += count
+            if server == client:
+                self_served += count
+            if attempts:
+                failovers += attempts * count
+                retried += count
+            if record_demand:
+                key = (client, row_chunk[row])
+                demand[key] = demand.get(key, 0) + count
+        self._timeouts += timeouts
+        self._failovers += failovers
+        self._retried_requests += retried
+        self._self_served += self_served
+        obs.count("serve.batch.table_entries", len(row_client))
+        return batch_count, heap_peak
+
+    def _replay_heap(
+        self, obs, trace, batches: Iterator[RequestBatch]
+    ) -> Tuple[int, int]:
+        """Completion-heap replay of a load-dependent policy.
+
+        The selector reads live queue depths, so before every arrival
+        the completions due by then are popped from one heap of
+        ``(done, seq, …)`` tuples — simulated-time order, exactly the
+        order the reference path's simulator fires them in — and their
+        servers' depths drop.  Returns the batch count and the most
+        completions in flight.
         """
         config = self.config
-        selector = self.selector
-        choose = selector.choose
-        load_independent = selector.load_independent
+        choose = self.selector.choose
         dead = self._dead
         candidates_by_chunk = self._candidates
         retry_penalty = config.retry_penalty
@@ -494,15 +755,11 @@ class ServeEngine(ServeView):
         served = self._served
         service_time = self._service_time
         traced = trace.enabled
+        series_on = obs.series_enabled
 
-        # (chunk, client) → (server, attempts, penalty, service) for
-        # load-independent policies; filled lazily so only pairs that
-        # actually occur pay the resolution cost.
-        resolved: Dict[Tuple[int, Node], Tuple[Node, int, float, float]] = {}
         free: Dict[Node, float] = {}  # server → queue-free sim time
         depth: Dict[Node, int] = {}  # server → queued + in service
-        if not load_independent:
-            self._live_depth = depth
+        self._live_depth = depth
         # Completion heap entries:
         # (done, seq, server, raw_arrival, service, penalty, attempts,
         #  client, chunk) — seq breaks exact-time ties deterministically.
@@ -512,19 +769,10 @@ class ServeEngine(ServeView):
         seq = 0
         heap_peak = 0
         batch_count = 0
-        generated = 0
         timeouts = 0
         failovers = 0
         retried = 0
         self_served = 0
-        track_depth = not load_independent
-        # Streaming telemetry: the batched engine samples once per
-        # batch (its natural cadence) from the live local tallies —
-        # the recorder counters are only bulk-incremented at the end
-        # of the replay, so ``series_mark`` snapshots would read zeros
-        # here.  Series names and kinds match the per-request engine's
-        # schema exactly.
-        series_on = obs.series_enabled
 
         def drain(limit: Optional[float]) -> None:
             """Account completions before ``limit`` (all when None).
@@ -538,8 +786,7 @@ class ServeEngine(ServeView):
             while heap and (limit is None or heap[0][0] < limit):
                 (done, _, server, raw, service, penalty, attempts,
                  client, chunk) = pop(heap)
-                if track_depth:
-                    depth[server] -= 1
+                depth[server] -= 1
                 latency = (done - raw) + penalty
                 queue_delay = latency - service - penalty
                 latencies.append(latency)
@@ -568,82 +815,11 @@ class ServeEngine(ServeView):
                         },
                     )
 
-        def sample_series() -> None:
-            """One telemetry sample per batch: cumulative completion /
-            failover / timeout counters (windowed rates fall out) plus
-            the in-flight census.  Reads only — never mutates replay
-            state."""
-            t = effective
-            obs.series_point("serve.requests", t, len(latencies),
-                             kind="counter")
-            obs.series_point("serve.failovers", t, failovers,
-                             kind="counter")
-            obs.series_point("serve.timeouts", t, timeouts, kind="counter")
-            obs.series_point("serve.inflight", t, len(heap))
-
-        stream = iter(batches)
         # The reference path's arrival-event times round through
         # schedule_at (now + (t - now)); mirror the chain exactly.
         effective = 0.0
-        # Stop at the last request instead of asking the spent stream
-        # for one more batch.
-        remaining = self.num_requests
-        while remaining > 0:
-            batch = next(stream, None)
-            if batch is None:
-                break
-            times, clients, chunks = batch
-            if len(times) > remaining:
-                # Serve exactly what the reference path schedules.
-                times = times[:remaining]
-                clients = clients[:remaining]
-                chunks = chunks[:remaining]
-            remaining -= len(times)
+        for times, clients, chunks in batches:
             batch_count += 1
-            generated += len(times)
-            if traced:
-                trace.instant(
-                    "serve.batch",
-                    track="serve",
-                    args={"index": batch_count - 1, "requests": len(times)},
-                )
-            if load_independent:
-                # Selection reads no queue state, so completions only
-                # need draining once per batch: every completion due
-                # before this batch's first arrival is already in the
-                # heap (a completion's arrival precedes it).  Within
-                # the batch, pops still happen in global time order at
-                # the next drain, so accounting order is unchanged.
-                drain(times[0])
-                for i in range(len(times)):
-                    raw = times[i]
-                    effective = effective + (raw - effective)
-                    if record_demand:
-                        dkey = (clients[i], chunks[i])
-                        demand[dkey] = demand.get(dkey, 0) + 1
-                    key = (chunks[i], clients[i])
-                    hit = resolved.get(key)
-                    if hit is None:
-                        hit = resolved[key] = self._resolve_static(
-                            clients[i], chunks[i]
-                        )
-                    server, attempts, penalty, service = hit
-                    if attempts:
-                        failovers += attempts
-                        retried += 1
-                    start = free.get(server, 0.0)
-                    if start < effective:
-                        start = effective
-                    done = start + service
-                    free[server] = done
-                    push(heap, (done, seq, server, raw, service, penalty,
-                                attempts, clients[i], chunks[i]))
-                    seq += 1
-                if len(heap) > heap_peak:
-                    heap_peak = len(heap)
-                if series_on:
-                    sample_series()
-                continue
             for i in range(len(times)):
                 raw = times[i]
                 effective = effective + (raw - effective)
@@ -680,29 +856,18 @@ class ServeEngine(ServeView):
                 if len(heap) > heap_peak:
                     heap_peak = len(heap)
             if series_on:
-                sample_series()
+                _sample_series(obs, effective, len(latencies), failovers,
+                               timeouts, len(heap))
         drain(None)
         if series_on:
-            sample_series()
+            _sample_series(obs, effective, len(latencies), failovers,
+                           timeouts, len(heap))
         self._live_depth = None
-
         self._timeouts += timeouts
         self._failovers += failovers
         self._retried_requests += retried
         self._self_served += self_served
-        # Bulk counter increments: identical totals to the per-request
-        # path's per-event counts.
-        if generated:
-            obs.count("serve.requests", generated)
-        if failovers:
-            obs.count("serve.failovers", failovers)
-        if timeouts:
-            obs.count("serve.timeouts", timeouts)
-        obs.count("serve.batch.batches", batch_count)
-        obs.count("serve.batch.requests", generated)
-        if load_independent:
-            obs.count("serve.batch.table_entries", len(resolved))
-        obs.gauge("serve.batch.heap_peak", heap_peak)
+        return batch_count, heap_peak
 
     def _resolve_static(
         self, client: Node, chunk: int
@@ -741,6 +906,24 @@ class ServeEngine(ServeView):
             )
             self._service_cache[key] = cached
         return cached
+
+
+def _sample_series(
+    obs, t: float, completed: int, failovers: int, timeouts: int,
+    inflight: int,
+) -> None:
+    """One telemetry sample per batch of a batched replay.
+
+    Cumulative completion / failover / timeout counters (windowed rates
+    fall out) plus the in-flight census.  The recorder counters are only
+    bulk-incremented at the end of the replay, so ``series_mark``
+    snapshots would read zeros mid-replay; series names and kinds match
+    the per-request engine's schema exactly.
+    """
+    obs.series_point("serve.requests", t, completed, kind="counter")
+    obs.series_point("serve.failovers", t, failovers, kind="counter")
+    obs.series_point("serve.timeouts", t, timeouts, kind="counter")
+    obs.series_point("serve.inflight", t, inflight)
 
 
 def _requests(batches: Iterable[RequestBatch]) -> Iterator[Request]:
