@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.core.costs import CostModel
 from repro.core.placement import CachePlacement
@@ -29,14 +29,22 @@ def percentile(values: Iterable[float], p: float) -> float:
     """p-th percentile (0..100) of ``values``, linearly interpolated.
 
     The single shared implementation behind
-    :meth:`LatencyReport.percentile` and the request-level
+    :meth:`LatencyReport.percentile` and (through
+    :func:`sorted_percentile`) the request-level
     :class:`~repro.serve.stats.ServeReport` quantiles.  ``p=0`` is the
     minimum, ``p=100`` the maximum; an empty input yields 0.0 and a
     single sample is returned unchanged for every ``p``.
     """
+    return sorted_percentile(sorted(values), p)
+
+
+def sorted_percentile(ordered: Sequence[float], p: float) -> float:
+    """:func:`percentile` of ``ordered``, already in ascending order.
+
+    A caller that needs several quantiles of one sample sorts it once.
+    """
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
-    ordered = sorted(values)
     if not ordered:
         return 0.0
     if len(ordered) == 1:
