@@ -59,18 +59,20 @@ def test_serve_deterministic_at_scale(benchmark):
 def test_batched_engine_at_scale(benchmark):
     """The batched hot path reproduces the per-request report at scale.
 
-    Times the batched engine on a large replay (the number this PR's
-    docs quote), then replays the same stream through the original
-    per-request event loop and asserts the two reports are
-    byte-identical — the determinism contract of docs/SCALING.md.
+    Times the batched engine on a large replay (the number the docs
+    quote), then replays the same stream through the original
+    per-request event loop (``ServeEngine.run_reference``) and asserts
+    the two reports are byte-identical — the determinism contract of
+    docs/SCALING.md.
     """
     from repro.core import solve_approximation
     from repro.serve import (
-        ENGINE_PER_REQUEST,
         ServeConfig,
+        ServeEngine,
         ZipfWorkload,
         serve_placement,
     )
+    from repro.serve.engine import request_stream
     from repro.workloads import grid_problem
 
     requests = 200_000 if full_mode() else 10_000
@@ -82,9 +84,8 @@ def test_batched_engine_at_scale(benchmark):
         kwargs={"config": ServeConfig(failure_rate=0.2)},
         rounds=1, iterations=1,
     )
-    per_request = serve_placement(
-        placement, workload, requests,
-        config=ServeConfig(failure_rate=0.2, engine=ENGINE_PER_REQUEST),
-    )
+    per_request = ServeEngine(
+        placement, workload, requests, config=ServeConfig(failure_rate=0.2)
+    ).run_reference(request_stream(placement.problem, workload, requests))
     assert batched.to_json() == per_request.to_json()
     assert batched.completed == requests

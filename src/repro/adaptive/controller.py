@@ -8,8 +8,9 @@ workload stream:
    the run is scored against.
 2. **Serve an epoch** — the next ``R`` requests of the one stream the
    run opened (requests ``[k·R, (k+1)·R)`` at epoch ``k``) replay against
-   the current placement (:class:`~repro.serve.engine.ServeEngine`); the
-   engine exports raw per-``(client, chunk)`` demand counts.
+   the current placement (:class:`~repro.serve.engine.ServeEngine`),
+   and the controller counts the ``(client, chunk)`` pairs of the
+   window it handed over: the epoch's raw demand.
 3. **Estimate & compare** — counts fold into an EWMA of the joint
    request distribution (:mod:`repro.adaptive.signals`).  After
    ``warmup_epochs`` of observation the estimate is frozen as the
@@ -48,7 +49,8 @@ supported (move revert cannot refund drained energy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 from repro.analysis import contracts
@@ -127,8 +129,7 @@ class AdaptiveConfig:
     selection_policy:
         Replica-selection policy the serve engine replays under.
     serve:
-        Base engine knobs; the controller turns ``record_demand`` on
-        for every epoch.
+        Engine knobs for every epoch's replay.
     approx:
         Algorithm 1 configuration for the bootstrap solve and every
         scoped re-solve.
@@ -330,9 +331,7 @@ class AdaptiveController:
                 # their drift so the adaptive side can repair them.
                 forced_dirty |= damaged
 
-                report, counts = self._serve_epoch(
-                    chunks, _window(stream, carry, config.epoch_requests)
-                )
+                report, counts = self._serve_epoch(chunks, stream, carry)
                 self.last_serve_report = report
 
                 # Price this epoch's actual demand under both placements.
@@ -423,9 +422,16 @@ class AdaptiveController:
 
     # ------------------------------------------------------------------
     def _serve_epoch(
-        self, chunks: List[ChunkPlacement], window: Iterator[RequestBatch]
+        self,
+        chunks: List[ChunkPlacement],
+        stream: Iterator[RequestBatch],
+        carry: List[Tuple[RequestBatch, int]],
     ) -> Tuple[ServeReport, Dict[Tuple[Node, int], int]]:
-        """Replay one epoch's request window; export its demand."""
+        """Replay the next window of ``stream``; count its demand.
+
+        The demand is the ``(client, chunk)`` pairs of the requests the
+        window hands the engine, counted in stream order.
+        """
         config = self.config
         placement = CachePlacement(
             problem=self.problem, chunks=list(chunks),
@@ -436,12 +442,14 @@ class AdaptiveController:
             self.workload,
             config.epoch_requests,
             policy=config.selection_policy,
-            config=replace(config.serve, record_demand=True),
+            config=config.serve,
         )
+        demand: Counter = Counter()
+        window = _window(stream, carry, config.epoch_requests, demand)
         # Same REPRO_SANITIZE cross-check serve_placement() runs: the
-        # batched epoch replay must match the per-request reference.
+        # epoch replay must match the per-request reference.
         report = _run_checked(engine, config.selection_policy, window)
-        return report, engine.demand_counts()
+        return report, demand
 
     def _apply_churn(
         self,
@@ -803,6 +811,7 @@ def _window(
     stream: Iterator[RequestBatch],
     carry: List[Tuple[RequestBatch, int]],
     count: int,
+    demand: Counter,
 ) -> Iterator[RequestBatch]:
     """The next ``count`` requests of ``stream``, in batches.
 
@@ -810,7 +819,9 @@ def _window(
     of its first unread request), then whole batches, then a last batch
     cut to fit, whose rest stays in ``carry`` for the next window.  No
     batch grows, and the rest is kept without a copy; the window ends
-    early only where the stream does.
+    early only where the stream does.  Each batch's ``(client, chunk)``
+    pairs are counted into ``demand`` as it is yielded
+    (:func:`_count_pairs`).
     """
     while count > 0:
         batch, start = carry.pop() if carry else (next(stream, None), 0)
@@ -823,7 +834,15 @@ def _window(
         if stop - start < len(times):
             batch = (times[start:stop], clients[start:stop], chunks[start:stop])
         count -= stop - start
+        _count_pairs(demand, batch)
         yield batch
+
+
+def _count_pairs(demand: Counter, batch: RequestBatch) -> None:
+    """Add the ``(client, chunk)`` pair of every request of ``batch`` to
+    ``demand``, in stream order (first occurrence fixes key order)."""
+    _, clients, chunks = batch
+    demand.update(zip(clients, chunks))
 
 
 def _rebase_reference(

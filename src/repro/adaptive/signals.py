@@ -1,11 +1,10 @@
-"""Demand signals: turn served-request tallies into drift estimates.
+"""Demand signals: turn request tallies into drift estimates.
 
-The serve engines export raw per-``(client, chunk)`` request counts
-(:meth:`repro.serve.engine.ServeEngine.demand_counts` — identical from
-both replay paths, the signal layer's determinism contract).  This
-module smooths those counts into an estimate of the *joint request
-distribution* and measures how far it has drifted from the distribution
-a placement was optimized for:
+Each epoch the adaptive controller counts the ``(client, chunk)`` pairs
+of the request window it hands the serve engine — raw demand, a pure
+function of the request stream.  This module smooths those counts into
+an estimate of the *joint request distribution* and measures how far it
+has drifted from the distribution a placement was optimized for:
 
 * :class:`DemandEstimator` — an exponentially-weighted moving average
   over per-epoch request *shares*.  Normalizing each epoch to a

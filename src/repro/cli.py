@@ -32,7 +32,6 @@ Serve a request workload against a solved placement (accessing phase)::
     repro serve --grid 6 --requests 10000 --workload zipf
     repro serve --nodes 100 --requests 1000000 --workload zipf --seed 2017
     repro serve --grid 6 --requests 5000 --policy p2c --failure-rate 0.2
-    repro serve --grid 6 --requests 100000 --engine per-request
 
 Fan a workload x policy x topology x seed grid across worker processes
 and write the merged repro-sweep/1 artifact::
@@ -202,11 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0; the producer never dies)",
     )
     serve.add_argument(
-        "--engine", default="batched", choices=["batched", "per-request"],
-        help="replay engine: 'batched' (default; same report, much "
-        "faster) or the original 'per-request' event loop",
-    )
-    serve.add_argument(
         "--json", action="store_true",
         help="print the ServeReport as JSON instead of a table",
     )
@@ -316,10 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rate, one shift per epoch)",
     )
     adapt.add_argument(
-        "--engine", default="batched", choices=["batched", "per-request"],
-        help="replay engine for every epoch (default batched)",
-    )
-    adapt.add_argument(
         "--failure-rate", type=float, default=0.0, metavar="P",
         help="probability each cache node is dead during replays "
         "(default 0)",
@@ -380,10 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--chunks", type=int, default=5)
     sweep.add_argument("--capacity", type=int, default=5)
-    sweep.add_argument(
-        "--engine", default="batched", choices=["batched", "per-request"],
-        help="replay engine for every cell (default batched)",
-    )
     sweep.add_argument(
         "--adaptive", default="off", metavar="A,B",
         help="comma-separated adaptive axis: off and/or adaptive control "
@@ -639,9 +625,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workload = workload_cls(seed=args.seed, rate=args.rate)
         else:
             workload = workload_cls(seed=args.seed)
-        config = ServeConfig(
-            failure_rate=args.failure_rate, seed=args.seed, engine=args.engine
-        )
+        config = ServeConfig(failure_rate=args.failure_rate, seed=args.seed)
     except ProblemError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
@@ -767,10 +751,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             resolve_threshold=args.resolve_threshold,
             max_moves_per_epoch=args.max_moves,
             selection_policy=args.policy,
-            serve=ServeConfig(
-                failure_rate=args.failure_rate, seed=args.seed,
-                engine=args.engine,
-            ),
+            serve=ServeConfig(failure_rate=args.failure_rate, seed=args.seed),
             replacement=args.replacement,
             churn_schedule=tuple(churn),
         )
@@ -832,7 +813,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             failure_rate=args.failure_rate,
             chunks=args.chunks,
             capacity=args.capacity,
-            engine=args.engine,
         )
         workers = resolve_workers(args.workers, len(grid.cells()))
     except ProblemError as exc:

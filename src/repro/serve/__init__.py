@@ -2,8 +2,7 @@
 
 The paper prices the accessing phase as a one-shot cost sum; this
 package *serves* it: seeded workload generators
-(:mod:`repro.serve.workloads`) replayed on the discrete-event simulator
-against any placement (:mod:`repro.serve.engine`), with pluggable
+(:mod:`repro.serve.workloads`) replayed against any placement (:mod:`repro.serve.engine`), with pluggable
 replica selection (:mod:`repro.serve.selection`) and a deterministic
 :class:`~repro.serve.stats.ServeReport` of throughput, tail latency, and
 served-load fairness (:mod:`repro.serve.stats`).
@@ -21,9 +20,6 @@ Quickstart::
 
 from repro.serve.engine import (
     DEFAULT_ENGINE_SEED,
-    ENGINE_BATCHED,
-    ENGINE_PER_REQUEST,
-    ENGINES,
     ServeConfig,
     ServeEngine,
     serve_placement,
@@ -57,9 +53,6 @@ __all__ = [
     "DEFAULT_ENGINE_SEED",
     "DEFAULT_RATE",
     "DEFAULT_SEED",
-    "ENGINE_BATCHED",
-    "ENGINE_PER_REQUEST",
-    "ENGINES",
     "SELECTION_POLICIES",
     "SERVE_SCHEMA",
     "WORKLOADS",

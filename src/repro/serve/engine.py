@@ -29,39 +29,36 @@ adaptive controller carries one stream across its epochs.
   total latency exceeded ``timeout`` are all accounted in the
   :class:`~repro.serve.stats.ServeReport`.
 
-Two replay paths produce byte-identical reports (the equivalence tests
-assert it per workload × policy):
+Each policy has one replay path, :meth:`ServeEngine.run`: requests
+stay in their struct-of-arrays batch columns and per-cache FIFO queues
+collapse to one queue-free time per server.  A load-independent policy
+(``cheapest``) gets a columnar replay: each ``(chunk, client)`` pair is
+resolved to its server once per replay, one arrival-order pass per
+batch runs the queue recurrence, and numpy accounts the batch's
+completions.  A load-dependent policy drains a single heap of completion
+times before every arrival.  One process sustains well over a million
+requests; ``docs/SCALING.md`` documents the design and the measured
+throughput.
 
-* ``engine="per-request"`` — the reference path: one
-  :class:`~repro.distributed.simulator.Simulator` event per arrival and
-  per completion, one Python callback each.  Transparent, traceable,
-  and ~10x too slow past a few hundred thousand requests.
-* ``engine="batched"`` (the default) — the hot path: requests stay in
-  their struct-of-arrays batch columns and per-cache FIFO queues
-  collapse to one queue-free time per server.  A load-independent
-  policy (``cheapest``) gets a columnar replay: each ``(chunk, client)``
-  pair is resolved to its server once per replay, one arrival-order
-  pass per batch runs the queue recurrence, and numpy accounts the
-  batch's completions.  A load-dependent policy drains a single heap of
-  completion times before every arrival.  One process sustains well
-  over a million requests; ``docs/SCALING.md`` documents the design and
-  the measured throughput.
+:meth:`ServeEngine.run_reference` is the original event loop — one
+:class:`~repro.distributed.simulator.Simulator` event per arrival and
+per completion.  It is the ``REPRO_SANITIZE`` shadow that small replays
+are byte-compared with, and the tests' reference; no config, flag or
+sweep axis selects it.
 
 Determinism: the workload stream, the failure coin, and any randomized
 policy all draw from seeded RNGs, and completions are processed in
-simulated-time order on both paths — two replays of one configuration
-produce byte-identical report JSON, whichever path ran.
+simulated-time order — two replays of one configuration produce
+byte-identical report JSON, and so does the reference loop.
 
 Observability: counters ``serve.requests`` / ``serve.failovers`` /
-``serve.timeouts`` (bulk-incremented on the batched path, identical
-totals), batched-path counters ``serve.batch.batches`` /
-``serve.batch.requests`` / ``serve.batch.table_entries`` and gauge
-``serve.batch.heap_peak`` (most completions in flight; the columnar
-replay samples it after each batch), gauge ``serve.queue_depth``
-(per-request path only), and trace events ``serve.session`` (span) /
-``serve.request`` (one instant per completed request, both paths) on
-the ``serve`` track — all zero-cost when no recorder or tracer is
-installed.
+``serve.timeouts`` (bulk-incremented per replay), counters
+``serve.batch.batches`` / ``serve.batch.requests`` /
+``serve.batch.table_entries`` and gauge ``serve.batch.heap_peak`` (most
+completions in flight; the columnar replay samples it after each
+batch), and trace events ``serve.session`` (span) / ``serve.request``
+(one instant per completed request) on the ``serve`` track — all
+zero-cost when no recorder or tracer is installed.
 """
 
 from __future__ import annotations
@@ -72,7 +69,8 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union,
+    Callable, Deque, Dict, Hashable, Iterable, Iterator, List, Optional,
+    Tuple, Union,
 )
 
 import numpy as np
@@ -93,13 +91,6 @@ from repro.serve.workloads import (
 Node = Hashable
 
 DEFAULT_ENGINE_SEED = 2017
-
-#: The batched struct-of-arrays hot path (the default).
-ENGINE_BATCHED = "batched"
-#: The reference discrete-event path (one simulator event per arrival).
-ENGINE_PER_REQUEST = "per-request"
-
-ENGINES = (ENGINE_BATCHED, ENGINE_PER_REQUEST)
 
 
 @dataclass(frozen=True)
@@ -125,16 +116,6 @@ class ServeConfig:
         Timing constants for the DCF service-time model.
     seed:
         Seed for the engine RNG (failure coin, randomized policies).
-    engine:
-        Which replay path runs: ``"batched"`` (default hot path) or
-        ``"per-request"`` (the reference event loop).  Both produce
-        byte-identical reports; the flag exists for the equivalence
-        tests and for tracing individual simulator events.
-    record_demand:
-        Tally per-``(client, chunk)`` request counts during the replay
-        (exported via :meth:`ServeEngine.demand_counts`).  Both engines
-        tally the same served requests, so the export is identical
-        whichever path ran.  Off by default — the hot path pays nothing.
     """
 
     failure_rate: float = 0.0
@@ -142,8 +123,6 @@ class ServeConfig:
     retry_penalty: float = 0.05
     dcf: DcfParameters = DcfParameters()
     seed: int = DEFAULT_ENGINE_SEED
-    engine: str = ENGINE_BATCHED
-    record_demand: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.failure_rate <= 1.0:
@@ -155,10 +134,6 @@ class ServeConfig:
         if self.retry_penalty < 0:
             raise ProblemError(
                 f"retry_penalty must be >= 0, got {self.retry_penalty}"
-            )
-        if self.engine not in ENGINES:
-            raise ProblemError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
 
 
@@ -219,18 +194,14 @@ class ServeEngine(ServeView):
             if self.rng.random() < config.failure_rate
         )
         # Per-server FIFO: queued (request, penalty, attempts) triples +
-        # a busy flag; queue_depth = waiting + in-service.  (Per-request
-        # path only — the batched path tracks depths in _live_depth.)
+        # a busy flag; queue_depth = waiting + in-service.  (Reference
+        # loop only — the heap replay tracks depths in _live_depth.)
         self._queues: Dict[Node, Deque[Tuple[Request, float, int]]] = {}
         self._busy: Dict[Node, bool] = {}
         self._live_depth: Optional[Dict[Node, int]] = None
         # (server, client) → DCF service seconds; the storage state is
         # frozen during a replay, so this cache is exact.
         self._service_cache: Dict[Tuple[Node, Node], float] = {}
-
-        # Per-(client, chunk) request counts (record_demand only) — the
-        # demand signal the adaptive control plane estimates from.
-        self._demand: Dict[Tuple[Node, int], int] = {}
 
         # Tallies.
         self._latencies: List[float] = []
@@ -257,16 +228,6 @@ class ServeEngine(ServeView):
             depth += 1
         return depth
 
-    def demand_counts(self) -> Dict[Tuple[Node, int], int]:
-        """Per-``(client, chunk)`` served-request counts from the replay.
-
-        Empty unless :attr:`ServeConfig.record_demand` was set.  Both
-        replay paths serve the identical request multiset, so the
-        returned mapping is engine-independent — the determinism
-        contract the adaptive signal layer builds on.
-        """
-        return dict(self._demand)
-
     # -- the replay ----------------------------------------------------
     def run(self, batches: Iterable[RequestBatch]) -> ServeReport:
         """Replay the first ``num_requests`` requests of ``batches``.
@@ -276,6 +237,26 @@ class ServeEngine(ServeView):
         replay reads no batch past the one holding its last request.
         Returns the summary report.
         """
+        return self._session("batched", self._replay_batched, batches)
+
+    def run_reference(self, batches: Iterable[RequestBatch]) -> ServeReport:
+        """:meth:`run` as the original per-request event loop.
+
+        One simulator event per arrival and per completion, one Python
+        callback each; the report is byte-identical to :meth:`run`'s.
+        This is the ``REPRO_SANITIZE`` shadow that small replays are
+        compared with (:func:`_run_checked`) and the tests' reference.
+        No config, flag or sweep axis reaches it.
+        """
+        return self._session("per-request", self._replay_per_request, batches)
+
+    def _session(
+        self,
+        engine: str,
+        replay: Callable[..., None],
+        batches: Iterable[RequestBatch],
+    ) -> ServeReport:
+        """One ``serve.session``: ``replay`` the batches, then report."""
         obs = get_recorder()
         trace = get_tracer()
         with trace.span(
@@ -286,7 +267,7 @@ class ServeEngine(ServeView):
                     "workload": self.workload.name,
                     "policy": self.selector.name,
                     "algorithm": self.placement.algorithm,
-                    "engine": self.config.engine,
+                    "engine": engine,
                     "requests": self.num_requests,
                     "dead_caches": len(self._dead),
                 }
@@ -299,10 +280,7 @@ class ServeEngine(ServeView):
             # the whole network).  The report is the canonical
             # zero-request document either way.
             if self.num_requests > 0 and self.problem.clients:
-                if self.config.engine == ENGINE_PER_REQUEST:
-                    self._replay_per_request(obs, trace, batches)
-                else:
-                    self._replay_batched(obs, trace, batches)
+                replay(obs, trace, batches)
         return build_report(
             workload=self.workload.name,
             policy=self.selector.name,
@@ -326,8 +304,6 @@ class ServeEngine(ServeView):
         sim = Simulator()
         stream = _requests(batches)
         remaining = self.num_requests
-        record_demand = self.config.record_demand
-        demand = self._demand
         # Streaming-telemetry guard: one attribute read when off.  The
         # per-request engine samples per completion; ``arrived`` feeds
         # the in-flight census and is only maintained when telemetry is
@@ -352,9 +328,6 @@ class ServeEngine(ServeView):
             schedule_next()  # keep exactly one pending arrival queued
             if series_on:
                 arrived += 1
-            if record_demand:
-                key = (request.client, request.chunk)
-                demand[key] = demand.get(key, 0) + 1
             candidates = list(self._candidates[request.chunk])
             attempts = 0
             while True:
@@ -380,7 +353,6 @@ class ServeEngine(ServeView):
                 self._queues.setdefault(server, deque()).append(
                     (request, penalty, attempts)
                 )
-                obs.gauge("serve.queue_depth", self.queue_depth(server))
             else:
                 self._busy[server] = True
                 start_service(server, request, penalty, attempts)
@@ -548,17 +520,17 @@ class ServeEngine(ServeView):
         chain, looks up each request's row and runs the per-server
         queue recurrence; that is the only per-request Python.  The
         rest is array work: latencies, queue delays and timeouts per
-        batch, and served loads, self-served, failover, retry and
-        demand tallies from per-row request counts at the end.  Returns
-        the batch count and the most completions in flight after a
-        batch.
+        batch, and served loads, self-served, failover and retry
+        tallies from per-row request counts at the end.  Returns the
+        batch count and the most completions in flight after a batch.
 
         Accounting order is the reference path's completion-event
         order.  Selection reads no queue state, so every completion due
         before a batch's first arrival is already known when that batch
         starts (a completion's arrival precedes it): at each batch start
         the pending completions with ``done`` before that first arrival
-        are accounted, ordered by ``(done, seq)``, and the rest stay
+        are accounted (an empty batch has no first arrival and accounts
+        nothing), ordered by ``(done, seq)``, and the rest stay
         pending; the final drain takes everything.  This is exactly the
         drain of a completion heap, and it is not one global sort: a
         self-served request has service 0, so its ``done`` can fall just
@@ -673,7 +645,8 @@ class ServeEngine(ServeView):
         effective = 0.0
         for times, clients, chunks in batches:
             batch_count += 1
-            account(times[0])
+            if len(times):
+                account(times[0])
             dones: List[float] = []
             rows: List[int] = []
             add_done = dones.append
@@ -707,8 +680,6 @@ class ServeEngine(ServeView):
             sample()
 
         failovers = retried = self_served = 0
-        record_demand = self.config.record_demand
-        demand = self._demand
         served = self._served
         for row, count in enumerate(row_counts.tolist()):
             client = row_client[row]
@@ -720,9 +691,6 @@ class ServeEngine(ServeView):
             if attempts:
                 failovers += attempts * count
                 retried += count
-            if record_demand:
-                key = (client, row_chunk[row])
-                demand[key] = demand.get(key, 0) + count
         self._timeouts += timeouts
         self._failovers += failovers
         self._retried_requests += retried
@@ -748,8 +716,6 @@ class ServeEngine(ServeView):
         candidates_by_chunk = self._candidates
         retry_penalty = config.retry_penalty
         timeout = config.timeout
-        record_demand = config.record_demand
-        demand = self._demand
         latencies = self._latencies
         queue_delays = self._queue_delays
         served = self._served
@@ -828,9 +794,6 @@ class ServeEngine(ServeView):
                 drain(effective)
                 client = clients[i]
                 chunk = chunks[i]
-                if record_demand:
-                    dkey = (client, chunk)
-                    demand[dkey] = demand.get(dkey, 0) + 1
                 candidates = list(candidates_by_chunk[chunk])
                 attempts = 0
                 while True:
@@ -982,24 +945,22 @@ def _run_checked(
 ) -> ServeReport:
     """``engine.run(batches)``, cross-checked under REPRO_SANITIZE.
 
-    A batched replay small enough that a serial shadow run is cheap
+    A replay small enough that a serial shadow run is cheap
     (``SERVE_EQUIVALENCE_MAX_REQUESTS``) reads its batches from a list,
-    and a per-request engine built with the same ``policy`` replays that
-    list again; the two reports must match byte for byte.  The shadow
-    runs under null obs sinks so counters and traces record one serve,
-    not two.  Any other replay reads ``batches`` lazily, once.
+    and a second engine built with the same ``policy`` replays that list
+    again through :meth:`ServeEngine.run_reference`; the two reports
+    must match byte for byte.  The shadow runs under null obs sinks so
+    counters and traces record one serve, not two.  Any other replay
+    reads ``batches`` lazily, once.
     """
     from repro.analysis import contracts
 
     config = engine.config
     if (
         not contracts.sanitize_enabled()
-        or config.engine != ENGINE_BATCHED
         or engine.num_requests > contracts.SERVE_EQUIVALENCE_MAX_REQUESTS
     ):
         return engine.run(batches)
-    from dataclasses import replace
-
     from repro.obs import NullRecorder, NullTracer, use_recorder, use_tracer
 
     batches = list(batches)
@@ -1009,10 +970,10 @@ def _run_checked(
         engine.workload,
         engine.num_requests,
         policy=policy,
-        config=replace(config, engine=ENGINE_PER_REQUEST),
+        config=config,
     )
     with use_recorder(NullRecorder()), use_tracer(NullTracer()):
-        reference = shadow.run(batches)
+        reference = shadow.run_reference(batches)
     contracts.check_serve_equivalence(
         batched_json=report.to_json(),
         reference_json=reference.to_json(),

@@ -51,7 +51,7 @@ from repro.experiments.runner import SOLVERS
 from repro.obs import get_recorder, get_tracer
 from repro.obs.manifest import build_manifest
 from repro.serve import SELECTION_POLICIES, WORKLOADS, ServeConfig
-from repro.serve.engine import ENGINE_BATCHED, serve_placement
+from repro.serve.engine import serve_placement
 from repro.workloads import grid_problem, random_problem
 
 SWEEP_SCHEMA = "repro-sweep/1"
@@ -137,7 +137,6 @@ class SweepGrid:
     failure_rate: float = 0.0
     chunks: int = 5
     capacity: int = 5
-    engine: str = ENGINE_BATCHED
 
     def __post_init__(self) -> None:
         for axis_name in (
@@ -170,9 +169,9 @@ class SweepGrid:
             raise ProblemError(
                 f"requests must be >= 0, got {self.requests}"
             )
-        # Every cell builds this config; a bad failure rate or engine
-        # fails here, before any worker spawns.
-        ServeConfig(failure_rate=self.failure_rate, engine=self.engine)
+        # Every cell builds this config; a bad failure rate fails here,
+        # before any worker spawns.
+        ServeConfig(failure_rate=self.failure_rate)
         from repro.adaptive import ADAPTIVE_POLICIES
 
         for name in self.adaptive:
@@ -231,7 +230,6 @@ class SweepGrid:
             "failure_rate": self.failure_rate,
             "chunks": self.chunks,
             "capacity": self.capacity,
-            "engine": self.engine,
         }
 
 
@@ -319,7 +317,6 @@ def _run_adaptive_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         serve=ServeConfig(
             failure_rate=payload["failure_rate"],
             seed=payload["seed"],
-            engine=payload["engine"],
         ),
     )
     controller = AdaptiveController(problem, workload, config)
@@ -345,9 +342,7 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     )
     workload = _build_cell_workload(payload)
     config = ServeConfig(
-        failure_rate=payload["failure_rate"],
-        seed=payload["seed"],
-        engine=payload["engine"],
+        failure_rate=payload["failure_rate"], seed=payload["seed"]
     )
     report = serve_placement(
         placement,

@@ -16,6 +16,7 @@ the adapt surfaces of the CLI and the sweep runner.
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -33,14 +34,9 @@ from repro.adaptive import (
     chunk_drift,
     run_adaptive,
 )
-from repro.adaptive.controller import _window
 from repro.core.approximation import solve_approximation
 from repro.errors import ProblemError
-from repro.serve.engine import (
-    ENGINE_PER_REQUEST,
-    ServeConfig,
-    ServeEngine,
-)
+from repro.serve.engine import ServeEngine
 from repro.serve.workloads import (
     WORKLOADS,
     DiurnalWorkload,
@@ -411,42 +407,50 @@ class TestConfigValidation:
 
 
 class TestDemandExport:
-    def _engine(self, engine_name, skip):
-        """An engine that replayed requests ``[skip, skip + 600)`` of one
-        stream, handed to it as an epoch window is."""
+    """An epoch's demand is the ``(client, chunk)`` pairs of the requests
+    it serves — requests ``[k*R, (k+1)*R)`` of the run's one stream —
+    counted by the controller in stream order."""
+
+    @staticmethod
+    def _epoch_counts(workload, epoch_requests, monkeypatch):
+        counted = []
+        real = AdaptiveController._serve_epoch
+
+        def serve_epoch(self, chunks, stream, carry):
+            report, counts = real(self, chunks, stream, carry)
+            counted.append((report, counts))
+            return report, counts
+
+        monkeypatch.setattr(AdaptiveController, "_serve_epoch", serve_epoch)
+        AdaptiveController(
+            small_problem(), workload,
+            AdaptiveConfig(epochs=3, epoch_requests=epoch_requests),
+        ).run()
+        return counted
+
+    @pytest.mark.parametrize("epoch_requests", [600, 9000])
+    def test_epoch_counts_are_the_window_pairs(
+        self, epoch_requests, monkeypatch
+    ):
         problem = small_problem()
-        placement = solve_approximation(problem)
         workload = ZipfWorkload(seed=7, rate=4.0)
-        config = ServeConfig(seed=7, engine=engine_name, record_demand=True)
-        stream = workload.stream_batches(
-            problem.clients, problem.num_chunks, 256
-        )
-        carry = []
-        for _ in _window(stream, carry, skip):
-            pass
-        engine = ServeEngine(placement, workload, 600, config=config)
-        engine.run(_window(stream, carry, 600))
-        return engine
+        counted = self._epoch_counts(workload, epoch_requests, monkeypatch)
+        assert len(counted) == 3
+        stream = workload.stream(problem.clients, problem.num_chunks)
+        for report, counts in counted:
+            pairs = [
+                (r.client, r.chunk)
+                for r in itertools.islice(stream, epoch_requests)
+            ]
+            # Same counts, keys in first-occurrence order.
+            assert list(counts.items()) == list(Counter(pairs).items())
+            assert report.completed == epoch_requests
 
-    @pytest.mark.parametrize("skip", [0, 500])
-    def test_batched_and_per_request_export_identical_demand(self, skip):
-        batched = self._engine("batched", skip)
-        per_request = self._engine(ENGINE_PER_REQUEST, skip)
-        counts = batched.demand_counts()
-        assert counts == per_request.demand_counts()
-        assert sum(counts.values()) == 600
-
-    def test_demand_off_by_default(self):
-        problem = small_problem()
-        placement = solve_approximation(problem)
-        workload = ZipfWorkload(seed=7)
-        engine = ServeEngine(
-            placement, workload, 100, config=ServeConfig(seed=7)
-        )
-        engine.run(workload.stream_batches(
-            problem.clients, problem.num_chunks, limit=100
-        ))
-        assert engine.demand_counts() == {}
+    def test_stream_that_ends_counts_nothing_more(self, monkeypatch):
+        workload = ZipfWorkload(seed=7, rate=0.0)
+        counted = self._epoch_counts(workload, 600, monkeypatch)
+        assert [dict(counts) for _, counts in counted] == [{}, {}, {}]
+        assert [report.completed for report, _ in counted] == [0, 0, 0]
 
 
 class TestCarriedStream:
@@ -465,8 +469,6 @@ class TestCarriedStream:
         real_run = ServeEngine.run
 
         def run(self, batches):
-            if self.config.engine != "batched":  # the sanitizer's shadow
-                return real_run(self, batches)
             seen = []
             handed.append(seen)
 

@@ -14,8 +14,9 @@ place the windows against the stream's 8192-request batches:
 * 16384 — windows are exactly two batches.
 
 Each size runs under the ``cheapest``, ``least-loaded`` and ``p2c``
-selectors, with and without dead caches, on the batched engine; the
-per-request engine replays the 1200-request runs.  Any change that hands
+selectors, with and without dead caches; the 1200-request runs also
+replay every epoch through the per-request event loop
+(:meth:`ServeEngine.run_reference`).  Any change that hands
 an epoch a different request, or replays one differently, fails here.
 
 Regenerate (only after an intended change of outputs) with::
@@ -35,7 +36,7 @@ import pytest
 from repro.adaptive import AdaptiveConfig, AdaptiveController
 from repro.analysis.contracts import SERVE_EQUIVALENCE_MAX_REQUESTS
 from repro.core.approximation import solve_approximation
-from repro.serve import ServeConfig
+from repro.serve import ServeConfig, ServeEngine
 from repro.serve.workloads import ShiftWorkload
 from repro.workloads import random_problem
 
@@ -82,8 +83,12 @@ def _problem():
 
 
 def report_digest(case) -> str:
-    """Run one case; the sha256 of its adaptive report JSON."""
-    epoch_requests, policy, failure_rate, engine = case
+    """Run one case; the sha256 of its adaptive report JSON.
+
+    A ``per-request`` case expects ``ServeEngine.run`` to be the
+    reference loop (see :func:`test_adaptive_matches_golden`).
+    """
+    epoch_requests, policy, failure_rate, _ = case
     problem, leaver = _problem()
     workload = ShiftWorkload(
         seed=SEED, rate=RATE, exponent=1.2,
@@ -93,8 +98,7 @@ def report_digest(case) -> str:
         epochs=EPOCHS,
         epoch_requests=epoch_requests,
         selection_policy=policy,
-        serve=ServeConfig(failure_rate=failure_rate, seed=SEED,
-                          engine=engine),
+        serve=ServeConfig(failure_rate=failure_rate, seed=SEED),
         churn_schedule=((2, leaver),),
     )
     report = AdaptiveController(problem, workload, config).run()
@@ -116,10 +120,14 @@ def test_adaptive_matches_golden(golden, case, monkeypatch):
     # the larger ones would only add the move checks' fresh cost models.
     if case[0] > SERVE_EQUIVALENCE_MAX_REQUESTS:
         monkeypatch.setenv("REPRO_SANITIZE", "0")
+    if case[3] == "per-request":
+        monkeypatch.setattr(ServeEngine, "run", ServeEngine.run_reference)
     assert report_digest(case) == golden[case_id(case)]
 
 
 def main() -> None:
+    # Regenerated on ServeEngine.run alone: the per-request cases pin
+    # the same digests.
     golden = {case_id(case): report_digest(case) for case in CASES}
     GOLDEN_PATH.write_text(
         json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8"

@@ -16,28 +16,22 @@ import pytest
 
 from repro.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core import solve_approximation
-from repro.serve import (
-    ENGINE_BATCHED,
-    ENGINE_PER_REQUEST,
-    ServeConfig,
-    ServeEngine,
-    ZipfWorkload,
-    serve_placement,
-)
+from repro.serve import ServeConfig, ServeEngine, ZipfWorkload, serve_placement
+from repro.serve.engine import request_stream
 from repro.workloads import random_problem
 
 
 @pytest.fixture
 def engine_refs(monkeypatch):
-    """Weak references to every engine that runs a replay."""
+    """Weak references to every engine that runs a replay, through
+    :meth:`ServeEngine.run` or the reference loop."""
     refs = []
-    real_run = ServeEngine.run
+    for name in ("run", "run_reference"):
+        def entry(self, batches, real=getattr(ServeEngine, name)):
+            refs.append(weakref.ref(self))
+            return real(self, batches)
 
-    def run(self, batches):
-        refs.append(weakref.ref(self))
-        return real_run(self, batches)
-
-    monkeypatch.setattr(ServeEngine, "run", run)
+        monkeypatch.setattr(ServeEngine, name, entry)
     gc.collect()
     gc.disable()
     try:
@@ -52,20 +46,24 @@ def problem():
     return problem
 
 
-@pytest.mark.parametrize("engine", [ENGINE_BATCHED, ENGINE_PER_REQUEST])
+@pytest.mark.parametrize("engine", ["batched", "per-request"])
 @pytest.mark.parametrize("policy", ["cheapest", "least-loaded", "p2c"])
 def test_serve_placement_engine_dies_without_gc(
     engine_refs, problem, policy, engine
 ):
     placement = solve_approximation(problem)
-    serve_placement(
-        placement,
-        ZipfWorkload(seed=1, rate=1.0),
-        500,
-        policy=policy,
-        config=ServeConfig(seed=1, failure_rate=0.2, engine=engine),
-    )
-    # Under REPRO_SANITIZE a per-request shadow replay runs too.
+    workload = ZipfWorkload(seed=1, rate=1.0)
+    config = ServeConfig(seed=1, failure_rate=0.2)
+    if engine == "batched":
+        # Under REPRO_SANITIZE a per-request shadow replay runs too.
+        serve_placement(placement, workload, 500, policy=policy,
+                        config=config)
+    else:
+        # The reference loop's handlers reach each other through
+        # closure cells; it must empty them when it is done.
+        ServeEngine(
+            placement, workload, 500, policy=policy, config=config
+        ).run_reference(request_stream(problem, workload, 500))
     assert engine_refs
     assert all(ref() is None for ref in engine_refs)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.serve import (
     make_selector,
     serve_placement,
 )
+from repro.serve.engine import request_stream
 from repro.workloads import grid_problem
 
 
@@ -55,6 +57,25 @@ def replay(placement, workload, num_requests, batches, policy="cheapest",
         placement, workload, num_requests, policy=policy, config=config
     )
     return engine.run(batches)
+
+
+def reference(placement, workload, num_requests, batches, policy="cheapest",
+              config=ServeConfig()):
+    """The per-request event loop's report on the same ``batches``."""
+    engine = ServeEngine(
+        placement, workload, num_requests, policy=policy, config=config
+    )
+    return engine.run_reference(batches)
+
+
+#: Replay entry point by path name: ``run`` and ``run_reference``.
+REPLAYS = {"batched": replay, "per-request": reference}
+
+
+def fresh(placement, workload, num_requests):
+    """A fresh stream of ``num_requests`` requests, as serve_placement
+    opens one."""
+    return request_stream(placement.problem, workload, num_requests)
 
 
 def drawn_at(placement, workload, num_requests, batch_size):
@@ -316,18 +337,16 @@ class TestBatchedEquivalence:
         self, placement, workload_name, policy, seed
     ):
         workload = WORKLOADS[workload_name](seed=seed)
-        reference = serve_placement(
-            placement, workload, 300, policy=policy,
-            config=ServeConfig(
-                failure_rate=0.3, seed=seed, engine="per-request"
-            ),
+        config = ServeConfig(failure_rate=0.3, seed=seed)
+        expected = reference(
+            placement, workload, 300, fresh(placement, workload, 300),
+            policy=policy, config=config,
         )
         batched = replay(
             placement, workload, 300, drawn_at(placement, workload, 300, 64),
-            policy=policy,
-            config=ServeConfig(failure_rate=0.3, seed=seed, engine="batched"),
+            policy=policy, config=config,
         )
-        assert batched.to_json() == reference.to_json()
+        assert batched.to_json() == expected.to_json()
 
     def test_batch_size_does_not_change_report(self, placement):
         workload = ZipfWorkload(seed=5)
@@ -365,11 +384,11 @@ class TestBatchedEquivalence:
                     yield times[cut:], clients[cut:], chunks[cut:]
 
         reports = {
-            engine: replay(
+            engine: run(
                 placement, workload, 300, mid_stream(engine),
-                config=ServeConfig(seed=5, engine=engine),
+                config=ServeConfig(seed=5),
             ).to_json()
-            for engine in ("batched", "per-request")
+            for engine, run in REPLAYS.items()
         }
         assert drawn["batched"] == 64 * -(-(skip + 300) // 64)
         assert reports["batched"] == reports["per-request"]
@@ -378,14 +397,13 @@ class TestBatchedEquivalence:
     def test_batched_counters_match_per_request(self, placement):
         workload = ZipfWorkload(seed=9)
         dumps = {}
-        for engine in ("per-request", "batched"):
+        for engine, run in REPLAYS.items():
             recorder = Recorder()
             with use_recorder(recorder):
-                serve_placement(
+                run(
                     placement, workload, 200,
-                    config=ServeConfig(
-                        failure_rate=0.4, timeout=1.0, seed=9, engine=engine
-                    ),
+                    fresh(placement, workload, 200),
+                    config=ServeConfig(failure_rate=0.4, timeout=1.0, seed=9),
                 )
             dumps[engine] = recorder.dump()["counters"]
         for name in ("serve.requests", "serve.failovers", "serve.timeouts"):
@@ -396,6 +414,29 @@ class TestBatchedEquivalence:
         assert dumps["batched"]["serve.batch.table_entries"] > 0
         assert "serve.batch.batches" not in dumps["per-request"]
 
+    @pytest.mark.parametrize("position", ["start", "middle", "end"])
+    @pytest.mark.parametrize("policy", ["cheapest", "least-loaded", "p2c"])
+    def test_empty_batch_changes_nothing(self, placement, policy, position):
+        """An empty batch is read, counted as a batch and serves nothing.
+
+        The stream holds 50 requests in batches of 16 and the replay
+        asks for 60, so even a trailing empty batch is read.
+        """
+        workload = ZipfWorkload(seed=4, rate=4.0)
+        batches = list(drawn_at(placement, workload, 50, 16))
+        at = {"start": 0, "middle": 2, "end": len(batches)}[position]
+        padded = batches[:at] + [([], [], [])] + batches[at:]
+        config = ServeConfig(failure_rate=0.3, seed=4)
+        plain = replay(placement, workload, 60, batches, policy, config)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            report = replay(placement, workload, 60, padded, policy, config)
+        expected = reference(placement, workload, 60, padded, policy, config)
+        assert report.completed == 50
+        assert report.to_json() == plain.to_json() == expected.to_json()
+        counters = recorder.dump()["counters"]
+        assert counters["serve.batch.batches"] == len(padded)
+
     def test_batched_trace_instants_match(self, placement):
         tracer = Tracer()
         with use_tracer(tracer):
@@ -404,20 +445,16 @@ class TestBatchedEquivalence:
         assert names.count("serve.request") == report.completed
         assert "serve.batch" in names
 
-    def test_engine_flag_validated(self):
-        with pytest.raises(ProblemError):
-            ServeConfig(engine="bogus")
-
 
 class TestDegenerateReplays:
     """Zero-rate, zero-request, and single-node replays exit cleanly
     with the canonical zero-request report on both engine paths."""
 
-    @pytest.mark.parametrize("engine", ["batched", "per-request"])
+    @pytest.mark.parametrize("engine", sorted(REPLAYS))
     def test_zero_rate_workload(self, placement, engine):
-        report = serve_placement(
-            placement, UniformWorkload(seed=2, rate=0.0), 500,
-            config=ServeConfig(engine=engine),
+        workload = UniformWorkload(seed=2, rate=0.0)
+        report = REPLAYS[engine](
+            placement, workload, 500, fresh(placement, workload, 500)
         )
         assert report.requests == 500
         assert report.completed == 0
@@ -426,26 +463,25 @@ class TestDegenerateReplays:
         assert report.latency_p99 == 0.0
         assert all(v == 0 for v in report.served_loads.values())
 
-    @pytest.mark.parametrize("engine", ["batched", "per-request"])
+    @pytest.mark.parametrize("engine", sorted(REPLAYS))
     def test_single_node_topology(self, engine):
         # A 1x1 grid is just the producer: no clients, no requests.
         problem = grid_problem(1, num_chunks=2)
         single = solve_approximation(problem)
-        report = serve_placement(
-            single, ZipfWorkload(seed=2), 100,
-            config=ServeConfig(engine=engine),
+        workload = ZipfWorkload(seed=2)
+        report = REPLAYS[engine](
+            single, workload, 100, fresh(single, workload, 100)
         )
         assert report.completed == 0
         assert report.served_gini == 0.0
         assert report.served_jains == 1.0
 
     def test_zero_rate_reports_identical_across_engines(self, placement):
+        workload = ZipfWorkload(seed=2, rate=0.0)
         reports = [
-            serve_placement(
-                placement, ZipfWorkload(seed=2, rate=0.0), 100,
-                config=ServeConfig(engine=engine),
-            ).to_json()
-            for engine in ("batched", "per-request")
+            run(placement, workload, 100,
+                fresh(placement, workload, 100)).to_json()
+            for run in REPLAYS.values()
         ]
         assert reports[0] == reports[1]
 
@@ -525,6 +561,12 @@ class TestEngineSemantics:
             ServeConfig(timeout=-1.0)
         with pytest.raises(ProblemError):
             ServeConfig(retry_penalty=-0.1)
+
+    def test_config_fields(self):
+        # The replay path is not a knob: every policy has one.
+        assert [f.name for f in fields(ServeConfig)] == [
+            "failure_rate", "timeout", "retry_penalty", "dcf", "seed",
+        ]
 
     def test_hopcount_concentrates_served_load(self, placement):
         problem = placement.problem

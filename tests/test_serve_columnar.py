@@ -2,12 +2,12 @@
 
 The batched engine replays ``cheapest`` (a load-independent policy)
 column-wise: one arrival-order pass per batch, then array accounting of
-the completions due before the next batch.  Hypothesis hands both
-engines the same request batches — any batch size from 1 to 9000, a
-request count that is not a multiple of it, a stream that ends at the
-last request or runs past it — on every request workload, with no, some
-and all dead caches, and asserts byte-identical reports and equal
-demand counts.  The placements keep replicas on clients, so requests
+the completions due before the next batch.  Hypothesis hands it and the
+per-request event loop (:meth:`ServeEngine.run_reference`) the same
+request batches — any batch size from 1 to 9000, a request count that is
+not a multiple of it, a stream that ends at the last request or runs
+past it — on every request workload, with no, some and all dead caches,
+and asserts byte-identical reports.  The placements keep replicas on clients, so requests
 are self-served (service 0) and completions tie on ``done``.
 """
 
@@ -36,14 +36,11 @@ def _placement(kind: str, size: int, seed: int):
     return solve_approximation(problem)
 
 
-def _replay(placement, workload, num_requests, batches, engine, failure_rate,
-            seed):
-    replay = ServeEngine(
+def _engine(placement, workload, num_requests, failure_rate, seed):
+    return ServeEngine(
         placement, workload, num_requests,
-        config=ServeConfig(failure_rate=failure_rate, seed=seed,
-                           engine=engine, record_demand=True),
+        config=ServeConfig(failure_rate=failure_rate, seed=seed),
     )
-    return replay.run(batches), replay.demand_counts()
 
 
 #: Upper bound on one example's requests (the per-request replay's cost).
@@ -84,16 +81,13 @@ def test_columnar_replay_matches_per_request(
             limit=num_requests if stream_ends else num_requests + batch_size,
         )
     )
-    columnar, columnar_demand = _replay(
-        placement, workload, num_requests, batches, "batched", failure_rate,
-        seed,
-    )
-    reference, reference_demand = _replay(
-        placement, workload, num_requests, batches, "per-request",
-        failure_rate, seed,
-    )
+    columnar = _engine(
+        placement, workload, num_requests, failure_rate, seed
+    ).run(batches)
+    reference = _engine(
+        placement, workload, num_requests, failure_rate, seed
+    ).run_reference(batches)
     assert columnar.to_json() == reference.to_json()
-    assert list(columnar_demand.items()) == list(reference_demand.items())
 
 
 def test_domain_has_self_served_ties():
@@ -104,11 +98,9 @@ def test_domain_has_self_served_ties():
     workload = WORKLOADS["zipf"](seed=1, rate=8.0)
     tracer = Tracer()
     with use_tracer(tracer):
-        report, _ = _replay(
-            placement, workload, 3000,
+        report = _engine(placement, workload, 3000, 0.0, 1).run(
             workload.stream_batches(problem.clients, problem.num_chunks,
-                                    1000, limit=3000),
-            "batched", 0.0, 1,
+                                    1000, limit=3000)
         )
     done = [
         event.args["sim_time"]

@@ -1,4 +1,4 @@
-"""Golden digests of the ``cheapest`` replica policy on both serve engines.
+"""Golden digests of the ``cheapest`` replica policy, replayed and referenced.
 
 ``tests/data/golden_serve_cheapest.json`` pins, for each replay below,
 the sha256 of :meth:`ServeReport.to_json` (latency floats, served loads,
@@ -7,14 +7,15 @@ cheapest-cost rule (Eq. 2) on a seeded 100-node Algorithm 1 placement at
 rate 1.0, where the busiest replicas queue, for every request workload
 and for no, some and all dead caches (all dead: every request falls back
 to the producer).  Each replay serves 20 000 requests, so it crosses two
-8192-request batch boundaries and cuts the last batch.  The batched
-engine runs every case; the per-request engine replays the Zipf ones.
+8192-request batch boundaries and cuts the last batch.
+:meth:`ServeEngine.run` replays every case; the per-request event loop
+(:meth:`ServeEngine.run_reference`) replays the Zipf ones too.
 
 Four more digests pin what a replay reports beside its report, one case
 each: the recorder's counters and gauges, the series telemetry snapshot,
 the ``serve``-track trace instants (``serve.batch`` and
 ``serve.request``, in emission order), and the per-``(client, chunk)``
-demand counts.  Any change that moves a request, reorders a completion
+demand counts the adaptive controller takes from the same requests.  Any change that moves a request, reorders a completion
 or changes a float in the accounting fails here.
 
 Regenerate (only after an intended change of outputs) with::
@@ -26,11 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
+from repro.adaptive.controller import _count_pairs
 from repro.core.approximation import solve_approximation
 from repro.obs import (
     Recorder,
@@ -63,7 +66,7 @@ CASES = [
 ]
 
 #: (what is pinned, request workload, failure rate) per telemetry digest;
-#: all on the batched engine.
+#: all replayed by :meth:`ServeEngine.run`.
 TELEMETRY_CASES = [
     ("recorder", "zipf", 0.1),
     ("series", "flash", 0.1),
@@ -92,9 +95,8 @@ def _workload(name: str):
     return WORKLOADS[name](seed=SEED, rate=RATE)
 
 
-def _config(failure_rate: float, engine: str = "batched", **kwargs):
-    return ServeConfig(failure_rate=failure_rate, seed=SEED, engine=engine,
-                       **kwargs)
+def _config(failure_rate: float):
+    return ServeConfig(failure_rate=failure_rate, seed=SEED)
 
 
 def _sha256(text: str) -> str:
@@ -104,10 +106,20 @@ def _sha256(text: str) -> str:
 def report_digest(case) -> str:
     """Replay one case; the sha256 of its report JSON."""
     workload, failure_rate, engine = case
-    report = serve_placement(
-        _placement(), _workload(workload), REQUESTS,
-        config=_config(failure_rate, engine),
-    )
+    placement = _placement()
+    if engine == "per-request":
+        replay = ServeEngine(
+            placement, _workload(workload), REQUESTS,
+            config=_config(failure_rate),
+        )
+        report = replay.run_reference(
+            request_stream(placement.problem, replay.workload, REQUESTS)
+        )
+    else:
+        report = serve_placement(
+            placement, _workload(workload), REQUESTS,
+            config=_config(failure_rate),
+        )
     return _sha256(report.to_json())
 
 
@@ -119,15 +131,13 @@ def telemetry_digest(case) -> str:
     kind, workload, failure_rate = case
     placement = _placement()
     if kind == "demand":
-        engine = ServeEngine(
-            placement, _workload(workload), REQUESTS,
-            config=_config(failure_rate, record_demand=True),
-        )
-        engine.run(request_stream(placement.problem, engine.workload,
-                                  REQUESTS))
+        demand: Counter = Counter()
+        for batch in request_stream(placement.problem, _workload(workload),
+                                    REQUESTS):
+            _count_pairs(demand, batch)
         pinned = sorted(
             [str(client), chunk, count]
-            for (client, chunk), count in engine.demand_counts().items()
+            for (client, chunk), count in demand.items()
         )
         return _sha256(json.dumps(pinned))
     recorder = SeriesRecorder() if kind == "series" else Recorder()

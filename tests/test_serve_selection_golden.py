@@ -1,11 +1,12 @@
-"""Golden digests of load-aware replica selection on both serve engines.
+"""Golden digests of load-aware replica selection, replayed and referenced.
 
 ``tests/data/golden_serve_selection.json`` pins, for each replay below,
 the sha256 of :meth:`ServeReport.to_json` (latency floats, served loads,
 failover counts — every byte).  The replays cover the two load-dependent
 policies (``least-loaded`` and ``p2c``) on hotspot and Zipf request
 streams, with no, some and many dead caches, on seeded 100- and 200-node
-Algorithm 1 placements, through the batched and the per-request engine.
+Algorithm 1 placements, through :meth:`ServeEngine.run` and through the
+per-request event loop (:meth:`ServeEngine.run_reference`).
 At rate 2.0 the 100-node replays keep most replicas busy and the 200-node
 ones mostly idle, so both sides of a load-aware choice are exercised.
 Any change to a selector that moves a single request to another replica
@@ -26,7 +27,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.approximation import solve_approximation
-from repro.serve import WORKLOADS, ServeConfig, serve_placement
+from repro.serve import WORKLOADS, ServeConfig, ServeEngine, serve_placement
+from repro.serve.engine import request_stream
 from repro.workloads import random_problem
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_serve_selection.json"
@@ -66,14 +68,17 @@ def _placement(nodes: int):
 def report_digest(case) -> str:
     """Replay one case; the sha256 of its report JSON."""
     policy, workload, failure_rate, nodes, engine = case
-    report = serve_placement(
-        _placement(nodes),
-        WORKLOADS[workload](seed=SEED, rate=RATE),
-        REQUESTS,
-        policy=policy,
-        config=ServeConfig(failure_rate=failure_rate, seed=SEED,
-                           engine=engine),
-    )
+    placement = _placement(nodes)
+    stream = WORKLOADS[workload](seed=SEED, rate=RATE)
+    config = ServeConfig(failure_rate=failure_rate, seed=SEED)
+    if engine == "per-request":
+        report = ServeEngine(
+            placement, stream, REQUESTS, policy=policy, config=config
+        ).run_reference(request_stream(placement.problem, stream, REQUESTS))
+    else:
+        report = serve_placement(
+            placement, stream, REQUESTS, policy=policy, config=config
+        )
     return hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
 
 
@@ -88,8 +93,8 @@ def test_golden_covers_every_case(golden):
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_serve_selection_matches_golden(golden, case, monkeypatch):
-    # A digest check: the per-request engine cases already replay what
-    # the sanitizer's shadow run would, so skip the doubled cost.
+    # A digest check: the per-request cases already replay what the
+    # sanitizer's shadow run would, so skip the doubled cost.
     monkeypatch.setenv("REPRO_SANITIZE", "0")
     assert report_digest(case) == golden[case_id(case)]
 

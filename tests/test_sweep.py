@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import ProblemError
 from repro.serve import ServeConfig, ZipfWorkload, serve_placement
-from repro.serve.engine import ENGINE_PER_REQUEST
 from repro.sweep import (
     SWEEP_SCHEMA,
     SweepGrid,
@@ -60,8 +59,6 @@ class TestGridValidation:
             SweepGrid(policies=("nope",))
         with pytest.raises(ProblemError, match="algorithm"):
             SweepGrid(algorithm="Nope")
-        with pytest.raises(ProblemError, match="engine"):
-            SweepGrid(engine="warp")
         with pytest.raises(ProblemError, match="requests"):
             SweepGrid(requests=-1)
 
@@ -123,27 +120,16 @@ class TestSweepDeterminism:
         )
         assert cell["report"] == report.to_dict()
 
-    def test_per_request_engine_cells_match_batched(self):
-        batched = run_sweep(SMALL_GRID, workers=1)
-        per_request = run_sweep(
-            SweepGrid(
-                **{**SMALL_GRID.to_dict(),
-                   "topologies": tuple(SMALL_GRID.topologies),
-                   "workloads": tuple(SMALL_GRID.workloads),
-                   "policies": tuple(SMALL_GRID.policies),
-                   "seeds": tuple(SMALL_GRID.seeds),
-                   "engine": ENGINE_PER_REQUEST}
-            ),
-            workers=1,
-        )
-        for cell_b, cell_p in zip(batched["cells"], per_request["cells"]):
-            assert cell_b["report"] == cell_p["report"]
-
 
 class TestSweepDocument:
     def test_schema_and_shape(self):
         doc = run_sweep(SMALL_GRID, workers=1)
         assert doc["schema"] == SWEEP_SCHEMA
+        assert sorted(doc["grid"]) == [
+            "adaptive", "algorithm", "capacity", "chunks", "epochs",
+            "failure_rate", "policies", "rate", "requests", "seeds",
+            "topologies", "workloads",
+        ]
         assert doc["grid"]["requests"] == 200
         assert len(doc["cells"]) == 4
         assert "manifest" in doc
@@ -222,12 +208,15 @@ class TestSweepCLI:
         assert main(["sweep", "--seeds", "one,two"]) == 2
 
     def test_cli_serve_engine_flag(self, capsys):
+        """No command selects a replay path: ``--engine`` is an unknown
+        argument, so argparse exits 2 with its usage error."""
         from repro.cli import main
 
-        status = main([
-            "serve", "--grid", "4", "--requests", "50",
-            "--engine", "per-request", "--json",
-        ])
-        assert status == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["completed"] == 50
+        for argv in (["serve", "--grid", "4"], ["adapt", "--grid", "4"],
+                     ["sweep"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--engine", "per-request"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage:")
+            assert "unrecognized arguments: --engine per-request" in err
