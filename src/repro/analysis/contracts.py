@@ -1,7 +1,7 @@
 """Runtime invariant sanitizer, toggled by ``REPRO_SANITIZE=1``.
 
 Cheap assertions for the paper's per-chunk ConFL invariants, wired into
-the three places a wrong answer could silently pass through:
+the places a wrong answer could silently pass through:
 
 * :func:`check_dual_solution` — after each dual ascent
   (``core/dual_ascent.py``): every client frozen onto an affordable
@@ -23,6 +23,10 @@ the three places a wrong answer could silently pass through:
   patch (``core/costs.py``): the delta-patched ``c_ij`` rows equal a
   full recompute from the current storage state, with *exact* float
   equality (all node costs are integers, so float64 sums are exact).
+* :func:`check_serve_equivalence` / :func:`check_stream_equivalence` —
+  on small serve replays (``serve/engine.py``): the batched report is
+  byte-equal to the per-request reference loop's, and the bulk-decoded
+  request stream equals the per-request one.
 
 Everything here is duck-typed over plain dicts/sequences so this module
 stays at the bottom of the layering (stdlib + :mod:`repro.errors` only)
@@ -440,6 +444,36 @@ def check_serve_equivalence(
     )
 
 
+def check_stream_equivalence(
+    *,
+    batched: Sequence[Tuple[float, Node, int]],
+    reference: Sequence[Tuple[float, Node, int]],
+    context: str,
+) -> None:
+    """Assert a batched request stream equals the per-request one.
+
+    ``Workload.stream_batches`` decodes its columns in bulk from the
+    same RNG words ``Workload.stream`` draws one call at a time
+    (docs/SCALING.md); both sides arrive as ``(time, client, chunk)``
+    rows in stream order and must agree row for row.  Replays at or
+    below :data:`SERVE_EQUIVALENCE_MAX_REQUESTS` requests are checked.
+    """
+    rule = "stream-equivalence"
+    for index, (left, right) in enumerate(zip(batched, reference)):
+        if left != right:
+            _fail(
+                rule,
+                f"{context}: batched request {index} is {left!r}, the "
+                f"per-request stream's is {right!r}",
+            )
+    if len(batched) != len(reference):
+        _fail(
+            rule,
+            f"{context}: {len(batched)} batched requests != "
+            f"{len(reference)} per-request requests",
+        )
+
+
 # ----------------------------------------------------------------------
 # Adaptive control plane: local moves must never worsen total cost
 # ----------------------------------------------------------------------
@@ -504,6 +538,7 @@ __all__ = [
     "check_incremental_cost_rows",
     "check_message_census",
     "check_serve_equivalence",
+    "check_stream_equivalence",
     "check_storage_monotonic",
     "sanitize_enabled",
 ]

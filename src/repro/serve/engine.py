@@ -68,6 +68,7 @@ import random
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     Callable, Deque, Dict, Hashable, Iterable, Iterator, List, Optional,
     Tuple, Union,
@@ -906,12 +907,40 @@ def request_stream(
 
     Batches of :data:`~repro.serve.workloads.DEFAULT_BATCH_SIZE`, the
     last one cut to fit.  A problem without clients issues no requests.
+    Under REPRO_SANITIZE a stream of at most
+    ``SERVE_EQUIVALENCE_MAX_REQUESTS`` requests is drawn up front and
+    compared with :meth:`~repro.serve.workloads.Workload.stream`, request
+    by request.
     """
+    from repro.analysis import contracts
+
     if not problem.clients:
         return iter(())
-    return workload.stream_batches(
+    batches = workload.stream_batches(
         problem.clients, problem.num_chunks, DEFAULT_BATCH_SIZE, limit=limit
     )
+    if (
+        not contracts.sanitize_enabled()
+        or limit > contracts.SERVE_EQUIVALENCE_MAX_REQUESTS
+    ):
+        return batches
+    drawn = list(batches)
+    reference = workload.stream(problem.clients, problem.num_chunks)
+    contracts.check_stream_equivalence(
+        batched=[
+            row for times, clients, chunks in drawn
+            for row in zip(times, clients, chunks)
+        ],
+        reference=[
+            (request.time, request.client, request.chunk)
+            for request in islice(reference, limit)
+        ],
+        context=(
+            f"request_stream({workload.name}, requests={limit}, "
+            f"seed={workload.seed})"
+        ),
+    )
+    return iter(drawn)
 
 
 def serve_placement(

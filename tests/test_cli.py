@@ -190,8 +190,17 @@ def test_bad_problem_sizes_exit_2(argv, message, capsys):
      "sweep: failure_rate must be in [0, 1], got 1.5"),
     (["sweep", "--rate", "-1"],
      "sweep: request rate must be >= 0, got -1.0"),
+    (["serve", "--grid", "3", "--chunks", "2", "--rate", "nan", "--json"],
+     "serve: workload rate must be finite, got nan"),
+    (["serve", "--grid", "3", "--rate", "inf"],
+     "serve: workload rate must be finite, got inf"),
+    (["sweep", "--rate", "nan"],
+     "sweep: workload rate must be finite, got nan"),
+    (["sweep", "--rate", "inf"],
+     "sweep: workload rate must be finite, got inf"),
 ], ids=["serve-failure-rate", "serve-rate", "sweep-failure-rate",
-        "sweep-rate"])
+        "sweep-rate", "serve-rate-nan", "serve-rate-inf", "sweep-rate-nan",
+        "sweep-rate-inf"])
 def test_bad_serve_inputs_exit_2(argv, message, capsys, tmp_path,
                                  monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -211,7 +220,14 @@ def test_bad_serve_inputs_exit_2(argv, message, capsys, tmp_path,
     # The default shift period is one epoch: zero requests, zero seconds.
     (["adapt", "--grid", "4", "--epoch-requests", "0"],
      "adapt: shift_period must be > 0, got 0.0"),
-], ids=["adapt-rate", "adapt-shift-period", "adapt-epoch-requests0"])
+    (["adapt", "--grid", "4", "--workload", "shift", "--shift-period", "nan"],
+     "adapt: workload shift_period must be finite, got nan"),
+    (["adapt", "--grid", "4", "--rate", "nan"],
+     "adapt: workload rate must be finite, got nan"),
+    (["adapt", "--grid", "4", "--rate", "inf"],
+     "adapt: workload rate must be finite, got inf"),
+], ids=["adapt-rate", "adapt-shift-period", "adapt-epoch-requests0",
+        "adapt-shift-period-nan", "adapt-rate-nan", "adapt-rate-inf"])
 def test_bad_adapt_workload_args_exit_2(argv, message, capsys, tmp_path,
                                         monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -182,6 +183,20 @@ class TestWorkloadStreams:
             UniformWorkload().stream_batches(CLIENTS, 0)
         with pytest.raises(ProblemError):
             UniformWorkload().stream_batches(CLIENTS, 3, batch_size=0)
+
+    @pytest.mark.parametrize("name, field", [
+        (name, field)
+        for name in sorted(WORKLOADS)
+        for field in (
+            "rate", "exponent", "boost", "burst_start", "burst_duration",
+            "burst_factor", "period", "shift_period",
+        )
+        if hasattr(WORKLOADS[name], field)
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, name, field, value):
+        with pytest.raises(ProblemError, match=f"{field} must be finite"):
+            WORKLOADS[name](**{field: value})
 
     def test_zero_rate_streams_are_empty(self):
         workload = UniformWorkload(seed=3, rate=0.0)
