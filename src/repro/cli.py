@@ -1,7 +1,6 @@
 """Command-line interface: experiments, solves, serving, and tooling.
 
-Installed as both ``repro`` and the legacy alias ``fair-caching``;
-``python -m repro`` works without installation.
+Installed as ``repro``; ``python -m repro`` works without installation.
 
 Examples
 --------
@@ -13,11 +12,11 @@ Regenerate a figure's data (fast mode trims sweeps)::
 Solve one instance and print the placement summary::
 
     repro solve --grid 6 --chunks 5 --algorithm appx
-    repro solve --random 60 --seed 7 --algorithm dist
+    repro solve --nodes 60 --seed 7 --algorithm dist
 
 Export a structured event trace (open in Perfetto)::
 
-    repro solve --random 20 --algorithm dist --trace trace.json
+    repro solve --nodes 20 --algorithm dist --trace trace.json
 
 Record streaming telemetry (time series + histograms), export it as
 OpenMetrics text, and tail a running solve/serve/sweep live::
@@ -45,7 +44,7 @@ Run the closed-loop adaptive control plane against a drifting workload
 
     repro adapt --grid 4 --chunks 4 --capacity 2 --epoch-requests 1200
     repro adapt --grid 4 --workload shift --churn 2:5 --churn 3:10
-    repro serve --grid 4 --requests 7200 --adaptive --workload zipf
+    repro adapt --grid 4 --workload zipf --epochs 3 --epoch-requests 400
     repro sweep --topology grid:4 --adaptive off,hybrid --epochs 4
 
 Check the architecture/hygiene/determinism rules (and optionally types)::
@@ -97,19 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument(
         "--fast", action="store_true",
-        help="trimmed sweep sizes (what the benchmarks run)",
+        help="trimmed sweep sizes (what the tier-1 tests run)",
     )
 
     solve = sub.add_parser("solve", help="solve one caching instance")
     group = solve.add_mutually_exclusive_group(required=True)
     group.add_argument("--grid", type=int, metavar="SIDE",
                        help="SIDE x SIDE grid network")
-    group.add_argument("--random", type=int, metavar="NODES",
-                       help="connected random network with NODES nodes")
+    group.add_argument("--nodes", type=int, metavar="N",
+                       help="connected random network with N nodes")
     solve.add_argument("--chunks", type=int, default=5)
     solve.add_argument("--capacity", type=int, default=5)
     solve.add_argument("--seed", type=int, default=2017,
-                       help="seed for --random topologies")
+                       help="seed for the --nodes topology")
     solve.add_argument(
         "--algorithm", default="appx",
         choices=sorted(_ALGO_ALIASES) + sorted(_ALGO_ALIASES.values()),
@@ -203,23 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--json", action="store_true",
         help="print the ServeReport as JSON instead of a table",
-    )
-    serve.add_argument(
-        "--adaptive", nargs="?", const="hybrid", default=None,
-        metavar="POLICY",
-        help="run the closed adaptive control loop instead of a one-shot "
-        "replay: serve --epochs windows of --epoch-requests requests, "
-        "re-optimizing the placement between epochs under POLICY "
-        "(default hybrid; see `repro list`)",
-    )
-    serve.add_argument(
-        "--epochs", type=int, default=6, metavar="N",
-        help="control epochs with --adaptive (default 6)",
-    )
-    serve.add_argument(
-        "--epoch-requests", type=int, default=None, metavar="N",
-        help="requests per epoch with --adaptive "
-        "(default: --requests / --epochs)",
     )
     _add_observability_flags(
         serve, "solve + replay",
@@ -477,9 +459,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _build_problem(
-    args: argparse.Namespace, nodes: Optional[int]
+    args: argparse.Namespace,
 ) -> Optional[Tuple[CachingProblem, str]]:
-    """``(problem, label)`` from ``--grid`` or a ``nodes``-node random
+    """``(problem, label)`` from ``--grid`` or a ``--nodes`` random
     network; ``None`` after printing the error when the sizes are bad."""
     from repro.errors import ProblemError
 
@@ -490,17 +472,17 @@ def _build_problem(
             )
             return problem, f"{args.grid}x{args.grid} grid"
         problem, _ = random_problem(
-            nodes, seed=args.seed, num_chunks=args.chunks,
+            args.nodes, seed=args.seed, num_chunks=args.chunks,
             capacity=args.capacity,
         )
     except (ValueError, ProblemError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return None
-    return problem, f"random network ({nodes} nodes, seed {args.seed})"
+    return problem, f"random network ({args.nodes} nodes, seed {args.seed})"
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    built = _build_problem(args, args.random)
+    built = _build_problem(args)
     if built is None:
         return 2
     problem, label = built
@@ -616,7 +598,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.requests < 0:
         print("--requests must be >= 0", file=sys.stderr)
         return 2
-    built = _build_problem(args, args.nodes)
+    built = _build_problem(args)
     if built is None:
         return 2
     problem, label = built
@@ -630,8 +612,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     name = _ALGO_ALIASES.get(args.algorithm, args.algorithm)
-    if args.adaptive is not None:
-        return _serve_adaptive(args, problem, workload, config, label, name)
     with _observed(args):
         placement = run_algorithms(problem, [name])[name]
         report = serve_placement(
@@ -643,49 +623,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         print(f"{name} on {label}: {args.requests} requests, "
               f"workload {report.workload!r}, policy {report.policy!r}")
-        print()
-        print(report.render())
-    return 0
-
-
-def _serve_adaptive(
-    args: argparse.Namespace, problem, workload, config, label: str,
-    algorithm: str,
-) -> int:
-    """``repro serve --adaptive``: the closed loop instead of one replay."""
-    from repro.adaptive import ADAPTIVE_POLICIES, AdaptiveConfig, run_adaptive
-    from repro.errors import ProblemError
-
-    if algorithm != "Appx":
-        print("--adaptive re-solves with Algorithm 1; it requires "
-              "--algorithm appx", file=sys.stderr)
-        return 2
-    if args.adaptive not in ADAPTIVE_POLICIES:
-        print(f"unknown adaptive policy {args.adaptive!r}; "
-              f"choose from {sorted(ADAPTIVE_POLICIES)}", file=sys.stderr)
-        return 2
-    epoch_requests = args.epoch_requests
-    if epoch_requests is None:
-        epoch_requests = args.requests // max(args.epochs, 1)
-    try:
-        adaptive_config = AdaptiveConfig(
-            epochs=args.epochs,
-            epoch_requests=epoch_requests,
-            policy=args.adaptive,
-            selection_policy=args.policy,
-            serve=config,
-        )
-        with _observed(args):
-            report = run_adaptive(problem, workload, adaptive_config)
-    except ProblemError as exc:
-        print(f"serve --adaptive: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(report.to_json())
-    else:
-        print(f"adaptive ({args.adaptive}) on {label}: "
-              f"{args.epochs} epochs x {epoch_requests} requests, "
-              f"workload {report.workload!r}, policy {report.selection_policy!r}")
         print()
         print(report.render())
     return 0
@@ -704,7 +641,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         print(f"unknown adaptive policy {args.adaptive_policy!r}; "
               f"choose from {sorted(ADAPTIVE_POLICIES)}", file=sys.stderr)
         return 2
-    built = _build_problem(args, args.nodes)
+    built = _build_problem(args)
     if built is None:
         return 2
     problem, label = built

@@ -1,4 +1,4 @@
-"""Algorithm 1 — the fair-caching approximation algorithm.
+"""Algorithm 1 — the fair caching approximation algorithm.
 
 Iterates the dual-ascent ConFL solver once per chunk (Sec. IV-A):
 
@@ -12,9 +12,9 @@ Iterates the dual-ascent ConFL solver once per chunk (Sec. IV-A):
 4. Commit the chunk to storage (``L(n) ← A``, line 48) and continue.
 
 Theorem 1 shows this per-chunk iteration preserves the 6.55 approximation
-ratio of the underlying ConFL algorithm; the benchmark
-``benchmarks/test_approx_ratio.py`` checks the ratio empirically against
-the exact solver.
+ratio of the underlying ConFL algorithm;
+``tests/test_paper_shapes.py::test_approx_ratio`` checks the ratio
+empirically against the exact solver.
 """
 
 from __future__ import annotations

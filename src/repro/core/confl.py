@@ -1,6 +1,6 @@
 """Connected Facility Location (ConFL) instances derived from caching state.
 
-Sec. III-D shows the fair-caching ILP is a *sum of ConFL problems*, one per
+Sec. III-D shows the fair caching ILP is a *sum of ConFL problems*, one per
 chunk (Eq. 8):
 
 * facilities  = nodes with spare storage; opening cost = Fairness Degree

@@ -156,7 +156,7 @@ class CostModel:
           "through the shortest hop path"), ties broken deterministically
           by BFS order;
         * ``"contention"`` — path minimizing the summed node contention
-          itself (an ablation; see benchmarks).
+          itself (an ablation; see ``tests/test_paper_shapes.py``).
     battery / battery_weight:
         Optional :class:`~repro.core.resources.BatteryState`; when given,
         :meth:`fairness_cost` returns the weighted sum of the storage and

@@ -29,7 +29,7 @@ DEFAULT_CAPACITY = 5  # chunks per node, Sec. V-A
 
 @dataclass(frozen=True)
 class CachingProblem:
-    """An instance of the fair-caching problem.
+    """An instance of the fair caching problem.
 
     Parameters
     ----------

@@ -88,7 +88,7 @@ class DistributedConfig:
         the centralized dual ascent.  False: γ ramps from zero (the
         literal pseudocode), which delays facility openings by roughly
         ``Con_ij / U`` extra rounds and measurably under-opens; exposed as
-        an ablation (see ``benchmarks/test_ablation_gamma.py``).
+        an ablation (see ``tests/test_paper_shapes.py``).
     serialize_promotions:
         True (default): self-promotions to ADMIN pass through a session
         arbiter that re-validates the ADMIN condition against *live*

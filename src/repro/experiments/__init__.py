@@ -1,7 +1,7 @@
 """Experiment runners — one module per evaluation artifact of the paper.
 
 Each module exposes ``run(..., fast: bool = False) -> ExperimentResult``;
-``REGISTRY`` maps experiment ids to runners for the CLI and benchmarks.
+``REGISTRY`` maps experiment ids to runners for the CLI and the tests.
 """
 
 from repro.experiments import (

@@ -36,7 +36,7 @@ def run(
     """Regenerate Fig. 2's series.
 
     ``fast=True`` trims the sweep (one small grid with brute force, one
-    large grid without) for benchmark runs.
+    large grid without) for the tier-1 tests.
     """
     if fast:
         small_sides = (3,)

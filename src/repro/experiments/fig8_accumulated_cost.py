@@ -13,8 +13,8 @@ Contention Cost (the paper's accounting prose is ambiguous; DESIGN.md §4):
   nodes", which re-prices old and new copies alike — the capacity-cliff
   phenomenon.
 
-Both columns are reported; the benchmark asserts each claim on its
-accounting.
+Both columns are reported; ``tests/test_paper_shapes.py`` asserts each
+claim on its accounting.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Not a paper figure, but the paper's core modelling claim (Sec. III-C):
 Contention Cost is "roughly a linear transformation" of DCF
 contention-induced delay, so optimizing the former optimizes the latter.
 This runner prices every algorithm's placement with the *full* (not
-linearized) hop-delay model and reports both measures side by side; the
-benchmark asserts the rankings agree.
+linearized) hop-delay model and reports both measures side by side;
+``tests/test_paper_shapes.py`` asserts the rankings agree.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Every experiment returns an :class:`ExperimentResult` whose rows mirror
 the series of the corresponding paper figure; ``to_text()`` renders the
-aligned table the benchmarks and the CLI print.
+aligned table the CLI prints.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ measures fairness of the load each node actually *served*:
 Expected shape: Algorithm 1's storage fairness translates into served
 fairness — its served-load Gini comes in *below* both baselines, while
 hop-count concentrates nearly the whole request stream on its few cache
-nodes (Gini ≈ 0.9).  ``benchmarks/test_serve.py`` asserts the ordering.
+nodes (Gini ≈ 0.9).  ``tests/test_paper_shapes.py`` asserts the ordering.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Event model for the online fair-caching extension.
+"""Event model for the online fair caching extension.
 
 The paper's conclusion (Sec. VI) leaves two things open: "Over long time
 periods, some chunks may become out-dated, necessitating cache

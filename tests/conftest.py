@@ -1,4 +1,4 @@
-"""Shared fixtures: canonical graphs and caching problems.
+"""Shared fixtures: canonical graphs, caching problems, experiment runs.
 
 The whole suite runs with the :mod:`repro.analysis.contracts` sanitizer
 enabled (unless the caller already set ``REPRO_SANITIZE``), so every
@@ -11,10 +11,49 @@ import os
 
 os.environ.setdefault("REPRO_SANITIZE", "1")
 
+from collections import Counter
+from functools import cache
+
 import pytest
 
+from repro.experiments import REGISTRY
 from repro.graphs import Graph, grid_graph, path_graph
 from repro.workloads import grid_problem
+
+
+@pytest.fixture(scope="session", autouse=True)
+def experiment_runs():
+    """Fast-mode calls of each ``REGISTRY`` runner in this session.
+
+    Every runner is wrapped for the session; a second fast-mode call of
+    one fails at once, so the experiments run once and every check reads
+    the shared ``experiment_result``.
+    """
+    calls: Counter = Counter()
+    runners = dict(REGISTRY)
+
+    def counted(experiment_id, runner):
+        def run(*args, **kwargs):
+            if kwargs.get("fast"):
+                calls[experiment_id] += 1
+                assert calls[experiment_id] == 1, (
+                    f"experiment {experiment_id!r} ran twice in fast mode; "
+                    f"read it through the experiment_result fixture"
+                )
+            return runner(*args, **kwargs)
+        return run
+
+    REGISTRY.update(
+        {key: counted(key, runner) for key, runner in runners.items()}
+    )
+    yield calls
+    REGISTRY.update(runners)
+
+
+@pytest.fixture(scope="session")
+def experiment_result(experiment_runs):
+    """``experiment_result(id)``: the fast-mode result, run on first use."""
+    return cache(lambda experiment_id: REGISTRY[experiment_id](fast=True))
 
 
 @pytest.fixture

@@ -613,17 +613,19 @@ class TestAdaptCLI:
         ]) == 2
 
     def test_serve_adaptive_flag(self, capsys):
+        """``serve --adaptive`` is gone; ``repro adapt`` runs the loop."""
         from repro.cli import main
 
-        status = main([
-            "serve", "--grid", "4", "--chunks", "4", "--capacity", "2",
-            "--workload", "shift", "--requests", "1200",
-            "--adaptive", "--epochs", "3", "--json",
-        ])
-        assert status == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == ADAPTIVE_SCHEMA
-        assert doc["epoch_requests"] == 400
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve", "--grid", "4", "--chunks", "4", "--capacity", "2",
+                "--workload", "shift", "--requests", "1200",
+                "--adaptive", "--epochs", "3", "--json",
+            ])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --adaptive" in captured.err
+        assert captured.out == ""
 
     def test_list_mentions_adaptive_policies(self, capsys):
         from repro.cli import main

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import REGISTRY
 
 
 class TestParser:
@@ -49,11 +50,14 @@ class TestMain:
         assert "chunk 0" in out
 
     def test_solve_random_hopc(self, capsys):
-        assert main(["solve", "--random", "15", "--seed", "3",
+        assert main(["solve", "--nodes", "15", "--seed", "3",
                      "--chunks", "1", "--algorithm", "hopc"]) == 0
         assert "Hopc" in capsys.readouterr().out
 
-    def test_experiment_fast(self, capsys):
+    def test_experiment_fast(self, capsys, monkeypatch, experiment_result):
+        # The session's one fast fig6 run, printed through the CLI.
+        result = experiment_result("fig6")
+        monkeypatch.setitem(REGISTRY, "fig6", lambda fast: result)
         assert main(["experiment", "fig6", "--fast"]) == 0
         assert "p75-fairness" in capsys.readouterr().out
 
@@ -67,7 +71,7 @@ class TestShowMap:
         assert "*" in out
 
     def test_map_requires_grid(self, capsys):
-        assert main(["solve", "--random", "12", "--chunks", "1",
+        assert main(["solve", "--nodes", "12", "--chunks", "1",
                      "--show-map"]) == 0
         assert "--show-map requires" in capsys.readouterr().out
 
@@ -82,7 +86,7 @@ class TestTraceExport:
         import json
 
         trace_path = tmp_path / "trace.json"
-        assert main(["solve", "--random", "20", "--chunks", "1",
+        assert main(["solve", "--nodes", "20", "--chunks", "1",
                      "--algorithm", "dist", "--trace", str(trace_path)]) == 0
         doc = json.loads(trace_path.read_text())
         events = doc["traceEvents"]
@@ -99,7 +103,7 @@ class TestTraceExport:
 
     def test_no_trace_flag_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["solve", "--random", "10", "--chunks", "1",
+        assert main(["solve", "--nodes", "10", "--chunks", "1",
                      "--algorithm", "appx"]) == 0
         assert list(tmp_path.iterdir()) == []
 
@@ -165,13 +169,13 @@ def test_experiment_all_accepted():
     (["solve", "--grid", "0"], "solve: grid dimensions must be positive"),
     (["serve", "--grid", "0", "--requests", "10"],
      "serve: grid dimensions must be positive"),
-    (["solve", "--random", "1"], "solve: need at least 2 nodes"),
+    (["solve", "--nodes", "1"], "solve: need at least 2 nodes"),
     (["adapt", "--nodes", "1"], "adapt: need at least 2 nodes"),
     (["solve", "--grid", "3", "--chunks", "-1"],
      "solve: num_chunks must be >= 0"),
     (["solve", "--grid", "3", "--capacity", "-2"],
      "solve: capacity must be >= 0"),
-], ids=["solve-grid0", "serve-grid0", "solve-random1", "adapt-nodes1",
+], ids=["solve-grid0", "serve-grid0", "solve-nodes1", "adapt-nodes1",
         "solve-chunks-neg", "solve-capacity-neg"])
 def test_bad_problem_sizes_exit_2(argv, message, capsys):
     assert main(argv) == 2

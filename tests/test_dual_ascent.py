@@ -244,6 +244,10 @@ class TestDualAscent:
         result = dual_ascent(instance, DualAscentConfig(span_threshold=1))
         assert len(result.admins) >= 1
 
+    def test_paper_grid_opens_caches(self, paper_problem):
+        instance = build_confl_instance(paper_problem.new_state())
+        assert dual_ascent(instance).admins
+
     def test_alpha_nonnegative_monotone(self, small_problem):
         instance = build_confl_instance(small_problem.new_state())
         result = dual_ascent(instance)

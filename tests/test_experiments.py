@@ -63,8 +63,8 @@ class TestRunnerHelpers:
 
 
 @pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
-def test_experiment_runs_fast(experiment_id):
-    result = REGISTRY[experiment_id](fast=True)
+def test_experiment_runs_fast(experiment_result, experiment_id):
+    result = experiment_result(experiment_id)
     assert isinstance(result, ExperimentResult)
     assert result.rows, experiment_id
     assert result.to_text()

@@ -139,6 +139,15 @@ def _set(key, value):
     return mutate
 
 
+def _isolate_producer(document):
+    producer = document["producer"]
+    document["graph"]["edges"] = [
+        edge for edge in document["graph"]["edges"] if producer not in edge[:2]
+    ]
+
+
+DISCONNECTED = r"^the network graph must be connected \(Sec\. III-A\)$"
+
 PROBLEM_DEFECTS = {
     "missing-graph": (_drop("graph"), "graph"),
     "missing-producer": (_drop("producer"), "producer"),
@@ -159,6 +168,8 @@ PROBLEM_DEFECTS = {
     "edge-weight-text": (
         lambda d: d["graph"]["edges"][0].__setitem__(2, "heavy"), "edges"
     ),
+    "graph-disconnected": (lambda d: d["graph"]["edges"].clear(), DISCONNECTED),
+    "producer-isolated": (_isolate_producer, DISCONNECTED),
 }
 
 

@@ -13,6 +13,10 @@ from repro.errors import ProblemError
 from repro.graphs import Graph, grid_graph
 from repro.workloads import grid_problem
 
+CONNECTED_MESSAGE = (
+    r"^the network graph must be connected \(Sec\. III-A\)$"
+)
+
 
 class TestCachingProblem:
     def test_defaults(self, paper_problem):
@@ -31,8 +35,14 @@ class TestCachingProblem:
 
     def test_disconnected_graph_rejected(self):
         g = Graph([(0, 1), (2, 3)])
-        with pytest.raises(ProblemError):
+        with pytest.raises(ProblemError, match=CONNECTED_MESSAGE):
             CachingProblem(graph=g, producer=0, num_chunks=1)
+
+    def test_isolated_producer_rejected(self):
+        g = grid_graph(3)
+        g.add_node("producer")
+        with pytest.raises(ProblemError, match=CONNECTED_MESSAGE):
+            CachingProblem(graph=g, producer="producer", num_chunks=1)
 
     def test_negative_chunks_rejected(self):
         with pytest.raises(ProblemError):

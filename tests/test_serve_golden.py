@@ -175,6 +175,15 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(all_ids())
 
 
+def test_golden_batched_equals_per_request(golden):
+    """Both engines pin one digest: byte-identical 20 000-request reports."""
+    for workload, failure_rate, engine in CASES:
+        if engine == "per-request":
+            assert golden[case_id((workload, failure_rate, engine))] == (
+                golden[case_id((workload, failure_rate, "batched"))]
+            )
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_serve_cheapest_matches_golden(golden, case):
     assert report_digest(case) == golden[case_id(case)]

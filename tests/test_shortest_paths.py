@@ -127,6 +127,9 @@ class TestFloydWarshall:
             for target in grid4.nodes():
                 assert fw[source][target] == pytest.approx(dist[target])
 
+    def test_grid_corner_to_corner(self):
+        assert floyd_warshall(grid_graph(8))[0][63] == 14.0
+
     def test_disconnected_is_inf(self):
         g = Graph([(0, 1), (2, 3)])
         fw = floyd_warshall(g)
