@@ -19,6 +19,9 @@ the places a wrong answer could silently pass through:
   and BADMIN floods reach every node exactly once, unicast transmission
   counts stay within the ``k``-hop envelope, and no unknown message
   types appear.
+* :func:`check_session_cacheability` — at the end of each protocol
+  session: every node's cacheability, resolved once when the session
+  started, still equals ``state.can_cache(node)``.
 * :func:`check_incremental_cost_rows` — after each incremental cost
   patch (``core/costs.py``): the delta-patched ``c_ij`` rows equal a
   full recompute from the current storage state, with *exact* float
@@ -399,6 +402,26 @@ def check_message_census(
                 f"chunk {chunk}: {msg_type} transmissions "
                 f"{d_transmissions} exceed the {hop_limit}-hop envelope "
                 f"for {d_messages} messages (Table II range violation)",
+            )
+
+
+def check_session_cacheability(
+    *,
+    chunk: int,
+    resolved: Mapping[Node, bool],
+    can_cache: Callable[[Node], bool],
+) -> None:
+    """Assert the cacheability a protocol session resolved at its start
+    still matches the live storage state at its end.
+
+    The session reads each node's ``can_cache`` once; that is exact only
+    while storage changes nowhere but the commit after the session."""
+    for node, cached in resolved.items():
+        if cached != can_cache(node):
+            _fail(
+                "session-cacheability",
+                f"chunk {chunk}: node {node!r} resolved can_cache={cached} "
+                f"at session start, but storage now says {not cached}",
             )
 
 

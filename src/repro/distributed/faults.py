@@ -31,12 +31,14 @@ The plane resolves one of three modes from the config, so the fault
 machinery is provably absent when unused:
 
 ``PASSTHROUGH``
-    No faults configured.  Every call reduces to exactly the pre-fault
+    No faults configured.  A unicast reduces to exactly the pre-fault
     code path — record the stats, trace, ``sim.schedule(hops *
     hop_latency, handler)`` — consuming no randomness and scheduling no
-    extra events.  Placements and :class:`MessageStats` are
-    byte-identical to a build without this module (tested against a
-    golden snapshot in ``tests/test_faults.py``).
+    extra events.  A flood is delivered per hop ring (see below).
+    Placements, :class:`MessageStats`, ``sim_events`` and the protocol
+    trace are byte-identical to a build without this module (tested
+    against golden snapshots in ``tests/test_faults.py`` and
+    ``tests/test_dist_golden.py``).
 
 ``LEGACY_LOSS``
     Only ``loss_rate`` is set (the pre-existing knob): unicast control
@@ -52,6 +54,21 @@ machinery is provably absent when unused:
     legal here: the retry budget bounds the work and the session
     terminates with a partial-placement report instead of hanging.
 
+Hop rings
+---------
+Outside ``FULL`` mode, :meth:`FaultPlane.flood` records a flood's census
+once, traces each leg at send time, and hands the simulator one batch per
+arrival time — one per hop ring, since arrival is ``now + hops *
+hop_latency`` — instead of one event per leg.  Per-leg events would take
+consecutive sequence numbers, so the legs with one arrival time would
+fire back to back in send order; a batch runs them in that same order,
+so the no-op contract holds.  Rings are keyed by arrival time, not hop
+count, so that with ``hop_latency = 0`` every leg still runs in send
+order.  Each handler of a batch counts as one simulator event, so
+``sim_events`` and ``sim.max_queue_depth`` count legs.  ``FULL`` mode
+keeps one event per leg, because loss, jitter and retransmission act
+per leg.
+
 Fault accounting lives in :class:`FaultStats` (mirrored into
 ``protocol.drops`` / ``protocol.retx.*`` / ``faults.churn.*`` recorder
 counters at session end) — never in :class:`MessageStats`, whose Table II
@@ -61,9 +78,12 @@ census counts only messages the protocol actually delivered.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set
+from typing import (
+    Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import SimulationError
 from repro.distributed.messages import MessageStats
@@ -72,6 +92,8 @@ from repro.obs import get_recorder
 
 Node = Hashable
 Handler = Callable[[], None]
+#: One flood leg: ``(dst, hops, handler, seq)``.
+FloodLeg = Tuple[Node, int, Handler, int]
 
 PASSTHROUGH = "passthrough"
 LEGACY_LOSS = "legacy-loss"
@@ -96,6 +118,10 @@ class ChurnEvent:
             raise SimulationError(
                 f"churn event kind must be {LEAVE!r} or {JOIN!r}, "
                 f"got {self.kind!r}"
+            )
+        if not math.isfinite(self.time):
+            raise SimulationError(
+                f"churn event time must be finite, got {self.time}"
             )
         if self.time < 0:
             raise SimulationError(
@@ -268,6 +294,13 @@ class FaultPlane:
         self.max_retries = max_retries
         self.churn_events = normalize_churn(churn)
         self._trace = trace
+        for name, value in (
+            ("loss_rate", loss_rate),
+            ("jitter", jitter),
+            ("retx_timeout", retx_timeout),
+        ):
+            if not math.isfinite(value):
+                raise SimulationError(f"{name} must be finite, got {value}")
         if jitter < 0:
             raise SimulationError(f"jitter must be >= 0, got {jitter}")
         if retx_timeout < 0:
@@ -400,22 +433,40 @@ class FaultPlane:
             return
         self._send(_Pending(seq, msg_type, src, dst, hops, handler))
 
-    def flood_leg(
-        self, msg_type: str, src: Node, dst: Node, hops: int,
-        handler: Handler, seq: int,
-    ) -> None:
-        """One per-destination leg of an NPI / CC / BADMIN flood.
+    def flood(self, msg_type: str, src: Node, legs: Sequence[FloodLeg]) -> None:
+        """Every per-destination leg of one NPI / CC / BADMIN flood.
 
-        Reliable outside FULL mode (broadcast redundancy makes per-node
-        flood loss a different regime from unicast loss); in FULL mode a
-        flood leg is just another lossy, retriable delivery — re-flooding
-        is idempotent because receivers suppress duplicate sequence
-        numbers and every flood handler is a monotone update.
+        ``legs`` holds ``(dst, hops, handler, seq)`` in send order.  In
+        FULL mode a flood leg is just another lossy, retriable delivery
+        — re-flooding is idempotent because receivers suppress duplicate
+        sequence numbers and every flood handler is a monotone update.
+        Outside FULL mode floods are reliable (broadcast redundancy makes
+        per-node flood loss a different regime from unicast loss) and are
+        delivered per hop ring; see the module docstring.
         """
-        if self.mode != FULL:
-            self._deliver_reliable(msg_type, src, dst, hops, handler)
+        if self.mode == FULL:
+            for dst, hops, handler, seq in legs:
+                self._send(_Pending(seq, msg_type, src, dst, hops, handler))
             return
-        self._send(_Pending(seq, msg_type, src, dst, hops, handler))
+        now = self.sim.now
+        hop_latency = self.hop_latency
+        traced = self._trace.enabled
+        # Arrival time -> (delay, handlers in send order).
+        rings: Dict[float, Tuple[float, List[Handler]]] = {}
+        transmissions = 0
+        for dst, hops, handler, seq in legs:
+            transmissions += hops if hops > 1 else 1
+            if traced:
+                self._trace_msg(msg_type, src, dst, hops)
+            delay = hops * hop_latency
+            ring = rings.get(now + delay)
+            if ring is None:
+                rings[now + delay] = (delay, [handler])
+            else:
+                ring[1].append(handler)
+        self.stats.record_many(msg_type, len(legs), transmissions)
+        for delay, handlers in rings.values():
+            self.sim.schedule_batch(delay, handlers)
 
     # ------------------------------------------------------------------
     # Internals

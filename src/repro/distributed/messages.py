@@ -147,6 +147,12 @@ class MessageStats:
         self.messages[msg_type] += 1
         self.transmissions[msg_type] += max(1, hops)
 
+    def record_many(self, msg_type: str, count: int, transmissions: int) -> None:
+        """Record ``count`` deliveries of ``msg_type`` at once, together
+        worth ``transmissions`` (each leg's ``max(1, hops)``, summed)."""
+        self.messages[msg_type] += count
+        self.transmissions[msg_type] += transmissions
+
     def total_messages(self) -> int:
         return sum(self.messages.values())
 

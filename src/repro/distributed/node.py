@@ -80,15 +80,14 @@ class ProtocolNode:
         # --- candidate-side state ---
         self.tights: Dict[Node, _TightRecord] = {}
         self.is_admin = False
+        #: False for storage-full nodes (INACTIVE role).  Resolved once
+        #: per session: storage changes only when the session commits,
+        #: after its protocol run.
+        self.can_cache = session.can_cache(node_id)
 
     # ------------------------------------------------------------------
     # Capabilities
     # ------------------------------------------------------------------
-    @property
-    def can_cache(self) -> bool:
-        """False for the producer and storage-full nodes (INACTIVE role)."""
-        return self.session.can_cache(self.id)
-
     @property
     def fairness_cost(self) -> float:
         return self.session.fairness_cost(self.id)

@@ -24,7 +24,9 @@ transmission counts per Table II type are collected in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
@@ -50,7 +52,7 @@ from repro.distributed.messages import (
     SpanMessage,
     TightMessage,
 )
-from repro.distributed.node import ProtocolNode
+from repro.distributed.node import ACTIVE, ProtocolNode
 from repro.distributed.simulator import Simulator
 from repro.obs import get_recorder, get_tracer
 
@@ -78,6 +80,9 @@ class DistributedConfig:
         Simulated durations of a bidding round and of one radio hop.  The
         defaults keep all message deliveries within the round that sent
         them, which mirrors the synchronous-round analysis of Sec. IV-D.
+        ``step`` and ``tick_interval`` must be finite and positive,
+        ``hop_latency`` and ``promotion_latency`` finite and
+        non-negative; :func:`solve_distributed` rejects anything else.
     max_ticks:
         Safety bound; the ascent provably freezes every node once bids
         exceed its producer cost.
@@ -220,6 +225,13 @@ class ChunkSession:
             if node != self.producer
         }
         self._done: Set[Node] = set()
+        # The bid clock's walks, in node order: clients still bidding, and
+        # cacheable candidates that are not (yet) admins.  Pruned as nodes
+        # freeze or promote.
+        self._bidders: List[ProtocolNode] = list(self.nodes.values())
+        self._facilities: List[ProtocolNode] = [
+            proto for proto in self.nodes.values() if proto.can_cache
+        ]
         self.admins: List[Node] = []
         self.ticks = 0
         self._promotion_queue: List[Node] = []
@@ -345,38 +357,40 @@ class ChunkSession:
         self._deliver(NADMIN, src, dst, lambda: self.nodes[dst].on_nadmin(msg), seq)
 
     # --- floods ---------------------------------------------------------
+    # Each flood builds its legs in send order, one sequence number and
+    # one message per leg, and hands them to the fault plane at once.
     def broadcast_badmin(self, admin: Node) -> None:
         """Network-wide admin announcement, accumulating path contention."""
         costs = self.state.costs.all_contention_costs(admin)
         hops = self._hops_from(admin)
-        for node in self.nodes:
+        next_seq = self.faults.next_seq
+        legs = []
+        for node, proto in self.nodes.items():
             if node == admin:
                 continue
-            seq = self.faults.next_seq()
+            seq = next_seq()
+            h = hops[node]
             msg = BAdminMessage(
                 sender=admin, chunk=self.chunk, seq=seq,
-                cost_from_admin=costs[node], hops=hops[node],
+                cost_from_admin=costs[node], hops=h,
             )
-            self.faults.flood_leg(
-                BADMIN, admin, node, hops[node],
-                (lambda m=msg, n=node: self.nodes[n].on_badmin(m)),
-                seq,
-            )
+            legs.append((node, h, partial(proto.on_badmin, msg), seq))
+        self.faults.flood(BADMIN, admin, legs)
 
     def _flood_npi(self) -> None:
         costs = self.state.costs.all_contention_costs(self.producer)
         hops = self._hops_from(self.producer)
-        for node in self.nodes:
-            seq = self.faults.next_seq()
+        next_seq = self.faults.next_seq
+        legs = []
+        for node, proto in self.nodes.items():
+            seq = next_seq()
+            h = hops[node]
             msg = NpiMessage(
                 sender=self.producer, chunk=self.chunk, seq=seq,
-                cost_from_producer=costs[node], hops=hops[node],
+                cost_from_producer=costs[node], hops=h,
             )
-            self.faults.flood_leg(
-                NPI, self.producer, node, hops[node],
-                (lambda m=msg, n=node: self.nodes[n].on_npi(m)),
-                seq,
-            )
+            legs.append((node, h, partial(proto.on_npi, msg), seq))
+        self.faults.flood(NPI, self.producer, legs)
 
     def _flood_cc(self, origin: Node) -> None:
         """CC flood: k-hop neighbors learn (origin, Con_origin→them)."""
@@ -384,21 +398,23 @@ class ChunkSession:
             return  # a churned-out candidate cannot announce itself
         costs = self.state.costs.all_contention_costs(origin)
         hops = self._hops_from(origin)
+        hop_limit = self.config.hop_limit
+        next_seq = self.faults.next_seq
+        legs = []
+        # The hop dict is in breadth-first order, so the k-hop
+        # neighbourhood is its prefix.
         for node, h in hops.items():
+            if h > hop_limit:
+                break
             if node == origin or node == self.producer:
                 continue
-            if h > self.config.hop_limit:
-                continue
-            seq = self.faults.next_seq()
+            seq = next_seq()
             msg = CcMessage(
                 sender=origin, chunk=self.chunk, seq=seq, origin=origin,
                 accumulated_cost=costs[node], hops=h,
             )
-            self.faults.flood_leg(
-                CC, origin, node, h,
-                (lambda m=msg, n=node: self.nodes[n].on_cc(m)),
-                seq,
-            )
+            legs.append((node, h, partial(self.nodes[node].on_cc, msg), seq))
+        self.faults.flood(CC, origin, legs)
 
     # ------------------------------------------------------------------
     # Session driver
@@ -418,12 +434,10 @@ class ChunkSession:
         with self._trace.span("chunk_session", track="protocol") as span:
             self._flood_npi()
             # After NPI propagates, cacheable candidates announce themselves.
-            for node in self.nodes:
-                if self.can_cache(node):
-                    self.sim.schedule(
-                        0.5 * self.config.tick_interval,
-                        (lambda origin=node: self._flood_cc(origin)),
-                    )
+            self.sim.schedule_batch(
+                0.5 * self.config.tick_interval,
+                [partial(self._flood_cc, proto.id) for proto in self._facilities],
+            )
             self.sim.schedule(self.config.tick_interval, self._tick)
             self.sim.run()
             if len(self._done) < len(self.nodes):
@@ -448,6 +462,14 @@ class ChunkSession:
                     nodes=len(self.nodes),
                     unserved=len(self.unserved),
                 )
+        if sanitize:
+            contracts.check_session_cacheability(
+                chunk=self.chunk,
+                resolved={
+                    node: proto.can_cache for node, proto in self.nodes.items()
+                },
+                can_cache=self.state.can_cache,
+            )
         # The Table II census invariants (every node hears NPI exactly
         # once, BADMIN = admins × (N-1), ...) assume reliable floods; in
         # FULL fault mode floods are lossy, so the cross-check is skipped.
@@ -520,14 +542,23 @@ class ChunkSession:
         if self.ticks > self.config.max_ticks:
             raise SimulationError("distributed protocol exceeded max_ticks")
         faulty = self.faults.faults_active
-        for node_id, node in self.nodes.items():
-            if faulty and not self.faults.is_online(node_id):
+        step = self.config.step
+        # A frozen client or an admin never bids again.
+        self._bidders = [p for p in self._bidders if p.state == ACTIVE]
+        for proto in self._bidders:
+            if faulty and not self.faults.is_online(proto.id):
                 continue  # churned-out nodes pause their state machine
-            node.client_tick(self.config.step)
-        for node_id, node in self.nodes.items():
-            if faulty and not self.faults.is_online(node_id):
+            proto.client_tick(step)
+        # With M >= 1 a candidate without a tight record has no payment to
+        # grow and cannot meet the ADMIN condition, so its tick is a no-op.
+        self._facilities = [p for p in self._facilities if not p.is_admin]
+        needs_tight = self.span_threshold >= 1
+        for proto in self._facilities:
+            if needs_tight and not proto.tights:
                 continue
-            node.candidate_tick(self.config.step)
+            if faulty and not self.faults.is_online(proto.id):
+                continue
+            proto.candidate_tick(step)
         if self._trace.enabled:
             self._trace.instant(
                 "dist.tick",
@@ -617,6 +648,18 @@ def solve_distributed(
     config = config or DistributedConfig()
     if config.hop_limit < 1:
         raise SimulationError("hop_limit must be at least 1")
+    for name in ("step", "tick_interval"):
+        value = getattr(config, name)
+        if not 0 < value < math.inf:
+            raise SimulationError(
+                f"{name} must be finite and positive, got {value}"
+            )
+    for name in ("hop_latency", "promotion_latency"):
+        value = getattr(config, name)
+        if not 0 <= value < math.inf:
+            raise SimulationError(
+                f"{name} must be finite and non-negative, got {value}"
+            )
     state = problem.new_state()
     stats = MessageStats()
     placements: List[ChunkPlacement] = []

@@ -5,6 +5,14 @@ react to received control messages and to their own bidding clock.  This
 module provides the engine: a priority queue of timestamped events with a
 monotone sequence number as tie-breaker, so runs are exactly reproducible.
 
+:meth:`Simulator.schedule_batch` queues several handlers as one heap
+entry that runs them back to back, in the order given.  It behaves
+exactly like scheduling each of them in turn with the same delay: such
+events take consecutive sequence numbers, so nothing else can fire
+between them.  Every handler of a batch counts as one event toward
+``events_processed``, the ``sim.events`` counter, the ``max_events``
+guard and the live depth behind ``max_queue_depth``.
+
 The simulator knows nothing about networks or caching — it schedules
 callables.  :mod:`repro.distributed.protocol` builds the message-passing
 layer on top.
@@ -14,21 +22,26 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+import math
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.obs import get_recorder, get_tracer
 
 Handler = Callable[[], None]
 
-# A queued event is a plain list ``[time, seq, handler, cancelled, fired]``:
-# heapq orders it by (time, seq) in C, and the unique seq means the handler
-# is never compared.  A list, not a tuple, so a handle can flag it in place.
+# A queued event is a plain list ``[time, seq, handler, cancelled, fired,
+# batch]``: heapq orders it by (time, seq) in C, and the unique seq means
+# the rest is never compared.  A list, not a tuple, so a handle can flag
+# it in place.  ``batch`` is None for a single event; for a batch entry it
+# is the list of handlers and ``handler`` is None.
 _Event = List[Any]
 _TIME = 0
+_SEQ = 1
 _HANDLER = 2
 _CANCELLED = 3
 _FIRED = 4
+_BATCH = 5
 
 
 class EventHandle:
@@ -77,7 +90,10 @@ class Simulator:
         self._now = 0.0
         self._events_processed = 0
         self._max_queue_depth = 0
+        # Cancelled heap entries still queued, and the handlers still due
+        # to run (a batch entry holds several).
         self._cancelled = 0
+        self._live = 0
 
     @property
     def now(self) -> float:
@@ -86,29 +102,53 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events executed so far."""
+        """Number of handlers executed so far."""
         return self._events_processed
 
     @property
     def pending(self) -> int:
-        """Number of queued (non-cancelled) events."""
-        return len(self._queue) - self._cancelled
+        """Number of queued (non-cancelled) handlers."""
+        return self._live
 
     @property
     def max_queue_depth(self) -> int:
-        """High-water mark of live (non-cancelled) queued events."""
+        """High-water mark of live (non-cancelled) queued handlers."""
         return self._max_queue_depth
+
+    @staticmethod
+    def _reject_delay(delay: float) -> None:
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        raise SimulationError(f"event delay must be finite, got {delay}")
 
     def schedule(self, delay: float, handler: Handler) -> EventHandle:
         """Schedule ``handler`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = [self._now + delay, next(self._seq), handler, False, False]
+        if not 0 <= delay < math.inf:  # also rejects NaN
+            self._reject_delay(delay)
+        event = [self._now + delay, next(self._seq), handler, False, False, None]
         heapq.heappush(self._queue, event)
-        live = len(self._queue) - self._cancelled
-        if live > self._max_queue_depth:
-            self._max_queue_depth = live
+        self._live += 1
+        if self._live > self._max_queue_depth:
+            self._max_queue_depth = self._live
         return EventHandle(event, self)
+
+    def schedule_batch(self, delay: float, handlers: Sequence[Handler]) -> None:
+        """Run ``handlers`` in order, ``delay`` time units from now.
+
+        Equivalent to ``schedule(delay, h)`` for each handler in turn,
+        with one heap entry instead of ``len(handlers)``.  A batch cannot
+        be cancelled.
+        """
+        if not 0 <= delay < math.inf:
+            self._reject_delay(delay)
+        if not handlers:
+            return
+        event = [self._now + delay, next(self._seq), None, False, False,
+                 list(handlers)]
+        heapq.heappush(self._queue, event)
+        self._live += len(handlers)
+        if self._live > self._max_queue_depth:
+            self._max_queue_depth = self._live
 
     def schedule_at(self, time: float, handler: Handler) -> EventHandle:
         """Schedule ``handler`` at an absolute simulation time.
@@ -128,26 +168,52 @@ class Simulator:
         """An :class:`EventHandle` cancelled a still-queued event.
 
         Cancelled entries stay in the heap (removing from the middle of a
-        heap is O(n)); once they outnumber the live events the queue is
+        heap is O(n)); once they outnumber the live entries the queue is
         compacted in one O(n) pass, so mass-cancelled retransmission
         timers can no longer grow ``_queue`` without bound.
         """
         self._cancelled += 1
+        self._live -= 1
         if self._cancelled * 2 > len(self._queue):
             self._queue = [e for e in self._queue if not e[_CANCELLED]]
             heapq.heapify(self._queue)
             self._cancelled = 0
 
+    def _fire_batch(self, event: _Event, limit: int) -> int:
+        """Run up to ``limit`` handlers of a popped batch entry.
+
+        Handlers past the limit go back on the queue under the batch's own
+        (time, seq), so they still fire next, ahead of anything the run
+        handlers schedule.  Returns the number of handlers run.
+        """
+        handlers = event[_BATCH]
+        if len(handlers) > limit:
+            heapq.heappush(
+                self._queue,
+                [event[_TIME], event[_SEQ], None, False, False,
+                 handlers[limit:]],
+            )
+            handlers = handlers[:limit]
+        for handler in handlers:
+            self._live -= 1
+            self._events_processed += 1
+            handler()
+        return len(handlers)
+
     def step(self) -> bool:
-        """Execute the next event.  Returns False when the queue is empty."""
+        """Execute the next handler.  Returns False when the queue is empty."""
         while self._queue:
             event = heapq.heappop(self._queue)
             if event[_CANCELLED]:
                 self._cancelled -= 1
                 continue
             self._now = event[_TIME]
-            self._events_processed += 1
             event[_FIRED] = True
+            if event[_BATCH] is not None:
+                self._fire_batch(event, 1)
+                return True
+            self._live -= 1
+            self._events_processed += 1
             event[_HANDLER]()
             return True
         return False
@@ -157,22 +223,38 @@ class Simulator:
     ) -> None:
         """Run until the queue drains, ``until`` is reached, or the event
         budget is exhausted (which raises, as a runaway-protocol guard)."""
+        queue = self._queue
+        heappop = heapq.heappop
         executed = 0
         try:
-            while self._queue:
-                next_event = self._peek()
-                if next_event is None:
-                    return
-                if until is not None and next_event[_TIME] > until:
+            while queue:
+                event = queue[0]
+                if event[_CANCELLED]:
+                    heappop(queue)
+                    self._cancelled -= 1
+                    continue
+                if until is not None and event[_TIME] > until:
                     self._now = until
                     return
-                self.step()
-                executed += 1
+                heappop(queue)
+                self._now = event[_TIME]
+                event[_FIRED] = True
+                if event[_BATCH] is None:
+                    self._live -= 1
+                    self._events_processed += 1
+                    event[_HANDLER]()
+                    executed += 1
+                else:
+                    executed += self._fire_batch(
+                        event, max(1, max_events - executed)
+                    )
                 if executed >= max_events:
                     raise SimulationError(
                         f"simulation exceeded {max_events} events; likely a "
                         "non-terminating protocol"
                     )
+                # A compaction (cancel inside a handler) replaces the list.
+                queue = self._queue
         finally:
             if executed:
                 obs = get_recorder()
@@ -189,9 +271,3 @@ class Simulator:
                             "sim_time": self._now,
                         },
                     )
-
-    def _peek(self) -> Optional[_Event]:
-        while self._queue and self._queue[0][_CANCELLED]:
-            heapq.heappop(self._queue)
-            self._cancelled -= 1
-        return self._queue[0] if self._queue else None

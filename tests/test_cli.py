@@ -175,8 +175,20 @@ def test_experiment_all_accepted():
      "solve: num_chunks must be >= 0"),
     (["solve", "--grid", "3", "--capacity", "-2"],
      "solve: capacity must be >= 0"),
+    (["solve", "--grid", "3", "--algorithm", "dist", "--loss-rate", "nan"],
+     "solve: loss_rate must be finite, got nan"),
+    (["solve", "--grid", "3", "--algorithm", "dist", "--jitter", "nan"],
+     "solve: jitter must be finite, got nan"),
+    (["solve", "--grid", "3", "--algorithm", "dist", "--jitter", "inf"],
+     "solve: jitter must be finite, got inf"),
+    (["solve", "--grid", "3", "--algorithm", "dist", "--retx-timeout", "nan"],
+     "solve: retx_timeout must be finite, got nan"),
+    (["solve", "--grid", "3", "--algorithm", "dist", "--churn", "nan:3:leave"],
+     "solve: churn event time must be finite, got nan"),
 ], ids=["solve-grid0", "serve-grid0", "solve-nodes1", "adapt-nodes1",
-        "solve-chunks-neg", "solve-capacity-neg"])
+        "solve-chunks-neg", "solve-capacity-neg", "solve-loss-rate-nan",
+        "solve-jitter-nan", "solve-jitter-inf", "solve-retx-timeout-nan",
+        "solve-churn-nan"])
 def test_bad_problem_sizes_exit_2(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -210,6 +210,37 @@ class TestMessageCensus:
             )
 
 
+class TestSessionCacheability:
+    def test_unchanged_storage_passes(self):
+        contracts.check_session_cacheability(
+            chunk=0, resolved={1: True, 2: False},
+            can_cache={1: True, 2: False}.__getitem__,
+        )
+
+    def test_drift_caught(self):
+        with pytest.raises(InvariantError) as excinfo:
+            contracts.check_session_cacheability(
+                chunk=3, resolved={1: True, 2: False},
+                can_cache={1: False, 2: False}.__getitem__,
+            )
+        assert excinfo.value.rule == "session-cacheability"
+
+    def test_session_checks_itself(self, monkeypatch):
+        from repro.distributed import DistributedConfig, MessageStats
+        from repro.distributed.protocol import ChunkSession
+
+        monkeypatch.setenv(contracts.ENV_VAR, "1")
+        state = grid_problem(3, num_chunks=1).new_state()
+        session = ChunkSession(state, 0, DistributedConfig(), MessageStats())
+        # Filling a node's storage behind the session's back breaks the
+        # once-per-session cacheability it resolved at the start.
+        for chunk_id in range(5):
+            state.storage.add(1, 100 + chunk_id)
+        with pytest.raises(InvariantError) as excinfo:
+            session.run()
+        assert excinfo.value.rule == "session-cacheability"
+
+
 class TestIncrementalCostRows:
     def base_kwargs(self, **overrides):
         rows = {0: {0: 0.0, 1: 5.0, 2: 8.0}, 1: {0: 5.0, 1: 0.0, 2: 6.0}}

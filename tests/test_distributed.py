@@ -1,5 +1,7 @@
 """Unit tests for the distributed algorithm (Algorithm 2)."""
 
+import math
+
 import pytest
 
 from repro.distributed import (
@@ -80,6 +82,25 @@ class TestDistributedAlgorithm:
     def test_hop_limit_must_be_positive(self, small_problem):
         with pytest.raises(SimulationError):
             solve_distributed(small_problem, DistributedConfig(hop_limit=0))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"step": 0.0}, "step must be finite and positive"),
+        ({"step": math.nan}, "step must be finite and positive"),
+        ({"tick_interval": -1.0}, "tick_interval must be finite and positive"),
+        ({"tick_interval": math.inf},
+         "tick_interval must be finite and positive"),
+        ({"hop_latency": math.nan},
+         "hop_latency must be finite and non-negative"),
+        ({"hop_latency": -0.001},
+         "hop_latency must be finite and non-negative"),
+        ({"promotion_latency": math.inf},
+         "promotion_latency must be finite and non-negative"),
+    ])
+    def test_bad_clock_rejected(self, small_problem, kwargs, message):
+        # Unchecked, step=0 spins to max_ticks and hop_latency=nan
+        # completes with NaN event times.
+        with pytest.raises(SimulationError, match=message):
+            solve_distributed(small_problem, DistributedConfig(**kwargs))
 
     def test_bad_span_policy_rejected(self, small_problem):
         with pytest.raises(SimulationError):
@@ -192,3 +213,63 @@ class TestLossInjection:
                 if s == problem.producer
             )
             assert producer_served >= len(problem.clients) // 2
+
+
+def _per_leg_flood(plane, msg_type, src, legs):
+    """Reference flood delivery: one census record and one event per leg."""
+    for dst, hops, handler, seq in legs:
+        plane.stats.record(msg_type, hops)
+        plane.sim.schedule(hops * plane.hop_latency, handler)
+
+
+def _outcome_record(problem, config):
+    from repro.distributed.node import ProtocolNode
+    from repro.obs import Recorder, use_recorder
+
+    # Flood handlers of different nodes commute on the outputs, so log
+    # the order they run in as well.
+    handled = []
+    recorder = Recorder()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("on_npi", "on_cc", "on_badmin"):
+            def logged(node, msg, _handler=getattr(ProtocolNode, name)):
+                handled.append(
+                    (node.id, msg.type, msg.seq, node.session.sim.now)
+                )
+                _handler(node, msg)
+
+            patch.setattr(ProtocolNode, name, logged)
+        with use_recorder(recorder):
+            outcome = solve_distributed(problem, config)
+    return {
+        "handled": handled,
+        "caches": [sorted(map(str, c.caches)) for c in outcome.placement.chunks],
+        "assignment": [
+            list(c.assignment.items()) for c in outcome.placement.chunks
+        ],
+        "messages": outcome.stats.messages,
+        "transmissions": outcome.stats.transmissions,
+        "ticks": outcome.ticks_per_chunk,
+        "sim_events": outcome.sim_events,
+        "max_queue_depth": recorder.dump()["gauges"]["sim.max_queue_depth"],
+    }
+
+
+class TestHopRingDelivery:
+    """Flood legs delivered per hop ring run exactly as per-leg events
+    would, including when every ring lands at one time (hop_latency 0)."""
+
+    @pytest.mark.parametrize("hop_latency", [0.001, 0.0, 0.3])
+    @pytest.mark.parametrize("config_kwargs", [
+        {}, {"span_threshold": 0}, {"serialize_promotions": False},
+    ])
+    def test_matches_per_leg_reference(self, monkeypatch, hop_latency,
+                                       config_kwargs):
+        from repro.distributed import FaultPlane
+        from repro.workloads import random_problem
+
+        problem, _ = random_problem(40, seed=3, num_chunks=3, capacity=2)
+        config = DistributedConfig(hop_latency=hop_latency, **config_kwargs)
+        batched = _outcome_record(problem, config)
+        monkeypatch.setattr(FaultPlane, "flood", _per_leg_flood)
+        assert _outcome_record(problem, config) == batched

@@ -8,6 +8,7 @@ the CI fault-injection smoke job.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from repro.distributed.faults import (
     PASSTHROUGH,
     normalize_churn,
 )
+from repro.distributed.messages import MessageStats
+from repro.distributed.protocol import ChunkSession
 from repro.errors import SimulationError
 from repro.workloads import grid_problem, random_problem
 
@@ -129,6 +132,55 @@ class TestModeResolution:
         with pytest.raises(SimulationError):
             self._plane(**kwargs)
 
+    @pytest.mark.parametrize("name", ["loss_rate", "jitter", "retx_timeout"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_knobs_rejected(self, name, value):
+        # NaN fails every comparison, so it slips past the range checks:
+        # unchecked, loss nan runs as if loss were off.
+        with pytest.raises(SimulationError, match=f"{name} must be finite"):
+            self._plane(**{name: value})
+
+
+class TestFloodDelivery:
+    """Outside FULL mode a flood is one simulator entry per hop ring; in
+    FULL mode every leg stays its own event (plus its retx timer)."""
+
+    @staticmethod
+    def _flood_npi(**kwargs):
+        problem = grid_problem(4, num_chunks=1)
+        session = ChunkSession(
+            problem.new_state(), 0, DistributedConfig(**kwargs), MessageStats()
+        )
+        entries, pending = len(session.sim._queue), session.sim.pending
+        session._flood_npi()
+        rings = len(set(session._hops_from(problem.producer).values()) - {0})
+        return (
+            session,
+            len(session.sim._queue) - entries,
+            session.sim.pending - pending,
+            rings,
+        )
+
+    @pytest.mark.parametrize("kwargs", [{}, {"loss_rate": 0.3}])
+    def test_reliable_floods_schedule_one_entry_per_ring(self, kwargs):
+        session, entries, pending, rings = self._flood_npi(**kwargs)
+        assert entries == rings
+        assert pending == len(session.nodes)
+
+    @pytest.mark.parametrize(
+        "kwargs, per_leg",
+        [
+            ({"jitter": 0.01}, 1),
+            ({"churn_schedule": ((50.0, 5, "leave"),)}, 1),
+            ({"retx_timeout": 0.5}, 2),  # delivery + retransmission timer
+        ],
+    )
+    def test_full_mode_schedules_one_event_per_leg(self, kwargs, per_leg):
+        session, entries, pending, _ = self._flood_npi(**kwargs)
+        assert session.faults.mode == FULL
+        assert entries == per_leg * len(session.nodes)
+        assert pending == entries
+
 
 class TestChurn:
     def test_tuple_normalization(self):
@@ -136,7 +188,11 @@ class TestChurn:
         assert [e.kind for e in events] == ["leave", "join"]
 
     @pytest.mark.parametrize(
-        "entry", [(1.0, 5, "reboot"), (-1.0, 5, "leave"), (1.0, 5), "leave"]
+        "entry",
+        [
+            (1.0, 5, "reboot"), (-1.0, 5, "leave"), (1.0, 5), "leave",
+            (math.nan, 5, "leave"), (math.inf, 5, "join"),
+        ],
     )
     def test_invalid_entries_rejected(self, entry):
         with pytest.raises(SimulationError):

@@ -88,10 +88,14 @@ class TestTightSpan:
         assert session.nodes[0].state == FROZEN
         assert session.nodes[0].target == 1
 
-    def test_full_node_ignores_requests(self, session):
-        target = session.nodes[1]
+    def test_full_node_ignores_requests(self):
+        # A session resolves cacheability when it starts, so the storage
+        # is filled before the session exists, as commit_chunk would.
+        state = grid_problem(3, num_chunks=1).new_state()
         for chunk_id in range(5):  # capacity 5
-            session.state.storage.add(1, 100 + chunk_id)
+            state.storage.add(1, 100 + chunk_id)
+        session = ChunkSession(state, 0, DistributedConfig(), MessageStats())
+        target = session.nodes[1]
         target.on_tight(TightMessage(sender=0, chunk=0, target=1,
                                      contention=5.0, bid=9.0))
         assert 0 not in target.tights

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulator."""
 
+import math
+
 import pytest
 
 from repro.distributed import Simulator
@@ -187,3 +189,108 @@ class TestCancelledEventCompaction:
         assert fired == [True]
         assert not handle.cancelled
         assert sim.pending == 0
+
+
+class TestNonFiniteDelays:
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_schedule_rejects_non_finite_delay(self, delay):
+        with pytest.raises(SimulationError, match="must be finite"):
+            Simulator().schedule(delay, lambda: None)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -1.0])
+    def test_schedule_batch_rejects_bad_delay(self, delay):
+        with pytest.raises(SimulationError):
+            Simulator().schedule_batch(delay, [lambda: None])
+
+
+class TestScheduleBatch:
+    """A batch entry must behave exactly like scheduling each handler in
+    turn: same order, same counters, same guard."""
+
+    def test_handlers_run_in_the_order_given(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_batch(
+            1.0, [lambda l=label: fired.append((l, sim.now)) for label in "cab"]
+        )
+        sim.run()
+        assert fired == [("c", 1.0), ("a", 1.0), ("b", 1.0)]
+
+    def test_same_time_events_keep_their_scheduling_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("before"))
+        sim.schedule_batch(
+            1.0, [lambda: fired.append("b1"), lambda: fired.append("b2")]
+        )
+        sim.schedule(1.0, lambda: fired.append("after"))
+        sim.run()
+        assert fired == ["before", "b1", "b2", "after"]
+
+    def test_events_scheduled_inside_a_batch_fire_after_it(self):
+        sim = Simulator()
+        fired = []
+
+        def first():
+            fired.append("b1")
+            sim.schedule(0.0, lambda: fired.append("nested"))
+
+        sim.schedule_batch(1.0, [first, lambda: fired.append("b2")])
+        sim.run()
+        assert fired == ["b1", "b2", "nested"]
+
+    def test_each_handler_counts_as_one_event(self):
+        from repro.obs import Recorder, use_recorder
+
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        sim.schedule_batch(1.0, [lambda: None] * 4)
+        assert sim.pending == 5
+        assert sim.max_queue_depth == 5
+        recorder = Recorder()
+        with use_recorder(recorder):
+            sim.run()
+        assert sim.events_processed == 5
+        assert sim.pending == 0
+        assert recorder.dump()["counters"]["sim.events"] == 5
+        assert recorder.dump()["gauges"]["sim.max_queue_depth"]["max"] == 5
+
+    def test_live_depth_drops_per_handler(self):
+        sim = Simulator()
+        depths = []
+        sim.schedule_batch(
+            1.0, [lambda: depths.append(sim.pending) for _ in range(3)]
+        )
+        sim.run()
+        assert depths == [2, 1, 0]
+
+    def test_max_events_guard_counts_handlers(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_batch(1.0, [lambda i=i: fired.append(i) for i in range(5)])
+        sim.schedule(1.0, lambda: fired.append("later"))
+        with pytest.raises(SimulationError):
+            sim.run(max_events=3)
+        assert fired == [0, 1, 2]
+        # The rest of the batch is still queued, ahead of the later event.
+        assert sim.pending == 3
+        sim.run()
+        assert fired == [0, 1, 2, 3, 4, "later"]
+        assert sim.events_processed == 6
+
+    def test_step_runs_one_handler(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_batch(1.0, [lambda i=i: fired.append(i) for i in range(2)])
+        assert sim.step() is True
+        assert fired == [0]
+        assert sim.pending == 1
+        assert sim.step() is True
+        assert sim.step() is False
+        assert fired == [0, 1]
+
+    def test_empty_batch_schedules_nothing(self):
+        sim = Simulator()
+        sim.schedule_batch(1.0, [])
+        assert sim.pending == 0
+        assert sim.step() is False
