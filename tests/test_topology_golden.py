@@ -1,0 +1,213 @@
+"""Golden digests of the cost model's hop trees and of the KMB Steiner tree.
+
+``tests/data/golden_topology.json`` pins, for each graph below, every
+source's topology index as :class:`~repro.core.costs.CostModel` serves
+it: the BFS order, the BFS parents, the hop counts, the Euler ranges
+``tin``/``tout`` (full rows, ``n`` marking a node outside the source's
+tree) and the DFS preorder.  Each field is one sha256 over all sources
+in graph order, nodes by ``repr``.  The graphs are a grid, a random
+geometric network, a line, a ring, a star, a balanced tree, one
+disconnected graph and one graph with string labels.
+
+It also pins :func:`~repro.graphs.steiner.steiner_tree` on a 600-node
+contention-weighted network: the sha256 of the tree's edges in
+iteration order, weights by ``repr``.
+
+A 1000-node case (hop trees and a KMB tree) is pinned too but is too
+slow for the test suite; check it with::
+
+    PYTHONPATH=src python -m tests.test_topology_golden --size 1000
+
+Regenerate every entry (only after an intended change of outputs) with::
+
+    PYTHONPATH=src python -m tests.test_topology_golden
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+from typing import Callable, Dict, List
+
+import pytest
+
+from repro.core.costs import CostModel
+from repro.core.storage import StorageState
+from repro.graphs import (
+    Graph,
+    balanced_tree,
+    connected_random_network,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_geometric_graph,
+    star_graph,
+    steiner_tree,
+)
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_topology.json"
+
+SEED = 2017
+CAPACITY = 5
+FIELDS = ("order", "parents", "hops", "tin", "tout", "preorder")
+
+
+def _disconnected() -> Graph:
+    """A line, a ring and an isolated node, in one graph."""
+    graph = path_graph(6)
+    for u, v, _ in cycle_graph(5).edges():
+        graph.add_edge(u + 10, v + 10)
+    graph.add_node(99)
+    return graph
+
+
+def _string_labels() -> Graph:
+    graph, _ = connected_random_network(40, seed=SEED + 1)
+    return graph.relabeled({node: f"n{node}" for node in graph.nodes()})
+
+
+#: case id -> graph factory, for the hop-tree digests.
+GRAPHS: Dict[str, Callable[[], Graph]] = {
+    "grid-7x5": lambda: grid_graph(7, 5),
+    "rgg-150": lambda: connected_random_network(150, seed=SEED)[0],
+    "rgg-sparse-60": lambda: random_geometric_graph(
+        60, 0.16, seed=SEED, ensure_connected=False
+    )[0],
+    "line-17": lambda: path_graph(17),
+    "ring-16": lambda: cycle_graph(16),
+    "star-12": lambda: star_graph(12),
+    "tree-3x3": lambda: balanced_tree(3, 3),
+    "disconnected": _disconnected,
+    "labels-40": _string_labels,
+}
+#: Pinned, but checked only from the command line (``--size 1000``).
+SLOW_GRAPHS: Dict[str, Callable[[], Graph]] = {
+    "rgg-1000": lambda: connected_random_network(1000, seed=SEED)[0],
+}
+
+#: case id -> (nodes, terminals), for the KMB digests.
+STEINER: Dict[str, tuple] = {"kmb-600": (600, 100)}
+SLOW_STEINER: Dict[str, tuple] = {"kmb-1000": (1000, 180)}
+
+
+def _digest(lines) -> str:
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(json.dumps(line).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def hop_record(graph: Graph) -> Dict[str, str]:
+    """One sha256 per topology field over every source of ``graph``."""
+    model = CostModel(graph, StorageState(graph.nodes(), CAPACITY))
+    rows: Dict[str, List[list]] = {field: [] for field in FIELDS}
+    for row, source in enumerate(graph.nodes()):
+        tree = model._hop_tree(source)
+        rows["order"].append([repr(node) for node in tree.parents])
+        rows["parents"].append(
+            [[repr(node), repr(parent)] for node, parent in tree.parents.items()]
+        )
+        rows["hops"].append(
+            [[repr(node), hops] for node, hops in model.hop_counts(source).items()]
+        )
+        rows["tin"].append(model._tin[row].tolist())
+        rows["tout"].append(model._tout[row].tolist())
+        rows["preorder"].append([repr(node) for node in tree.preorder])
+    return {field: _digest(lines) for field, lines in rows.items()}
+
+
+def steiner_record(nodes: int, terminals: int) -> str:
+    """The sha256 of one KMB tree's edges on a contention-weighted network."""
+    graph, _ = connected_random_network(nodes, seed=SEED)
+    rng = random.Random(SEED)
+    storage = StorageState(graph.nodes(), CAPACITY)
+    for node in graph.nodes():
+        for chunk in range(rng.randrange(CAPACITY)):
+            storage.add(node, chunk)
+    weighted = CostModel(graph, storage).contention_weighted_graph()
+    chosen = rng.sample(sorted(graph.nodes()), terminals)
+    tree = steiner_tree(weighted, chosen)
+    return _digest([repr(u), repr(v), repr(w)] for u, v, w in tree.edges())
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden["hop_trees"]) == sorted({**GRAPHS, **SLOW_GRAPHS})
+    assert sorted(golden["steiner"]) == sorted({**STEINER, **SLOW_STEINER})
+
+
+@pytest.mark.parametrize("case", sorted(GRAPHS))
+def test_hop_trees_match_golden(golden, case):
+    assert hop_record(GRAPHS[case]()) == golden["hop_trees"][case]
+
+
+@pytest.mark.parametrize("case", sorted(STEINER))
+def test_steiner_tree_matches_golden(golden, case):
+    assert steiner_record(*STEINER[case]) == golden["steiner"][case]
+
+
+def regenerate() -> None:
+    golden = {
+        "hop_trees": {
+            case: hop_record(factory())
+            for case, factory in sorted({**GRAPHS, **SLOW_GRAPHS}.items())
+        },
+        "steiner": {
+            case: steiner_record(*spec)
+            for case, spec in sorted({**STEINER, **SLOW_STEINER}.items())
+        },
+    }
+    GOLDEN_PATH.write_text(
+        json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {GOLDEN_PATH}")
+
+
+def check_size(nodes: int) -> int:
+    """Check every pinned case of ``nodes`` nodes; 0 when all match."""
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    checks = {
+        case: (lambda factory=factory: hop_record(factory()))
+        for case, factory in {**GRAPHS, **SLOW_GRAPHS}.items()
+        if case.endswith(f"-{nodes}")
+    }
+    expected = {case: golden["hop_trees"][case] for case in checks}
+    for case, spec in {**STEINER, **SLOW_STEINER}.items():
+        if spec[0] == nodes:
+            checks[case] = lambda spec=spec: steiner_record(*spec)
+            expected[case] = golden["steiner"][case]
+    if not checks:
+        print(f"no pinned case has {nodes} nodes", file=sys.stderr)
+        return 2
+    failed = 0
+    for case, check in sorted(checks.items()):
+        ok = check() == expected[case]
+        failed += not ok
+        print(f"{case}: {'ok' if ok else 'MISMATCH'}")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--size", type=int, default=None,
+        help="check the pinned cases of this many nodes instead of "
+        "regenerating the golden file",
+    )
+    args = parser.parse_args(argv)
+    if args.size is not None:
+        return check_size(args.size)
+    regenerate()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
