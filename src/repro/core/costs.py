@@ -32,11 +32,15 @@ Incremental recomputation
 Every cost row lives in one ``n×n`` float64 matrix, indexed by node
 position in graph order; unreachable targets hold ``inf`` and ``c_ii``
 holds 0.  Under the default ``"hops"`` policy PATH(i, j) depends only on
-the topology, so each source's BFS hop tree is built once and laid out
-in DFS preorder: the subtree below any node ``k`` then occupies one
-contiguous *Euler range* ``[tin_k, tout_k)`` of that source's
-positions.  The ranges are topology-only, built beside the hop trees
-and dropped only by :meth:`CostModel.invalidate_topology`.
+the topology, so the model builds every source's BFS hop tree once, in
+one numpy pass over the graph relabelled to positions ``0..n-1``
+(:func:`repro.graphs.forest.hop_forest`, the *hop forest*).  Each tree
+is laid out in DFS preorder: the subtree below any node ``k`` then
+occupies one contiguous *Euler range* ``[tin_k, tout_k)`` of that
+source's positions.  The forest is topology-only, built on the first
+read and dropped only by :meth:`CostModel.invalidate_topology`.  Rows
+read only ``tin``/``tout``; a source's parents, hop counts and
+preorder become dicts and lists on the first read that needs them.
 
 A row is one difference array over the source's Euler positions: node
 ``k`` adds ``x_k = w_k (1 + S(k))`` over its own range, so one
@@ -66,6 +70,7 @@ invalidation.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from types import MappingProxyType
 from typing import (
     Dict,
@@ -73,7 +78,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     TYPE_CHECKING,
@@ -84,8 +88,9 @@ import numpy as np
 
 from repro.errors import NodeNotFoundError, NoPathError, ProblemError
 from repro.analysis import contracts
+from repro.graphs.forest import HopForest, csr_adjacency, hop_forest
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import bfs_tree, dijkstra_node_costs, path_from_tree
+from repro.graphs.shortest_paths import dijkstra_node_costs, path_from_tree
 from repro.core.storage import StorageState
 from repro.obs import get_recorder, get_tracer
 
@@ -127,13 +132,44 @@ def path_contention_cost(
     )
 
 
-class _HopTree(NamedTuple):
-    """One source's topology-only BFS structures."""
+class _HopTree:
+    """One source's row of the hop forest, read as dicts and lists.
 
-    parents: Dict[Node, Node]  # BFS parent pointers, in BFS order
-    hops: Dict[Node, int]  # hop distance of each node, same order
-    reach: np.ndarray  # row-store positions of the keys, same order
-    preorder: List[Node]  # the nodes by Euler position tin
+    Each field is built on its first read, from the forest's matrices.
+    """
+
+    def __init__(self, nodes: List[Node], forest: HopForest, row: int) -> None:
+        self._nodes = nodes
+        self._forest = forest
+        self._row = row
+        # Row-store positions of the reached nodes, in BFS order.
+        self.reach = forest.order[row, : forest.count[row]]
+
+    @cached_property
+    def keys(self) -> List[Node]:
+        """The reached nodes in BFS order."""
+        return list(map(self._nodes.__getitem__, self.reach.tolist()))
+
+    @cached_property
+    def parents(self) -> Dict[Node, Node]:
+        """BFS parent pointers, in BFS order (the source's own: itself)."""
+        up = self._forest.parent[self._row, self.reach].tolist()
+        return dict(zip(self.keys, map(self._nodes.__getitem__, up)))
+
+    @cached_property
+    def hops(self) -> Dict[Node, int]:
+        """Hop distance of each reached node, in BFS order."""
+        hops = self._forest.hops[self._row, self.reach].tolist()
+        return dict(zip(self.keys, hops))
+
+    @cached_property
+    def preorder(self) -> List[Node]:
+        """The reached nodes by Euler position ``tin``."""
+        slots = self._forest.tin[self._row, self.reach].tolist()
+        preorder = self.keys[:]
+        for node, slot in zip(self.keys, slots):
+            preorder[slot] = node
+        return preorder
 
 
 class CostModel:
@@ -191,13 +227,15 @@ class CostModel:
         }
         n = len(self._nodes)
         # Topology-only structures, kept until invalidate_topology():
-        # the BFS hop trees and their Euler ranges [tin, tout) (row =
-        # source, column = node; ``n`` marks a node outside the source's
-        # tree, or a tree not built yet).
-        self._hop_trees: Dict[Node, _HopTree] = {}
+        # the hop forest, built on first use, with its Euler ranges
+        # [tin, tout) (row = source, column = node; ``n`` marks a node
+        # outside the source's tree, or a forest not built yet), and the
+        # per-source trees read from it so far.
+        self._forest: Optional[HopForest] = None
         positions = np.min_scalar_type(n)  # the narrowest type holding n
         self._tin = np.full((n, n), n, dtype=positions)
         self._tout = np.full((n, n), n, dtype=positions)
+        self._hop_trees: Dict[Node, _HopTree] = {}
         # Storage-dependent structures: the row store (valid where
         # ``_built``), the (node position, delta) range adds queued for
         # it, the rows read as dicts since the last change, and the
@@ -238,8 +276,8 @@ class CostModel:
             in every built row — exactly the targets routed through
             ``k``.  ``None`` is the full-recompute fallback: every stored
             row (and, under ``"contention"``, every Dijkstra tree) is
-            dropped.  The hop trees themselves are topology-only and
-            survive either way.
+            dropped.  The hop forest is topology-only and survives
+            either way.
         """
         self._version += 1
         recorder = get_recorder()
@@ -300,7 +338,7 @@ class CostModel:
             )
 
     def invalidate_topology(self) -> None:
-        """Drop *every* cache, including the topology-only BFS hop trees.
+        """Drop *every* cache, including the topology-only hop forest.
 
         Call this after mutating the graph itself (adding/removing edges
         or nodes); plain storage changes only need :meth:`invalidate`.
@@ -309,7 +347,7 @@ class CostModel:
         self.invalidate()
 
     def _full_invalidate(self) -> None:
-        """The blow-everything-away fallback (minus the hop trees)."""
+        """The blow-everything-away fallback (minus the hop forest)."""
         trace = get_tracer()
         if trace.enabled:
             trace.instant(
@@ -495,56 +533,35 @@ class CostModel:
 
     # ------------------------------------------------------------------
     def _hop_tree(self, source: Node) -> _HopTree:
+        """``source``'s hop tree; the first read builds the whole forest.
+
+        The first read of each source's tree counts one
+        ``costs.tree_rebuilds``, as a per-source BFS would.
+        """
         tree = self._hop_trees.get(source)
         if tree is None:
-            tree = self._index_tree(source, bfs_tree(self.graph, source))
+            row = self._index.get(source)
+            if row is None:
+                raise NodeNotFoundError(source)
+            if self._forest is None:
+                with get_recorder().timer("costs.hop_forest"):
+                    self._forest = hop_forest(
+                        *csr_adjacency(self.graph, self._nodes, self._index)
+                    )
+                self._tin = self._forest.tin
+                self._tout = self._forest.tout
+            tree = _HopTree(self._nodes, self._forest, row)
             self._hop_trees[source] = tree
             get_recorder().count("costs.tree_rebuilds")
         return tree
 
-    def _index_tree(self, source: Node, parents: Dict[Node, Node]) -> _HopTree:
-        """Hop counts and Euler ranges of one BFS tree.
-
-        The tree is laid out in DFS preorder with children in BFS order:
-        subtree sizes accumulate leaves-up (reverse BFS order), then each
-        child claims the next free slot of its parent's range root-down,
-        so the subtree of ``k`` fills ``[tin_k, tin_k + size_k)`` of the
-        ``preorder`` list.
-        """
-        order = list(parents)  # BFS order: every parent before its children
-        slot_of = dict(zip(order, range(len(order))))
-        up = list(map(slot_of.__getitem__, map(parents.__getitem__, order)))
-        size = [1] * len(order)
-        for i in range(len(order) - 1, 0, -1):
-            size[up[i]] += size[i]
-        depth = [0] * len(order)
-        tin = [0] * len(order)
-        free = [1] * len(order)
-        for i in range(1, len(order)):
-            p = up[i]
-            tin[i] = free[p]
-            free[p] += size[i]
-            free[i] = tin[i] + 1
-            depth[i] = depth[p] + 1
-        preorder = order[:]
-        for node, slot in zip(order, tin):
-            preorder[slot] = node
-        hops = dict(zip(order, depth))
-        reach = np.fromiter(
-            map(self._index.__getitem__, order), dtype=np.intp, count=len(order)
-        )
-        row = self._index[source]
-        self._tin[row, reach] = tin
-        self._tout[row, reach] = np.add(tin, size)
-        return _HopTree(parents, hops, reach, preorder)
-
     def hop_counts(self, source: Node) -> Dict[Node, int]:
         """Hop distance from ``source`` to every reachable node.
 
-        Read off the cached BFS tree, in its (breadth-first) order.  Like
-        the tree it is topology-only: it survives storage invalidation and
-        is dropped by :meth:`invalidate_topology`.  The returned dict is
-        the cached one; do not mutate it.
+        Read off the hop forest, in BFS order.  Like the forest it is
+        topology-only: it survives storage invalidation and is dropped by
+        :meth:`invalidate_topology`.  The returned dict is the cached one;
+        do not mutate it.
         """
         return self._hop_tree(source).hops
 
@@ -587,7 +604,7 @@ class CostModel:
         """``row``'s reachable entries as a plain dict, in tree order."""
         if self.path_policy == PATH_POLICY_HOPS:
             tree = self._hop_tree(source)
-            keys, reach = tree.parents, tree.reach
+            keys, reach = tree.keys, tree.reach
         else:
             keys, _ = self._contention_tree(source)
             reach = [self._index[node] for node in keys]

@@ -14,7 +14,15 @@ operate on :class:`Graph`.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    ItemsView,
+    Iterator,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import EdgeNotFoundError, NodeNotFoundError
 
@@ -167,6 +175,16 @@ class Graph:
         if node not in self._adj:
             raise NodeNotFoundError(node)
         return dict(self._adj[node])
+
+    def neighbor_weights(self, node: Node) -> ItemsView[Node, float]:
+        """``node``'s ``(neighbor, weight)`` pairs: a live read-only view.
+
+        Unlike :meth:`adjacency` it copies nothing, so the graph must not
+        change while the view is iterated.
+        """
+        if node not in self._adj:
+            raise NodeNotFoundError(node)
+        return self._adj[node].items()
 
     # ------------------------------------------------------------------
     # Derivation

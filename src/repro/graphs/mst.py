@@ -28,12 +28,16 @@ def kruskal_mst(graph: Graph) -> Graph:
     uf = UnionFind(graph.nodes())
     tree = Graph()
     tree.add_nodes(graph.nodes())
+    # Counted here: Graph.num_edges walks every adjacency dict.
+    needed = graph.num_nodes - 1
+    added = 0
     for w, _, u, v in edges:
         if uf.union(u, v):
             tree.add_edge(u, v, w)
-            if tree.num_edges == graph.num_nodes - 1:
+            added += 1
+            if added == needed:
                 break
-    if graph.num_nodes > 0 and tree.num_edges != graph.num_nodes - 1:
+    if graph.num_nodes > 0 and added != needed:
         raise DisconnectedGraphError("graph is not connected; no spanning tree")
     return tree
 
@@ -48,7 +52,7 @@ def prim_mst(graph: Graph) -> Graph:
     visited = {start}
     heap: List[Tuple[float, int, Node, Node]] = []
     counter = 0
-    for neighbor, w in graph.adjacency(start).items():
+    for neighbor, w in graph.neighbor_weights(start):
         heapq.heappush(heap, (w, counter, start, neighbor))
         counter += 1
     while heap and len(visited) < graph.num_nodes:
@@ -57,7 +61,7 @@ def prim_mst(graph: Graph) -> Graph:
             continue
         visited.add(v)
         tree.add_edge(u, v, w)
-        for neighbor, nw in graph.adjacency(v).items():
+        for neighbor, nw in graph.neighbor_weights(v):
             if neighbor not in visited:
                 heapq.heappush(heap, (nw, counter, v, neighbor))
                 counter += 1

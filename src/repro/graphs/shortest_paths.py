@@ -123,7 +123,7 @@ def dijkstra(
         settled.add(node)
         if node == target:
             break
-        for neighbor, weight in graph.adjacency(node).items():
+        for neighbor, weight in graph.neighbor_weights(node):
             nd = d + weight
             if nd < dist.get(neighbor, INF):
                 dist[neighbor] = nd

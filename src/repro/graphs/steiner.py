@@ -15,16 +15,123 @@ KMB steps:
 2. Compute an MST of that complete graph.
 3. Expand each MST edge into its underlying shortest path.
 4. Take the MST of the expanded subgraph and prune non-terminal leaves.
+
+Step 1 runs one Dijkstra per terminal but the last, over the graph
+relabelled to positions ``0..n-1`` (neighbour index lists, no adjacency
+copies), and keeps each run's parent array.  The closure edges go to
+Kruskal as ``(distance, pair index)`` keys, pairs in lexicographic
+terminal order, with no closure graph built; only the ``t - 1`` closure
+MST edges are expanded into paths, each read off the earlier terminal's
+tree.
 """
 
 from __future__ import annotations
 
+import heapq
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import DisconnectedGraphError, NodeNotFoundError
 from repro.graphs.graph import Graph, Node
 from repro.graphs.mst import kruskal_mst
 from repro.graphs.shortest_paths import dijkstra, path_from_tree
+from repro.graphs.unionfind import UnionFind
+
+INF = float("inf")
+
+
+def _dijkstra_parents(
+    adjacency: List[List[Tuple[int, float]]], source: int
+) -> Tuple[List[float], List[int]]:
+    """Edge-weighted Dijkstra over position lists; ``-1``: unreached.
+
+    Settles, relaxes and breaks ties exactly as
+    :func:`repro.graphs.shortest_paths.dijkstra`, so distances and parents
+    match it bit for bit.
+    """
+    dist = [INF] * len(adjacency)
+    parent = [-1] * len(adjacency)
+    settled = [False] * len(adjacency)
+    dist[source] = 0.0
+    parent[source] = source
+    heap: List[Tuple[float, int, int]] = [(0.0, 0, source)]
+    counter = 1
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if settled[node]:
+            continue
+        settled[node] = True
+        for neighbor, weight in adjacency[node]:
+            nd = d + weight
+            if nd < dist[neighbor]:
+                dist[neighbor] = nd
+                parent[neighbor] = node
+                heapq.heappush(heap, (nd, counter, neighbor))
+                counter += 1
+    return dist, parent
+
+
+class _Closure:
+    """The metric closure of a terminal list, kept as Dijkstra trees.
+
+    ``pairs[k] = (i, j, d)`` for the ``k``-th terminal pair ``i < j`` in
+    lexicographic order, ``d`` their shortest-path distance; the path of
+    a pair is read off terminal ``i``'s parent array.
+    """
+
+    def __init__(self, graph: Graph, terminals: List[Node]) -> None:
+        for t in terminals:
+            if t not in graph:
+                raise NodeNotFoundError(t)
+        self.nodes = list(graph.nodes())
+        index = {node: position for position, node in enumerate(self.nodes)}
+        adjacency = [
+            [(index[v], w) for v, w in graph.neighbor_weights(node)]
+            for node in self.nodes
+        ]
+        self.terminals = terminals
+        self.positions = [index[t] for t in terminals]
+        self.parents: List[List[int]] = []
+        self.pairs: List[Tuple[int, int, float]] = []
+        for i, u in enumerate(terminals[:-1]):
+            dist, parent = _dijkstra_parents(adjacency, self.positions[i])
+            for j in range(i + 1, len(terminals)):
+                p = self.positions[j]
+                if parent[p] < 0:
+                    raise DisconnectedGraphError(
+                        f"terminals {u!r} and {terminals[j]!r} are not connected"
+                    )
+                self.pairs.append((i, j, dist[p]))
+            self.parents.append(parent)
+
+    def path(self, i: int, j: int) -> List[Node]:
+        """Terminal ``i``'s shortest path to terminal ``j`` (``i < j``)."""
+        parent, source = self.parents[i], self.positions[i]
+        at = self.positions[j]
+        path = [at]
+        while at != source:
+            at = parent[at]
+            path.append(at)
+        path.reverse()
+        return [self.nodes[p] for p in path]
+
+    def mst(self) -> List[Tuple[int, int]]:
+        """Kruskal over the closure: the ``t - 1`` MST edges ``(i, j)``.
+
+        Ties in distance go to the lower pair index.  The edges come in
+        the order :meth:`Graph.edges` of the MST as a graph would yield
+        them: by earlier terminal, then in acceptance order.
+        """
+        components = UnionFind(range(len(self.terminals)))
+        accepted: List[Tuple[int, int]] = []
+        # A stable sort keeps equal distances in pair-index order.
+        for i, j, _ in sorted(self.pairs, key=itemgetter(2)):
+            if components.union(i, j):
+                accepted.append((i, j))
+                if len(accepted) == len(self.terminals) - 1:
+                    break
+        accepted.sort(key=lambda edge: edge[0])
+        return accepted
 
 
 def metric_closure(
@@ -36,24 +143,17 @@ def metric_closure(
     (both orientations) to the realizing path in ``graph``.
     """
     terminal_list = list(dict.fromkeys(terminals))
-    for t in terminal_list:
-        if t not in graph:
-            raise NodeNotFoundError(t)
-    closure = Graph()
-    closure.add_nodes(terminal_list)
+    closure_graph = Graph()
+    closure_graph.add_nodes(terminal_list)
+    closure = _Closure(graph, terminal_list)
     paths: Dict[Tuple[Node, Node], List[Node]] = {}
-    for i, u in enumerate(terminal_list):
-        dist, parent = dijkstra(graph, u)
-        for v in terminal_list[i + 1 :]:
-            if v not in dist:
-                raise DisconnectedGraphError(
-                    f"terminals {u!r} and {v!r} are not connected"
-                )
-            closure.add_edge(u, v, dist[v])
-            path = path_from_tree(parent, u, v)
-            paths[(u, v)] = path
-            paths[(v, u)] = list(reversed(path))
-    return closure, paths
+    for i, j, d in closure.pairs:
+        u, v = terminal_list[i], terminal_list[j]
+        closure_graph.add_edge(u, v, d)
+        path = closure.path(i, j)
+        paths[(u, v)] = path
+        paths[(v, u)] = path[::-1]
+    return closure_graph, paths
 
 
 def steiner_tree(graph: Graph, terminals: Iterable[Node]) -> Graph:
@@ -75,13 +175,12 @@ def steiner_tree(graph: Graph, terminals: Iterable[Node]) -> Graph:
         tree.add_node(terminal_list[0])
         return tree
 
-    closure, closure_paths = metric_closure(graph, terminal_list)
-    closure_mst = kruskal_mst(closure)
+    closure = _Closure(graph, terminal_list)
 
     # Expand closure MST edges into their realizing paths.
     expanded = Graph()
-    for u, v, _ in closure_mst.edges():
-        path = closure_paths[(u, v)]
+    for i, j in closure.mst():
+        path = closure.path(i, j)
         for a, b in zip(path, path[1:]):
             if not expanded.has_edge(a, b):
                 expanded.add_edge(a, b, graph.weight(a, b))

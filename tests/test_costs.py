@@ -203,18 +203,22 @@ class TestHopCounts:
         assert model.hop_counts(0)[15] == 1
 
     def test_dist_runs_one_bfs_per_source(self, monkeypatch):
-        # Every chunk session of a run shares the cost model's trees.
-        sources = []
-        real_bfs_tree = costs_module.bfs_tree
+        # Every chunk session of a run shares the cost model's forest:
+        # one build for the whole problem, each source's tree read once.
+        forests = []
+        real_hop_forest = costs_module.hop_forest
 
-        def counting_bfs_tree(graph, source):
-            sources.append(source)
-            return real_bfs_tree(graph, source)
+        def counting_hop_forest(indptr, indices):
+            forests.append(len(indptr) - 1)
+            return real_hop_forest(indptr, indices)
 
-        monkeypatch.setattr(costs_module, "bfs_tree", counting_bfs_tree)
+        monkeypatch.setattr(costs_module, "hop_forest", counting_hop_forest)
         problem, _ = random_problem(30, seed=2017)
-        solve_distributed(problem)
-        assert sorted(sources) == sorted(problem.graph.nodes())
+        rec = Recorder()
+        with use_recorder(rec):
+            solve_distributed(problem)
+        assert forests == [problem.graph.num_nodes]
+        assert rec.counter("costs.tree_rebuilds") == problem.graph.num_nodes
 
 
 class TestIncrementalInvalidation:
@@ -295,6 +299,23 @@ class TestIncrementalInvalidation:
         assert rec.counter("costs.incremental_patches") == 1
         assert rec.counter("costs.full_rebuilds") == 0
         assert rec.counter("costs.row_cache_hits") >= builds
+
+    def test_one_timed_forest_build_counts_each_tree_once(self, model):
+        rec = Recorder()
+        with use_recorder(rec):
+            model.contention_cost(0, 15)
+            model.path(0, 15)
+            model.hop_counts(3)
+            model.affected_targets(7, 5)
+            model.invalidate()
+            model.contention_cost(0, 15)
+        assert rec.dump()["timers"]["costs.hop_forest"]["calls"] == 1
+        assert rec.counter("costs.tree_rebuilds") == 3  # sources 0, 3, 7
+        model.invalidate_topology()
+        with use_recorder(rec):
+            model.hop_counts(3)
+        assert rec.dump()["timers"]["costs.hop_forest"]["calls"] == 2
+        assert rec.counter("costs.tree_rebuilds") == 4
 
     def test_full_invalidate_counts_full_rebuild(self, model):
         rec = Recorder()

@@ -157,6 +157,16 @@ class TestNeighborhood:
         adj[99] = 1.0
         assert 99 not in dict(g.adjacency(0))
 
+    def test_neighbor_weights_is_a_live_view(self):
+        g = Graph([(0, 1, 2.0), (0, 2)])
+        view = g.neighbor_weights(0)
+        assert list(view) == [(1, 2.0), (2, 1.0)]
+        g.add_edge(0, 3, 0.5)
+        assert list(view) == [(1, 2.0), (2, 1.0), (3, 0.5)]
+        assert not hasattr(view, "__setitem__")
+        with pytest.raises(NodeNotFoundError):
+            g.neighbor_weights(5)
+
 
 class TestDerivation:
     def test_copy_is_deep(self):
