@@ -18,17 +18,24 @@ unused replica inflates every path through its host — which is why both
 directions are evaluated, never assumed.
 
 Candidate moves are applied tentatively against the live
-:class:`~repro.core.problem.ProblemState` (the PR 3 incremental
+:class:`~repro.core.problem.ProblemState` (the incremental
 :class:`~repro.core.costs.CostModel` delta-patches its rows), re-priced
 only over the pairs the touched node can affect
 (:meth:`~repro.core.costs.CostModel.affected_targets` bounds the dirty
 region), and reverted if the gain test fails.  Under ``REPRO_SANITIZE=1``
 the controller cross-checks every *accepted* move against a fresh cost
-model (:func:`repro.analysis.contracts.check_adaptive_move`).
+model (:func:`repro.analysis.contracts.check_adaptive_move`), priced by
+the scalar :func:`price_pair` loop of :func:`fresh_weighted_access_cost`.
+
+Pricing reads the cost-row store in blocks: the pairs of one chunk price
+as one ``cost_rows([producer] + holders, clients)`` slice reduced by a
+column minimum (:func:`price_clients`).  Every ``c_ij`` is the same
+float either way, and the minimum of equal floats is that float, so a
+block price equals :func:`price_pair` bit for bit.
 
 All candidate enumeration and float accumulation runs in sorted
-``(chunk, str(client))`` order — two runs produce bit-identical
-decisions and totals.
+``(chunk, str(client))`` order, one ``total += w * price`` at a time —
+two runs produce bit-identical decisions and totals.
 """
 
 from __future__ import annotations
@@ -36,11 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.commit import nearest_server_assignment
 from repro.core.costs import CostModel
 from repro.core.placement import ChunkPlacement, StageCost, edge_key
 from repro.core.problem import ProblemState
-from repro.errors import ProblemError
+from repro.errors import NodeNotFoundError, ProblemError
 from repro.graphs.steiner import steiner_tree
 
 Node = Hashable
@@ -81,6 +90,45 @@ def price_pair(
     return best
 
 
+def price_clients(
+    costs: CostModel,
+    producer: Node,
+    holders: Sequence[Node],
+    clients: Sequence[Node],
+) -> List[float]:
+    """:func:`price_pair` for each of ``clients``, from one cost block.
+
+    The column minimum of ``cost_rows([producer] + holders, clients)``.
+    A block with an unknown node or an unreachable pair is priced again
+    through :func:`price_pair`, which raises the error the scalar read
+    names (:class:`~repro.errors.NodeNotFoundError` or
+    :class:`~repro.errors.NoPathError`).
+    """
+    try:
+        block = costs.cost_rows([producer, *holders], clients)
+    except NodeNotFoundError:
+        block = None
+    if block is None or not np.isfinite(block).all():
+        return [
+            price_pair(costs, producer, holders, client) for client in clients
+        ]
+    return block.min(axis=0).tolist()
+
+
+def _clients_by_chunk(
+    weights: Mapping[PairKey, float]
+) -> Dict[int, List[Node]]:
+    """The positively weighted clients of each chunk, in ascending chunk
+    order and each chunk's clients by ``str``: sorted
+    ``(chunk, str(client))`` order, grouped."""
+    groups: Dict[int, List[Node]] = {}
+    for client, chunk in sorted(weights, key=lambda k: (k[1], str(k[0]))):
+        if weights[(client, chunk)] <= 0.0:
+            continue
+        groups.setdefault(chunk, []).append(client)
+    return groups
+
+
 def weighted_access_cost(
     costs: CostModel,
     producer: Node,
@@ -89,18 +137,18 @@ def weighted_access_cost(
 ) -> float:
     """Expected access cost: ``Σ w(client, chunk) · cheapest c_ij``.
 
-    Summed in sorted ``(chunk, str(client))`` order so the float result
-    is bit-stable for a given demand/placement pair.
+    Each chunk's clients price from one cost block
+    (:func:`price_clients`); the terms are summed one by one in sorted
+    ``(chunk, str(client))`` order, so the float result is bit-stable
+    for a given demand/placement pair.
     """
     total = 0.0
-    for key in sorted(weights, key=lambda k: (k[1], str(k[0]))):
-        weight = weights[key]
-        if weight <= 0.0:
-            continue
-        client, chunk = key
-        total += weight * price_pair(
-            costs, producer, holders_by_chunk.get(chunk, ()), client
+    for chunk, clients in _clients_by_chunk(weights).items():
+        prices = price_clients(
+            costs, producer, holders_by_chunk.get(chunk, ()), clients
         )
+        for client, price in zip(clients, prices):
+            total += weights[(client, chunk)] * price
     return total
 
 
@@ -112,14 +160,24 @@ def fresh_weighted_access_cost(
     """:func:`weighted_access_cost` from a *fresh* cost model.
 
     The sanitizer's reference value: rebuilt from the current storage
-    with no incremental patches, summed in the same order.
+    with no incremental patches, priced pair by pair through
+    :func:`price_pair` (not the block read it checks), summed in the
+    same order.
     """
     fresh = CostModel(
         state.problem.graph, state.storage, state.problem.path_policy
     )
-    return weighted_access_cost(
-        fresh, state.problem.producer, holders_by_chunk, weights
-    )
+    total = 0.0
+    for key in sorted(weights, key=lambda k: (k[1], str(k[0]))):
+        weight = weights[key]
+        if weight <= 0.0:
+            continue
+        client, chunk = key
+        total += weight * price_pair(
+            fresh, state.problem.producer, holders_by_chunk.get(chunk, ()),
+            client,
+        )
+    return total
 
 
 def replica_transfer_cost(
@@ -207,24 +265,16 @@ class MoveEvaluator:
             for key, value in weights.items()
             if value > 0.0
         }
-        self._clients_by_chunk: Dict[int, List[Node]] = {}
-        for client, chunk in sorted(
-            self.weights, key=lambda k: (k[1], str(k[0]))
-        ):
-            self._clients_by_chunk.setdefault(chunk, []).append(client)
+        self._clients_by_chunk = _clients_by_chunk(self.weights)
         # (server, via) → affected targets; under "hops" this is pure
         # topology, so it is safe to memoize across moves.
         self._affected_memo: Dict[Tuple[Node, Node], frozenset] = {}
         self._prices: Dict[PairKey, float] = {}
         self.total = 0.0
-        for chunk in sorted(self._clients_by_chunk):
-            for client in self._clients_by_chunk[chunk]:
-                price = price_pair(
-                    state.costs,
-                    self.producer,
-                    self.holders.get(chunk, ()),
-                    client,
-                )
+        for chunk, clients in self._clients_by_chunk.items():
+            holders = self.holders.get(chunk, ())
+            prices = price_clients(state.costs, self.producer, holders, clients)
+            for client, price in zip(clients, prices):
                 self._prices[(client, chunk)] = price
                 self.total += self.weights[(client, chunk)] * price
 
@@ -237,27 +287,27 @@ class MoveEvaluator:
             self._affected_memo[key] = hit
         return hit
 
-    def _affected_pairs(self, node: Node, chunk: int) -> List[PairKey]:
-        """Weighted pairs whose price a move at ``(node, chunk)`` can touch.
+    def _affected_pairs(
+        self, node: Node, chunk: int
+    ) -> List[Tuple[int, List[Node]]]:
+        """Weighted pairs whose price a move at ``(node, chunk)`` can touch,
+        as ``(chunk, clients)`` groups in ascending chunk order.
 
         The moved chunk re-prices for every weighted client (its server
         set changed).  Any other chunk re-prices only for clients whose
         path from some current server passes through ``node`` — the
         dirty region :meth:`CostModel.affected_targets` bounds.
         """
-        pairs: List[PairKey] = []
-        for other in sorted(self._clients_by_chunk):
-            clients = self._clients_by_chunk[other]
-            if other == chunk:
-                pairs.extend((client, other) for client in clients)
-                continue
-            touched: set = set()
-            for server in [self.producer] + self.holders.get(other, []):
-                touched |= self._affected(server, node)
-            pairs.extend(
-                (client, other) for client in clients if client in touched
-            )
-        return pairs
+        groups: List[Tuple[int, List[Node]]] = []
+        for other, clients in self._clients_by_chunk.items():
+            if other != chunk:
+                touched: set = set()
+                for server in [self.producer] + self.holders.get(other, []):
+                    touched |= self._affected(server, node)
+                clients = [client for client in clients if client in touched]
+            if clients:
+                groups.append((other, clients))
+        return groups
 
     def try_move(
         self, kind: str, node: Node, chunk: int, transfer_cost: float
@@ -295,16 +345,17 @@ class MoveEvaluator:
 
         delta = 0.0
         new_prices: List[Tuple[PairKey, float]] = []
-        for pair in affected:
-            client, pair_chunk = pair
-            price = price_pair(
+        for pair_chunk, clients in affected:
+            prices = price_clients(
                 state.costs,
                 self.producer,
                 self.holders.get(pair_chunk, ()),
-                client,
+                clients,
             )
-            new_prices.append((pair, price))
-            delta += self.weights[pair] * (price - self._prices[pair])
+            for client, price in zip(clients, prices):
+                pair = (client, pair_chunk)
+                new_prices.append((pair, price))
+                delta += self.weights[pair] * (price - self._prices[pair])
 
         gain = -delta - transfer_cost
         if gain > self.min_gain:

@@ -29,7 +29,6 @@ from repro.core.placement import (
     CachePlacement,
     ChunkPlacement,
     StageCost,
-    assignment_from_nearest,
     edge_key,
 )
 from repro.core.problem import DEFAULT_CAPACITY, CachingProblem, ProblemState
@@ -51,7 +50,6 @@ __all__ = [
     "StageCost",
     "StorageState",
     "TimedPlacement",
-    "assignment_from_nearest",
     "build_confl_instance",
     "commit_chunk",
     "dual_ascent",

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional
 
+import numpy as np
+
 from repro.errors import ProblemError
 from repro.analysis import contracts
 from repro.graphs.steiner import steiner_tree
@@ -33,24 +35,24 @@ def nearest_server_assignment(
 
     "A node will find the nearest copy of a chunk" (Sec. V-A); nearest is
     measured by the Path Contention Cost, with local hits free
-    (``c_ii = 0``).  Ties break toward earlier caches, then the producer.
+    (``c_ii = 0``).  Ties go to the producer, then to earlier caches:
+    the first minimum of each client's column in one
+    ``cost_rows([producer] + caches, clients)`` block.  An unknown cache
+    raises :class:`~repro.errors.NodeNotFoundError`; an unreachable
+    client raises the :class:`~repro.errors.NoPathError` of its first
+    unreachable server.
     """
     problem = state.problem
-    rows = {
-        server: state.costs.all_contention_costs(server)
-        for server in [problem.producer] + caches
-    }
-    assignment: Dict[Node, Node] = {}
-    for client in problem.clients:
-        best = problem.producer
-        best_cost = rows[problem.producer][client]
-        for server in caches:
-            cost = rows[server][client]
-            if cost < best_cost:
-                best = server
-                best_cost = cost
-        assignment[client] = best
-    return assignment
+    clients = problem.clients
+    servers = [problem.producer] + caches
+    block = state.costs.cost_rows(servers, clients)
+    unreachable = np.argwhere(~np.isfinite(block.T))
+    if len(unreachable):
+        # The scalar read of the first unreachable pair raises its error.
+        client, server = unreachable[0].tolist()
+        state.costs.contention_cost(servers[server], clients[client])
+    best = block.argmin(axis=0).tolist()
+    return dict(zip(clients, map(servers.__getitem__, best)))
 
 
 def commit_chunk(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
 
@@ -55,8 +55,8 @@ class ConFLInstance:
         Topology re-weighted with dissemination edge costs
         ``contention_weight · c_e`` (the ``M`` scale is applied by the
         objective, not baked into edges, so trees stay comparable).
-    raw_open_cost / raw_connect_cost:
-        The unweighted ``f_i`` / ``c_ij`` for reporting stage costs.
+    raw_open_cost:
+        The unweighted ``f_i`` for reporting stage costs.
     """
 
     producer: Node
@@ -68,9 +68,6 @@ class ConFLInstance:
     steiner_graph: Graph
     dissemination_scale: float
     raw_open_cost: Dict[Node, float] = field(default_factory=dict)
-    raw_connect_cost: Mapping[Node, Mapping[Node, float]] = field(
-        default_factory=dict
-    )
 
     def max_connect_cost(self) -> float:
         """``max c_ij`` — bounds the dual-ascent round count (Sec. IV-B)."""
@@ -104,9 +101,6 @@ def build_confl_instance(state: ProblemState) -> ConFLInstance:
     }
 
     servers = [producer] + facilities
-    raw_connect = {
-        server: state.costs.all_contention_costs(server) for server in servers
-    }
     weighted = state.costs.cost_rows(servers, clients)
     weighted *= problem.contention_weight
     connect = {
@@ -131,5 +125,4 @@ def build_confl_instance(state: ProblemState) -> ConFLInstance:
         steiner_graph=steiner_graph,
         dissemination_scale=problem.dissemination_scale,
         raw_open_cost=raw_open,
-        raw_connect_cost=raw_connect,
     )

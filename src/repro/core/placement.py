@@ -20,7 +20,7 @@ connect every cache to the producer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Set
 
 from repro.errors import ProblemError
 from repro.graphs.graph import Graph
@@ -210,29 +210,3 @@ class CachePlacement:
                 "not connected to the producer by dissemination edges"
             )
 
-
-def assignment_from_nearest(
-    problem: CachingProblem,
-    caches: Iterable[Node],
-    cost_of: Dict[Node, Dict[Node, float]],
-) -> Dict[Node, Node]:
-    """Assign each client to its cheapest serving node.
-
-    ``cost_of[i][j]`` is the cost for client ``j`` to fetch from server
-    ``i``; candidate servers are ``caches`` plus the producer.  A client
-    that itself caches the chunk serves itself at cost 0 (``c_ii = 0``).
-    Ties break toward the earlier cache in iteration order, then the
-    producer, deterministically.
-    """
-    servers = list(dict.fromkeys(caches))
-    assignment: Dict[Node, Node] = {}
-    for client in problem.clients:
-        best_server = problem.producer
-        best_cost = cost_of[problem.producer][client]
-        for server in servers:
-            cost = cost_of[server][client]
-            if cost < best_cost:
-                best_cost = cost
-                best_server = server
-        assignment[client] = best_server
-    return assignment

@@ -70,8 +70,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import (
-    Callable, Deque, Dict, Hashable, Iterable, Iterator, List, Optional,
-    Tuple, Union,
+    Callable, Deque, Dict, Hashable, Iterable, Iterator, List, Mapping,
+    Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -203,6 +203,11 @@ class ServeEngine(ServeView):
         # (server, client) → DCF service seconds; the storage state is
         # frozen during a replay, so this cache is exact.
         self._service_cache: Dict[Tuple[Node, Node], float] = {}
+        # Chunk → client → (server, failovers), resolved in bulk on the
+        # chunk's first request (load-independent policies only).
+        self._resolved: List[Optional[Mapping[Node, Tuple[Node, int]]]] = [
+            None
+        ] * len(self._candidates)
 
         # Tallies.
         self._latencies: List[float] = []
@@ -219,6 +224,11 @@ class ServeEngine(ServeView):
     # -- ServeView -----------------------------------------------------
     def cost(self, server: Node, client: Node) -> float:
         return self._costs.contention_cost(server, client)
+
+    def cost_rows(
+        self, servers: Sequence[Node], clients: Sequence[Node]
+    ) -> np.ndarray:
+        return self._costs.cost_rows(servers, clients)
 
     def queue_depth(self, server: Node) -> int:
         if self._live_depth is not None:
@@ -836,21 +846,34 @@ class ServeEngine(ServeView):
     def _resolve_static(
         self, client: Node, chunk: int
     ) -> Tuple[Node, int, float, float]:
-        """Run the failover loop once for a load-independent policy.
+        """The failover loop's outcome for a load-independent policy.
 
         Returns ``(server, attempts, penalty, service)`` — the same
         outcome every request for this ``(chunk, client)`` pair would
         compute, since costs, service times, and the dead set are all
-        frozen for the whole replay.
+        frozen for the whole replay.  A chunk's first request resolves
+        every client of the problem at once through the policy's
+        :meth:`~repro.serve.selection.ReplicaSelector.resolve`; a client
+        it leaves out runs the loop here, per pair.  Service times stay
+        per pair.
         """
-        candidates = list(self._candidates[chunk])
-        attempts = 0
-        while True:
-            server = self.selector.choose(client, chunk, candidates)
-            if server not in self._dead:
-                break
-            attempts += 1
-            candidates.remove(server)
+        resolved = self._resolved[chunk]
+        if resolved is None:
+            resolved = self._resolved[chunk] = self.selector.resolve(
+                self.problem.clients, self._candidates[chunk], self._dead
+            )
+        outcome = resolved.get(client)
+        if outcome is None:
+            candidates = list(self._candidates[chunk])
+            attempts = 0
+            while True:
+                server = self.selector.choose(client, chunk, candidates)
+                if server not in self._dead:
+                    break
+                attempts += 1
+                candidates.remove(server)
+        else:
+            server, attempts = outcome
         return (
             server,
             attempts,

@@ -9,7 +9,8 @@ producer is never dead.
 Policies see the network only through a :class:`ServeView`:
 
 * ``cost(server, client)`` — the paper's Eq. 2 contention cost ``c_ij``
-  served by the placement's :class:`~repro.core.costs.CostModel`;
+  served by the placement's :class:`~repro.core.costs.CostModel`, and
+  ``cost_rows(servers, clients)`` the same costs as one block;
 * ``queue_depth(server)`` — requests currently queued or in service at
   ``server``;
 * ``rng`` — the engine's seeded RNG (randomized policies must draw from
@@ -19,7 +20,7 @@ Three policies, bracketing the classic latency/load trade-off:
 
 * :class:`CheapestCost` — the paper's accessing-phase semantics: fetch
   from the replica with the minimum Eq. 2 cost (ties → earlier
-  candidate, producer last).
+  candidate, so a cache beats the producer listed last).
 * :class:`LeastLoaded` — ignore path cost, go to the emptiest queue
   (ties → cheaper, then earlier).
 * :class:`PowerOfTwoChoices` — sample two distinct candidates, keep the
@@ -33,7 +34,13 @@ The :data:`SELECTION_POLICIES` registry maps CLI names to classes;
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Sequence, Tuple, Type
+from typing import (
+    AbstractSet, Dict, Hashable, List, Mapping, Sequence, Tuple, Type,
+)
+
+import numpy as np
+
+from repro.errors import NodeNotFoundError
 
 Node = Hashable
 
@@ -46,6 +53,13 @@ class ServeView:
     def cost(self, server: Node, client: Node) -> float:
         """Eq. 2 contention cost ``c_ij`` of serving ``client`` from
         ``server`` on the final storage state."""
+        raise NotImplementedError
+
+    def cost_rows(
+        self, servers: Sequence[Node], clients: Sequence[Node]
+    ) -> np.ndarray:
+        """``cost(server, client)`` for every server × client pair, as
+        one float64 array (``inf`` where a client is unreachable)."""
         raise NotImplementedError
 
     def queue_depth(self, server: Node) -> int:
@@ -64,7 +78,8 @@ class ReplicaSelector:
     of ``(client, chunk, candidates)`` — it reads neither queue depths
     nor the RNG.  The batched engine exploits this to resolve each
     ``(client, chunk)`` pair to its ``(server, failover count)`` exactly
-    once per replay instead of once per request; load-dependent policies
+    once per replay instead of once per request, in bulk through
+    :meth:`resolve` where the policy offers it; load-dependent policies
     keep the per-request call (see ``docs/SCALING.md``).
     """
 
@@ -79,13 +94,34 @@ class ReplicaSelector:
     def choose(self, client: Node, chunk: int, candidates: Sequence[Node]) -> Node:
         raise NotImplementedError
 
+    def resolve(
+        self,
+        clients: Sequence[Node],
+        candidates: Sequence[Node],
+        dead: AbstractSet[Node],
+    ) -> Mapping[Node, Tuple[Node, int]]:
+        """The failover loop's outcome for many clients of one chunk.
+
+        Maps a client to ``(server, failovers)``: the live server that
+        calling :meth:`choose` and removing each dead choice from
+        ``candidates`` lands on, and how many dead servers it tried
+        first.  A load-independent policy may offer it; the engine runs
+        that loop itself for every client left out.  This default
+        resolves none.
+        """
+        return {}
+
 
 class CheapestCost(ReplicaSelector):
     """Paper semantics: the replica with the minimum Eq. 2 cost wins.
 
-    A client that caches the chunk itself serves itself (``c_ii = 0``);
-    the producer, listed last, wins only when strictly cheaper than
-    every cache — exactly :func:`repro.core.placement.assignment_from_nearest`.
+    A client that caches the chunk itself serves itself (``c_ii = 0``).
+    Ties go to the earlier candidate, so the producer, listed last, wins
+    only when strictly cheaper than every cache.  Commit's
+    :func:`~repro.core.commit.nearest_server_assignment` lists the
+    producer first and so gives it the ties: the two rules pick
+    different servers for a client equidistant from a cache and the
+    producer.
     """
 
     name = "cheapest"
@@ -104,6 +140,41 @@ class CheapestCost(ReplicaSelector):
                 best = server
                 best_cost = cost
         return best
+
+    def resolve(
+        self,
+        clients: Sequence[Node],
+        candidates: Sequence[Node],
+        dead: AbstractSet[Node],
+    ) -> Mapping[Node, Tuple[Node, int]]:
+        """:meth:`choose` with failover, from one candidate × client block.
+
+        The loop's choices for a client are its candidates in cost order,
+        ties in candidate order: a stable argsort of the client's column.
+        It tries them until the first live one, so the failover count is
+        the number of dead candidates ranked ahead of it.  The loop
+        raises where a cost read fails, so it is left to resolve, per
+        request: a client with an unreachable candidate, and every
+        client when a node is unknown or every candidate is dead.
+        """
+        live = np.array([server not in dead for server in candidates])
+        if not live.any():
+            return {}
+        try:
+            block = self._view.cost_rows(candidates, clients)
+        except NodeNotFoundError:
+            return {}
+        ranked = np.argsort(block, axis=0, kind="stable")
+        tried = live[ranked].argmax(axis=0)
+        winners = ranked[tried, np.arange(len(clients))]
+        reachable = np.isfinite(block).all(axis=0)
+        return {
+            client: (candidates[winner], failovers)
+            for client, winner, failovers, ok in zip(
+                clients, winners.tolist(), tried.tolist(), reachable.tolist()
+            )
+            if ok
+        }
 
 
 class LeastLoaded(ReplicaSelector):

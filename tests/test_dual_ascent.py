@@ -168,7 +168,8 @@ class TestConFLInstance:
         state.cache(1, 0)
         instance = build_confl_instance(state)
         assert instance.open_cost[1] == pytest.approx(0.5)
-        raw = instance.raw_connect_cost[problem.producer][0]
+        raw = state.costs.contention_cost(problem.producer, 0)
+        assert raw > 0
         assert instance.connect_cost[problem.producer][0] == pytest.approx(3 * raw)
 
     def test_connect_cost_self_zero(self, small_problem):
