@@ -396,22 +396,25 @@ class ChunkSession:
         """CC flood: k-hop neighbors learn (origin, Con_origin→them)."""
         if not self.faults.is_online(origin):
             return  # a churned-out candidate cannot announce itself
-        costs = self.state.costs.all_contention_costs(origin)
-        hops = self._hops_from(origin)
         hop_limit = self.config.hop_limit
-        next_seq = self.faults.next_seq
-        legs = []
         # The hop dict is in breadth-first order, so the k-hop
-        # neighbourhood is its prefix.
-        for node, h in hops.items():
+        # neighbourhood is its prefix; its costs are one row-store slice.
+        reached = []
+        for node, h in self._hops_from(origin).items():
             if h > hop_limit:
                 break
-            if node == origin or node == self.producer:
-                continue
+            if node != origin and node != self.producer:
+                reached.append((node, h))
+        costs = self.state.costs.cost_rows(
+            [origin], [node for node, _ in reached]
+        )[0].tolist()
+        next_seq = self.faults.next_seq
+        legs = []
+        for (node, h), cost in zip(reached, costs):
             seq = next_seq()
             msg = CcMessage(
                 sender=origin, chunk=self.chunk, seq=seq, origin=origin,
-                accumulated_cost=costs[node], hops=h,
+                accumulated_cost=cost, hops=h,
             )
             legs.append((node, h, partial(self.nodes[node].on_cc, msg), seq))
         self.faults.flood(CC, origin, legs)

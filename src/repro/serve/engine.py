@@ -64,14 +64,15 @@ zero-cost when no recorder or tracer is installed.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import weakref
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import (
-    Callable, Deque, Dict, Hashable, Iterable, Iterator, List, Mapping,
-    Optional, Sequence, Tuple, Union,
+    Callable, DefaultDict, Deque, Dict, Hashable, Iterable, Iterator, List,
+    Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -173,6 +174,7 @@ class ServeEngine(ServeView):
         self.selector.bind(weakref.proxy(self))
 
         graph = self.problem.graph
+        self.clients = self.problem.clients
         self._storage = placement.final_storage()
         self._costs = CostModel(graph, self._storage, self.problem.path_policy)
         # Chunk → candidate servers: caches in deterministic order, the
@@ -194,12 +196,15 @@ class ServeEngine(ServeView):
             )
             if self.rng.random() < config.failure_rate
         )
-        # Per-server FIFO: queued (request, penalty, attempts) triples +
-        # a busy flag; queue_depth = waiting + in-service.  (Reference
-        # loop only — the heap replay tracks depths in _live_depth.)
+        # Server → requests queued or in service, kept by both replays.
+        # ``queue_depth`` is the map's bound read: a policy's probe is
+        # one C call, and the reader holds no reference to the engine.
+        self._depth: DefaultDict[Node, int] = defaultdict(int)
+        self.queue_depth = self._depth.__getitem__
+        # Per-server FIFO of queued (request, penalty, attempts) triples
+        # and a busy flag (reference loop only).
         self._queues: Dict[Node, Deque[Tuple[Request, float, int]]] = {}
         self._busy: Dict[Node, bool] = {}
-        self._live_depth: Optional[Dict[Node, int]] = None
         # (server, client) → DCF service seconds; the storage state is
         # frozen during a replay, so this cache is exact.
         self._service_cache: Dict[Tuple[Node, Node], float] = {}
@@ -229,15 +234,6 @@ class ServeEngine(ServeView):
         self, servers: Sequence[Node], clients: Sequence[Node]
     ) -> np.ndarray:
         return self._costs.cost_rows(servers, clients)
-
-    def queue_depth(self, server: Node) -> int:
-        if self._live_depth is not None:
-            return self._live_depth.get(server, 0)
-        queue = self._queues.get(server)
-        depth = len(queue) if queue else 0
-        if self._busy.get(server):
-            depth += 1
-        return depth
 
     # -- the replay ----------------------------------------------------
     def run(self, batches: Iterable[RequestBatch]) -> ServeReport:
@@ -360,6 +356,7 @@ class ServeEngine(ServeView):
         def enqueue(
             server: Node, request: Request, penalty: float, attempts: int
         ) -> None:
+            self._depth[server] += 1
             if self._busy.get(server):
                 self._queues.setdefault(server, deque()).append(
                     (request, penalty, attempts)
@@ -423,6 +420,7 @@ class ServeEngine(ServeView):
                         "sim_time": sim.now,
                     },
                 )
+            self._depth[server] -= 1
             queue = self._queues.get(server)
             if queue:
                 next_request, next_penalty, next_attempts = queue.popleft()
@@ -718,11 +716,13 @@ class ServeEngine(ServeView):
         the completions due by then are popped from one heap of
         ``(done, seq, …)`` tuples — simulated-time order, exactly the
         order the reference path's simulator fires them in — and their
-        servers' depths drop.  Returns the batch count and the most
-        completions in flight.
+        servers' depths drop.  Each arrival then makes one
+        :meth:`~repro.serve.selection.ReplicaSelector.pick` call, failover
+        included.  Returns the batch count and the most completions in
+        flight.
         """
         config = self.config
-        choose = self.selector.choose
+        pick = self.selector.pick
         dead = self._dead
         candidates_by_chunk = self._candidates
         retry_penalty = config.retry_penalty
@@ -730,13 +730,13 @@ class ServeEngine(ServeView):
         latencies = self._latencies
         queue_delays = self._queue_delays
         served = self._served
+        service_cache = self._service_cache
         service_time = self._service_time
         traced = trace.enabled
         series_on = obs.series_enabled
 
         free: Dict[Node, float] = {}  # server → queue-free sim time
-        depth: Dict[Node, int] = {}  # server → queued + in service
-        self._live_depth = depth
+        depth = self._depth
         # Completion heap entries:
         # (done, seq, server, raw_arrival, service, penalty, attempts,
         #  client, chunk) — seq breaks exact-time ties deterministically.
@@ -751,8 +751,8 @@ class ServeEngine(ServeView):
         retried = 0
         self_served = 0
 
-        def drain(limit: Optional[float]) -> None:
-            """Account completions before ``limit`` (all when None).
+        def drain(limit: float) -> None:
+            """Account the completions due before ``limit``.
 
             Pops run in (time, seq) order and the limit only ever
             grows, so the accounting sequence — and with it every
@@ -760,7 +760,7 @@ class ServeEngine(ServeView):
             reference path's completion-event order exactly.
             """
             nonlocal timeouts, self_served
-            while heap and (limit is None or heap[0][0] < limit):
+            while heap and heap[0][0] < limit:
                 (done, _, server, raw, service, penalty, attempts,
                  client, chunk) = pop(heap)
                 depth[server] -= 1
@@ -797,46 +797,40 @@ class ServeEngine(ServeView):
         effective = 0.0
         for times, clients, chunks in batches:
             batch_count += 1
-            for i in range(len(times)):
-                raw = times[i]
+            for raw, client, chunk in zip(times, clients, chunks):
                 effective = effective + (raw - effective)
                 # Load-dependent policies read live queue depths, so
                 # completions drain before every single arrival.
-                drain(effective)
-                client = clients[i]
-                chunk = chunks[i]
-                candidates = list(candidates_by_chunk[chunk])
-                attempts = 0
-                while True:
-                    server = choose(client, chunk, candidates)
-                    if server not in dead:
-                        break
-                    attempts += 1
-                    candidates.remove(server)
-                penalty = attempts * retry_penalty
+                if heap and heap[0][0] < effective:
+                    drain(effective)
+                server, attempts = pick(
+                    client, chunk, candidates_by_chunk[chunk], dead
+                )
                 if attempts:
                     failovers += attempts
                     retried += 1
-                service = service_time(server, client)
+                service = service_cache.get((server, client))
+                if service is None:
+                    service = service_time(server, client)
                 start = free.get(server, 0.0)
                 if start < effective:
                     start = effective
                 done = start + service
                 free[server] = done
-                depth[server] = depth.get(server, 0) + 1
-                push(heap, (done, seq, server, raw, service, penalty,
-                            attempts, client, chunk))
+                depth[server] += 1
+                push(heap, (done, seq, server, raw, service,
+                            attempts * retry_penalty, attempts, client,
+                            chunk))
                 seq += 1
                 if len(heap) > heap_peak:
                     heap_peak = len(heap)
             if series_on:
                 _sample_series(obs, effective, len(latencies), failovers,
                                timeouts, len(heap))
-        drain(None)
+        drain(math.inf)
         if series_on:
             _sample_series(obs, effective, len(latencies), failovers,
                            timeouts, len(heap))
-        self._live_depth = None
         self._timeouts += timeouts
         self._failovers += failovers
         self._retried_requests += retried
@@ -854,26 +848,21 @@ class ServeEngine(ServeView):
         frozen for the whole replay.  A chunk's first request resolves
         every client of the problem at once through the policy's
         :meth:`~repro.serve.selection.ReplicaSelector.resolve`; a client
-        it leaves out runs the loop here, per pair.  Service times stay
-        per pair.
+        it leaves out gets the policy's
+        :meth:`~repro.serve.selection.ReplicaSelector.pick`, per pair.
+        Service times stay per pair.
         """
         resolved = self._resolved[chunk]
         if resolved is None:
             resolved = self._resolved[chunk] = self.selector.resolve(
-                self.problem.clients, self._candidates[chunk], self._dead
+                self.clients, self._candidates[chunk], self._dead
             )
         outcome = resolved.get(client)
         if outcome is None:
-            candidates = list(self._candidates[chunk])
-            attempts = 0
-            while True:
-                server = self.selector.choose(client, chunk, candidates)
-                if server not in self._dead:
-                    break
-                attempts += 1
-                candidates.remove(server)
-        else:
-            server, attempts = outcome
+            outcome = self.selector.pick(
+                client, chunk, self._candidates[chunk], self._dead
+            )
+        server, attempts = outcome
         return (
             server,
             attempts,
@@ -882,14 +871,14 @@ class ServeEngine(ServeView):
         )
 
     def _service_time(self, server: Node, client: Node) -> float:
-        if server == client:
-            return 0.0
         key = (server, client)
         cached = self._service_cache.get(key)
         if cached is None:
-            path = self._costs.path(server, client)
-            cached = path_delay(
-                self.problem.graph, path, self._storage, self.config.dcf
+            cached = 0.0 if server == client else path_delay(
+                self.problem.graph,
+                self._costs.path(server, client),
+                self._storage,
+                self.config.dcf,
             )
             self._service_cache[key] = cached
         return cached

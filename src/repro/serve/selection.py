@@ -13,8 +13,18 @@ Policies see the network only through a :class:`ServeView`:
   ``cost_rows(servers, clients)`` the same costs as one block;
 * ``queue_depth(server)`` — requests currently queued or in service at
   ``server``;
+* ``clients`` — every node that may issue a request;
 * ``rng`` — the engine's seeded RNG (randomized policies must draw from
   it, and only from it, to keep replays bit-identical).
+
+A request that lands on a dead replica fails over: the engine removes
+the dead choice and asks again, until a live server is chosen.
+:meth:`ReplicaSelector.pick` is that loop — ``(server, attempts)`` for
+one arrival, ``attempts`` counting the dead servers tried first — and
+the one place the engine runs it.  A policy may answer it without the
+loop, as long as the answer is the loop's: :class:`LeastLoaded` ranks
+each chunk's candidates once per replay and settles the failover in
+closed form, with one :meth:`~ReplicaSelector.choose` per arrival.
 
 Three policies, bracketing the classic latency/load trade-off:
 
@@ -35,7 +45,8 @@ from __future__ import annotations
 
 import random
 from typing import (
-    AbstractSet, Dict, Hashable, List, Mapping, Sequence, Tuple, Type,
+    AbstractSet, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple,
+    Type,
 )
 
 import numpy as np
@@ -44,11 +55,18 @@ from repro.errors import NodeNotFoundError
 
 Node = Hashable
 
+#: A ranked client's failover data for one chunk: the live candidates,
+#: how many dead candidates are ranked ahead of each, and the dead total.
+LivePick = Tuple[List[Node], Dict[Node, int], int]
+
 
 class ServeView:
     """What a policy may observe; implemented by the engine."""
 
     rng: random.Random
+
+    #: Every node that may issue a request (the problem's clients).
+    clients: Sequence[Node]
 
     def cost(self, server: Node, client: Node) -> float:
         """Eq. 2 contention cost ``c_ij`` of serving ``client`` from
@@ -71,8 +89,9 @@ class ReplicaSelector:
     """Base replica-selection policy.
 
     :meth:`bind` is called once per replay with the engine's view;
-    :meth:`choose` once per request attempt with the still-alive
-    candidates (never empty — the producer is always last).
+    :meth:`pick` once per arrival, and the base :meth:`pick` calls
+    :meth:`choose` once per attempt with the candidates not yet found
+    dead (never empty — the producer is always last, and never dead).
 
     ``load_independent`` declares that :meth:`choose` is a pure function
     of ``(client, chunk, candidates)`` — it reads neither queue depths
@@ -94,6 +113,34 @@ class ReplicaSelector:
     def choose(self, client: Node, chunk: int, candidates: Sequence[Node]) -> Node:
         raise NotImplementedError
 
+    def pick(
+        self,
+        client: Node,
+        chunk: int,
+        candidates: Sequence[Node],
+        dead: AbstractSet[Node],
+    ) -> Tuple[Node, int]:
+        """One arrival's ``(server, attempts)``, failover included.
+
+        Calls :meth:`choose`; while the choice is in ``dead``, removes it
+        and chooses again.  ``server`` is the first live choice and
+        ``attempts`` the number of dead ones before it.  ``candidates``
+        is not modified.  Within one binding, every call for a chunk
+        passes the same ``candidates`` and ``dead``, and a dead server's
+        queue depth is always 0 — no request is ever queued there; a
+        policy's own :meth:`pick` may rely on both.
+        """
+        remaining = candidates
+        attempts = 0
+        while True:
+            server = self.choose(client, chunk, remaining)
+            if server not in dead:
+                return server, attempts
+            if not attempts:
+                remaining = list(candidates)
+            attempts += 1
+            remaining.remove(server)
+
     def resolve(
         self,
         clients: Sequence[Node],
@@ -102,12 +149,10 @@ class ReplicaSelector:
     ) -> Mapping[Node, Tuple[Node, int]]:
         """The failover loop's outcome for many clients of one chunk.
 
-        Maps a client to ``(server, failovers)``: the live server that
-        calling :meth:`choose` and removing each dead choice from
-        ``candidates`` lands on, and how many dead servers it tried
-        first.  A load-independent policy may offer it; the engine runs
-        that loop itself for every client left out.  This default
-        resolves none.
+        Maps a client to ``(server, failovers)``: what :meth:`pick`
+        returns for it.  A load-independent policy may offer it; the
+        engine calls :meth:`pick` for every client left out.  This
+        default resolves none.
         """
         return {}
 
@@ -157,17 +202,12 @@ class CheapestCost(ReplicaSelector):
         request: a client with an unreachable candidate, and every
         client when a node is unknown or every candidate is dead.
         """
-        live = np.array([server not in dead for server in candidates])
-        if not live.any():
+        ranking = _rank_block(self._view, candidates, clients, dead)
+        if ranking is None:
             return {}
-        try:
-            block = self._view.cost_rows(candidates, clients)
-        except NodeNotFoundError:
-            return {}
-        ranked = np.argsort(block, axis=0, kind="stable")
+        live, ranked, reachable = ranking
         tried = live[ranked].argmax(axis=0)
         winners = ranked[tried, np.arange(len(clients))]
-        reachable = np.isfinite(block).all(axis=0)
         return {
             client: (candidates[winner], failovers)
             for client, winner, failovers, ok in zip(
@@ -194,6 +234,13 @@ class LeastLoaded(ReplicaSelector):
     ``candidates`` because that list keeps the ranked list's order.  A
     candidate list that is not an order-preserving subset of the ranked
     one is ranked afresh for that call.
+
+    :meth:`pick` settles the failover loop without looping.  A dead
+    server's depth is always 0, so the loop removes dead choices in
+    ``(depth, rank)`` order and lands on the live candidate of least
+    ``(depth, rank)`` — :meth:`choose` over the live candidates alone.
+    Its attempts are the dead candidates with a smaller key: those
+    ranked ahead of it when it is idle, every dead one when it is not.
     """
 
     name = "least-loaded"
@@ -202,6 +249,8 @@ class LeastLoaded(ReplicaSelector):
         super().bind(view)
         # (client, chunk) → (candidates as first seen, cost rank).
         self._ranks: Dict[Tuple[Node, int], Tuple[List[Node], List[Node]]] = {}
+        # chunk → client → LivePick, filled on the chunk's first pick().
+        self._picks: Dict[int, Dict[Node, LivePick]] = {}
 
     def choose(self, client: Node, chunk: int, candidates: Sequence[Node]) -> Node:
         entry = self._ranks.get((client, chunk))
@@ -210,7 +259,7 @@ class LeastLoaded(ReplicaSelector):
             self._ranks[(client, chunk)] = entry
         seen, ranked = entry
         members = None
-        if candidates != seen:
+        if candidates is not seen and candidates != seen:
             remaining = iter(seen)
             if all(server in remaining for server in candidates):
                 members = set(candidates)
@@ -229,6 +278,71 @@ class LeastLoaded(ReplicaSelector):
                 best = server
                 best_depth = depth
         return best
+
+    def pick(
+        self,
+        client: Node,
+        chunk: int,
+        candidates: Sequence[Node],
+        dead: AbstractSet[Node],
+    ) -> Tuple[Node, int]:
+        """The failover loop's ``(server, attempts)``, one :meth:`choose`.
+
+        A chunk's first call ranks every client of the view at once
+        (:meth:`_rank_chunk`); a client it leaves out — unknown, or with
+        an unreachable candidate — runs the base loop, which raises as
+        :meth:`choose` does.
+        """
+        ranked = self._picks.get(chunk)
+        if ranked is None:
+            ranked = self._picks[chunk] = self._rank_chunk(
+                chunk, candidates, dead
+            )
+        entry = ranked.get(client)
+        if entry is None:
+            return super().pick(client, chunk, candidates, dead)
+        live, ahead, dead_count = entry
+        server = self.choose(client, chunk, live)
+        attempts = ahead[server]
+        if attempts != dead_count and self._view.queue_depth(server):
+            attempts = dead_count
+        return server, attempts
+
+    def _rank_chunk(
+        self, chunk: int, candidates: Sequence[Node], dead: AbstractSet[Node]
+    ) -> Dict[Node, LivePick]:
+        """Every client's :data:`LivePick` for ``chunk``, from one block.
+
+        The cost rank comes from :func:`_rank_block`; :meth:`choose`
+        gets each client's live candidates in that rank.  A client with
+        an unreachable candidate is left out, and so is every client
+        when a node is unknown or every candidate is dead.
+        """
+        picks: Dict[Node, LivePick] = {}
+        clients = self._view.clients
+        ranking = _rank_block(self._view, candidates, clients, dead)
+        if ranking is None:
+            return picks
+        live, ranked, reachable = ranking
+        # Row = client, column = rank: candidate indices, cheapest first.
+        ranked = ranked.T
+        dead_ranked = ~live[ranked]
+        before = np.cumsum(dead_ranked, axis=1) - dead_ranked
+        ahead = np.empty_like(before)  # by candidate index, not rank
+        np.put_along_axis(ahead, ranked, before, axis=1)
+        seen = [server for server in candidates if server not in dead]
+        live_ranked = ranked[~dead_ranked].reshape(len(clients), len(seen))
+        dead_count = len(candidates) - len(seen)
+        for client, order, counts, ok in zip(
+            clients, live_ranked.tolist(), ahead[:, live].tolist(),
+            reachable.tolist(),
+        ):
+            if ok:
+                self._ranks[(client, chunk)] = (
+                    seen, [candidates[i] for i in order]
+                )
+                picks[client] = (seen, dict(zip(seen, counts)), dead_count)
+        return picks
 
     def _rank(self, client: Node, candidates: Sequence[Node]) -> List[Node]:
         """``candidates`` by cost to ``client``; the sort is stable."""
@@ -251,6 +365,30 @@ class PowerOfTwoChoices(ReplicaSelector):
         key_a = (view.queue_depth(a), view.cost(a, client))
         key_b = (view.queue_depth(b), view.cost(b, client))
         return b if key_b < key_a else a
+
+
+def _rank_block(
+    view: ServeView,
+    candidates: Sequence[Node],
+    clients: Sequence[Node],
+    dead: AbstractSet[Node],
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rank ``candidates`` for every client from one cost block.
+
+    Returns ``(live, ranked, reachable)``: which candidates are not in
+    ``dead``; each client's column of candidate indices in cost order,
+    ties in candidate order (row = rank); and which clients reach every
+    candidate.  None when every candidate is dead or a node is unknown.
+    """
+    live = np.array([server not in dead for server in candidates])
+    if not live.any():
+        return None
+    try:
+        block = view.cost_rows(candidates, clients)
+    except NodeNotFoundError:
+        return None
+    ranked = np.argsort(block, axis=0, kind="stable")
+    return live, ranked, np.isfinite(block).all(axis=0)
 
 
 #: CLI name → policy class (``repro serve --policy`` / ``repro list``).
