@@ -22,6 +22,10 @@ the places a wrong answer could silently pass through:
 * :func:`check_session_cacheability` — at the end of each protocol
   session: every node's cacheability, resolved once when the session
   started, still equals ``state.can_cache(node)``.
+* :func:`check_column_apply` — after each simulator column entry
+  (``distributed/simulator.py``): the apply scheduled and cancelled
+  nothing, which is what makes the column's one-step live-depth drop
+  exact.
 * :func:`check_incremental_cost_rows` — after each incremental cost
   patch (``core/costs.py``): the delta-patched ``c_ij`` rows equal a
   full recompute from the current storage state, with *exact* float
@@ -425,6 +429,23 @@ def check_session_cacheability(
             )
 
 
+def check_column_apply(
+    *, before: Tuple[int, int, int], after: Tuple[int, int, int]
+) -> None:
+    """Assert a simulator column apply left the queue as it found it.
+
+    ``before`` and ``after`` are ``(heap entries, live events, cancelled
+    entries)``.  A column lowers the live depth by all its items before
+    its apply runs, which is exact only while the apply schedules and
+    cancels nothing."""
+    if before != after:
+        _fail(
+            "column-apply",
+            "a column apply changed the event queue (entries, live, "
+            f"cancelled) from {before} to {after}",
+        )
+
+
 # ----------------------------------------------------------------------
 # Serve engine (request plane): batched vs per-request byte-equality
 # ----------------------------------------------------------------------
@@ -557,6 +578,7 @@ __all__ = [
     "SERVE_EQUIVALENCE_MAX_REQUESTS",
     "check_adaptive_move",
     "check_chunk_commit",
+    "check_column_apply",
     "check_dual_solution",
     "check_incremental_cost_rows",
     "check_message_census",

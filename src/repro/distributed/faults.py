@@ -6,7 +6,7 @@ this module interposes a :class:`FaultPlane` between the protocol
 (:mod:`repro.distributed.protocol`) and the discrete-event
 :class:`~repro.distributed.simulator.Simulator`.  Every control-message
 delivery — unicasts *and* the per-destination legs of the NPI / CC /
-BADMIN floods — funnels through the plane, which can:
+BADMIN floods — funnels through the plane, which in ``FULL`` mode can:
 
 * **drop** it: per-link Bernoulli loss with probability ``loss_rate``
   (seeded, deterministic);
@@ -54,20 +54,25 @@ machinery is provably absent when unused:
     legal here: the retry budget bounds the work and the session
     terminates with a partial-placement report instead of hanging.
 
-Hop rings
----------
-Outside ``FULL`` mode, :meth:`FaultPlane.flood` records a flood's census
-once, traces each leg at send time, and hands the simulator one batch per
-arrival time — one per hop ring, since arrival is ``now + hops *
-hop_latency`` — instead of one event per leg.  Per-leg events would take
-consecutive sequence numbers, so the legs with one arrival time would
-fire back to back in send order; a batch runs them in that same order,
-so the no-op contract holds.  Rings are keyed by arrival time, not hop
-count, so that with ``hop_latency = 0`` every leg still runs in send
-order.  Each handler of a batch counts as one simulator event, so
-``sim_events`` and ``sim.max_queue_depth`` count legs.  ``FULL`` mode
-keeps one event per leg, because loss, jitter and retransmission act
-per leg.
+Floods are delivered per hop ring
+---------------------------------
+A flood names its receivers, their hop counts and the value each one
+learns (a path cost), in send order, and reserves its sequence numbers
+in one step.  Outside ``FULL`` mode nothing reads a flood's message
+objects after send time, so none are built: :meth:`FaultPlane.flood`
+records the census once, traces each leg at send time, and hands the
+simulator one column entry of ``(receivers, values)`` per arrival time —
+one per hop ring, since arrival is ``now + hops * hop_latency``.  The
+column's apply runs each receiver's update in send order.  Per-leg
+events would take consecutive sequence numbers, so the legs with one
+arrival time would fire back to back in send order; a column applies
+them in that same order, so the no-op contract holds.  Rings are keyed
+by arrival time, not hop count, so that with ``hop_latency = 0`` every
+leg still lands in send order.  Each item of a column counts as one
+simulator event, so ``sim_events`` and ``sim.max_queue_depth`` count
+legs.  ``FULL`` mode keeps one message and one event per leg, because
+loss, jitter and retransmission act per leg; the flood builds each
+leg's handler there through the ``leg`` callback.
 
 Fault accounting lives in :class:`FaultStats` (mirrored into
 ``protocol.drops`` / ``protocol.retx.*`` / ``faults.churn.*`` recorder
@@ -77,23 +82,22 @@ census counts only messages the protocol actually delivered.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.errors import SimulationError
 from repro.distributed.messages import MessageStats
-from repro.distributed.simulator import EventHandle, Simulator
+from repro.distributed.simulator import ColumnApply, EventHandle, Simulator
 from repro.obs import get_recorder
 
 Node = Hashable
 Handler = Callable[[], None]
-#: One flood leg: ``(dst, hops, handler, seq)``.
-FloodLeg = Tuple[Node, int, Handler, int]
+#: Builds one FULL-mode flood leg's handler: ``leg(dst, value, seq, hops)``.
+LegBuilder = Callable[[Node, Any, int, int], Handler]
 
 PASSTHROUGH = "passthrough"
 LEGACY_LOSS = "legacy-loss"
@@ -331,7 +335,7 @@ class FaultPlane:
             if self.mode != PASSTHROUGH
             else None
         )
-        self._seq = itertools.count()
+        self._next_seq = 0
         self._offline: Set[Node] = set()
         self._pending_joins: Dict[Node, int] = {}
         self._outstanding: Dict[int, _Pending] = {}
@@ -352,7 +356,9 @@ class FaultPlane:
 
     def next_seq(self) -> int:
         """Allocate the sequence number for one logical message."""
-        return next(self._seq)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        return seq
 
     def is_online(self, node: Node) -> bool:
         return node not in self._offline
@@ -433,40 +439,65 @@ class FaultPlane:
             return
         self._send(_Pending(seq, msg_type, src, dst, hops, handler))
 
-    def flood(self, msg_type: str, src: Node, legs: Sequence[FloodLeg]) -> None:
-        """Every per-destination leg of one NPI / CC / BADMIN flood.
+    def flood(
+        self,
+        msg_type: str,
+        src: Node,
+        dsts: Sequence[Node],
+        hops: Sequence[int],
+        values: Sequence[Any],
+        apply: ColumnApply,
+        leg: LegBuilder,
+    ) -> None:
+        """One NPI / CC / BADMIN flood: ``dsts[i]``, ``hops[i]`` away,
+        learns ``values[i]``; the lists are in send order.
 
-        ``legs`` holds ``(dst, hops, handler, seq)`` in send order.  In
-        FULL mode a flood leg is just another lossy, retriable delivery
-        — re-flooding is idempotent because receivers suppress duplicate
-        sequence numbers and every flood handler is a monotone update.
-        Outside FULL mode floods are reliable (broadcast redundancy makes
-        per-node flood loss a different regime from unicast loss) and are
-        delivered per hop ring; see the module docstring.
+        The flood's sequence numbers are ``dsts``' positions offset by
+        one reservation.  In FULL mode every leg is another lossy,
+        retriable delivery of the message ``leg(dst, value, seq, hops)``
+        builds a handler for — re-flooding is idempotent because
+        receivers suppress duplicate sequence numbers and every flood
+        update is monotone.  Outside FULL mode floods are reliable
+        (broadcast redundancy makes per-node flood loss a different
+        regime from unicast loss) and each hop ring arrives as one
+        column entry ``apply(receivers, values)``; see the module
+        docstring.
         """
+        first = self._next_seq
+        self._next_seq = first + len(dsts)
         if self.mode == FULL:
-            for dst, hops, handler, seq in legs:
-                self._send(_Pending(seq, msg_type, src, dst, hops, handler))
+            for offset, (dst, h, value) in enumerate(zip(dsts, hops, values)):
+                seq = first + offset
+                self._send(_Pending(
+                    seq, msg_type, src, dst, h, leg(dst, value, seq, h)
+                ))
             return
+        if self._trace.enabled:
+            for dst, h in zip(dsts, hops):
+                self._trace_msg(msg_type, src, dst, h)
+        # Every hop counts one transmission, and a 0-hop leg counts one.
+        self.stats.record_many(
+            msg_type, len(dsts), sum(hops) + hops.count(0)
+        )
         now = self.sim.now
         hop_latency = self.hop_latency
-        traced = self._trace.enabled
-        # Arrival time -> (delay, handlers in send order).
-        rings: Dict[float, Tuple[float, List[Handler]]] = {}
-        transmissions = 0
-        for dst, hops, handler, seq in legs:
-            transmissions += hops if hops > 1 else 1
-            if traced:
-                self._trace_msg(msg_type, src, dst, hops)
-            delay = hops * hop_latency
-            ring = rings.get(now + delay)
+        # Arrival time -> (delay, receivers, values), each in send order;
+        # ``by_hops`` finds a leg's ring without recomputing its arrival.
+        rings: Dict[float, Tuple[float, List[Node], List[Any]]] = {}
+        by_hops: Dict[int, Tuple[float, List[Node], List[Any]]] = {}
+        for dst, h, value in zip(dsts, hops, values):
+            ring = by_hops.get(h)
             if ring is None:
-                rings[now + delay] = (delay, [handler])
-            else:
-                ring[1].append(handler)
-        self.stats.record_many(msg_type, len(legs), transmissions)
-        for delay, handlers in rings.values():
-            self.sim.schedule_batch(delay, handlers)
+                delay = h * hop_latency
+                ring = rings.get(now + delay)
+                if ring is None:
+                    ring = rings[now + delay] = (delay, [], [])
+                by_hops[h] = ring
+            ring[1].append(dst)
+            ring[2].append(value)
+        schedule = self.sim.schedule_column
+        for delay, receivers, ring_values in rings.values():
+            schedule(delay, apply, receivers, ring_values)
 
     # ------------------------------------------------------------------
     # Internals
@@ -560,9 +591,13 @@ class FaultPlane:
         self.fstats.acks += 1
         if rec.timer is not None:
             rec.timer.cancel()
+            rec.timer = None
         self._outstanding.pop(rec.seq, None)
 
     def _on_timeout(self, rec: _Pending) -> None:
+        # The fired timer's event holds this record, so keeping the
+        # handle would make a cycle through the message's handler.
+        rec.timer = None
         if rec.acked:
             return
         if rec.attempt >= self.max_retries:

@@ -29,8 +29,9 @@ accounting (see DESIGN.md §4):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Set, TYPE_CHECKING
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import Dict, Hashable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.distributed.messages import (
     BAdminMessage,
@@ -75,6 +76,16 @@ class ProtocolNode:
         self.candidates: Dict[Node, float] = {}  # origin -> Con_ij (k-hop)
         self.open_servers: Dict[Node, float] = {}  # known admins -> cost
         self.tight_sent: Set[Node] = set()
+        # The first-inserted cheapest open server, kept as servers are
+        # learned (the bid clock's freeze check reads it every tick).
+        self._open_best: Optional[Node] = None
+        self._open_cost = math.inf
+        # Candidates not yet TIGHTed, as a heap of (cost, insertion index,
+        # origin); a lowered cost pushes a new entry and leaves the old
+        # one stale.  ``_candidate_index`` is each origin's position in
+        # ``candidates``, which is the order TIGHTs due together go out.
+        self._tight_queue: List[Tuple[float, int, Node]] = []
+        self._candidate_index: Dict[Node, int] = {}
         self.gamma: Dict[Node, float] = {}
         self.span_sent: Set[Node] = set()
         # --- candidate-side state ---
@@ -101,6 +112,10 @@ class ProtocolNode:
     # Message handlers
     # ------------------------------------------------------------------
     def on_npi(self, msg: NpiMessage) -> None:
+        """One NPI delivery (FULL fault mode's per-leg path)."""
+        self.learn_producer(msg.cost_from_producer)
+
+    def learn_producer(self, cost: float) -> None:
         """Learn the new chunk and the contention cost to the producer.
 
         Unlike the centralized dual ascent (where ``c_ii = 0`` makes every
@@ -111,16 +126,25 @@ class ProtocolNode:
         candidate must gather ``M`` distinct supporters from within ``k``
         hops (Fig. 3).
         """
-        self.producer_cost = msg.cost_from_producer
+        self.producer_cost = cost
 
     def on_cc(self, msg: CcMessage) -> None:
+        """One CC delivery (FULL fault mode's per-leg path)."""
+        self.learn_candidate(msg.origin, msg.accumulated_cost)
+
+    def learn_candidate(self, origin: Node, cost: float) -> None:
         """Record a candidate and the measured contention cost to it."""
-        if msg.origin == self.id:
+        if origin == self.id:
             return
-        cost = msg.accumulated_cost
-        previous = self.candidates.get(msg.origin)
-        if previous is None or cost < previous:
-            self.candidates[msg.origin] = cost
+        previous = self.candidates.get(origin)
+        if previous is None:
+            index = self._candidate_index[origin] = len(self.candidates)
+        elif cost < previous:
+            index = self._candidate_index[origin]
+        else:
+            return
+        self.candidates[origin] = cost
+        heappush(self._tight_queue, (cost, index, origin))
 
     def on_tight(self, msg: TightMessage) -> None:
         """A client's bid covered the cost of reaching us."""
@@ -162,7 +186,9 @@ class ProtocolNode:
         """A candidate we were tight with opened; connect and relay."""
         admin = msg.sender
         cost = self.candidates.get(admin, self.producer_cost)
+        # An overwrite can raise the cost of the cheapest server.
         self.open_servers[admin] = cost
+        self._find_open_best()
         if self.state == ACTIVE:
             self._freeze(admin)
         # Backup pointers (Algorithm 1 lines 40-41): clients tight with us
@@ -172,12 +198,35 @@ class ProtocolNode:
                 self.session.send_freeze(self.id, client, server=admin)
 
     def on_badmin(self, msg: BAdminMessage) -> None:
+        """One BADMIN delivery (FULL fault mode's per-leg path)."""
+        self.learn_admin(msg.sender, msg.cost_from_admin)
+
+    def learn_admin(self, admin: Node, cost: float) -> None:
         """Network-wide admin announcement with estimated cost."""
-        self.open_servers[msg.sender] = min(
-            self.open_servers.get(msg.sender, math.inf), msg.cost_from_admin
-        )
-        if self.state == ACTIVE and self.alpha >= msg.cost_from_admin:
-            self._freeze(msg.sender)
+        servers = self.open_servers
+        previous = servers.get(admin)
+        if previous is None:
+            servers[admin] = cost
+            # Inserted last, so it takes the lead only strictly cheaper.
+            if cost < self._open_cost:
+                self._open_best = admin
+                self._open_cost = cost
+        elif cost < previous:
+            servers[admin] = cost
+            self._find_open_best()
+        if self.state == ACTIVE and self.alpha >= cost:
+            self._freeze(admin)
+
+    def _find_open_best(self) -> None:
+        """Rescan ``open_servers`` for the first-inserted cheapest one."""
+        best: Optional[Node] = None
+        best_cost = math.inf
+        for server, cost in self.open_servers.items():
+            if cost < best_cost:
+                best = server
+                best_cost = cost
+        self._open_best = best
+        self._open_cost = best_cost
 
     # ------------------------------------------------------------------
     # Bid clock
@@ -187,33 +236,43 @@ class ProtocolNode:
         if self.state != ACTIVE:
             return
         self.alpha += step
+        alpha = self.alpha
 
         # Freeze to the cheapest affordable open server (producer always
-        # counts as open — it inherently has the data).
+        # counts as open — it inherently has the data, and wins ties).
+        # When the cheapest open server is affordable it is also the
+        # cheapest affordable one, first-inserted among equals.
         best_server: Optional[Node] = None
         best_cost = math.inf
-        if self.alpha >= self.producer_cost:
+        if alpha >= self.producer_cost:
             best_server = self.session.producer
             best_cost = self.producer_cost
-        for server, cost in self.open_servers.items():
-            if self.alpha >= cost and cost < best_cost:
-                best_server = server
-                best_cost = cost
+        if self._open_cost <= alpha and self._open_cost < best_cost:
+            best_server = self._open_best
         if best_server is not None:
             self._freeze(best_server)
             return
 
-        # TIGHT any newly affordable candidates, then grow relay bids.
-        for origin, cost in self.candidates.items():
-            if origin in self.tight_sent or self.alpha < cost:
-                continue
-            self.tight_sent.add(origin)
-            self.gamma[origin] = (
-                self.alpha if self.session.gamma_starts_at_alpha else 0.0
-            )
-            self.session.send_tight(
-                self.id, origin, contention=cost, bid=self.alpha
-            )
+        # TIGHT any newly affordable candidates, in insertion order, then
+        # grow relay bids.
+        queue = self._tight_queue
+        if queue and queue[0][0] <= alpha:
+            due = []
+            while queue and queue[0][0] <= alpha:
+                cost, index, origin = heappop(queue)
+                if origin not in self.tight_sent and (
+                    self.candidates[origin] == cost
+                ):
+                    due.append((index, origin, cost))
+            due.sort()
+            for _, origin, cost in due:
+                self.tight_sent.add(origin)
+                self.gamma[origin] = (
+                    alpha if self.session.gamma_starts_at_alpha else 0.0
+                )
+                self.session.send_tight(
+                    self.id, origin, contention=cost, bid=alpha
+                )
         # SPAN policy: "best" concentrates relay requests on the client's
         # cheapest tight candidate (the "popular candidates volunteer"
         # behavior of the abstract); "all" spans every tight candidate.
@@ -276,7 +335,7 @@ class ProtocolNode:
         if self.state == ACTIVE:
             if self.producer_cost < math.inf:
                 return True
-            if any(cost < math.inf for cost in self.open_servers.values()):
+            if self._open_cost < math.inf:
                 return True
             if len(self.tight_sent) < len(self.candidates):
                 return True

@@ -357,40 +357,28 @@ class ChunkSession:
         self._deliver(NADMIN, src, dst, lambda: self.nodes[dst].on_nadmin(msg), seq)
 
     # --- floods ---------------------------------------------------------
-    # Each flood builds its legs in send order, one sequence number and
-    # one message per leg, and hands them to the fault plane at once.
+    # Each flood names its receivers in send order and hands the fault
+    # plane their hop counts and path costs.  A ring of receivers lands
+    # as one column whose apply calls each receiver's ``learn_*``
+    # update; in FULL mode each leg is a message whose ``on_*`` handler
+    # calls the same update.
     def broadcast_badmin(self, admin: Node) -> None:
         """Network-wide admin announcement, accumulating path contention."""
-        costs = self.state.costs.all_contention_costs(admin)
-        hops = self._hops_from(admin)
-        next_seq = self.faults.next_seq
-        legs = []
-        for node, proto in self.nodes.items():
-            if node == admin:
-                continue
-            seq = next_seq()
-            h = hops[node]
-            msg = BAdminMessage(
-                sender=admin, chunk=self.chunk, seq=seq,
-                cost_from_admin=costs[node], hops=h,
-            )
-            legs.append((node, h, partial(proto.on_badmin, msg), seq))
-        self.faults.flood(BADMIN, admin, legs)
+        dsts = [node for node in self.nodes if node != admin]
+        self._flood(BADMIN, admin, dsts, partial(self._learn_admin, admin),
+                    partial(self._badmin_leg, admin))
 
     def _flood_npi(self) -> None:
-        costs = self.state.costs.all_contention_costs(self.producer)
-        hops = self._hops_from(self.producer)
-        next_seq = self.faults.next_seq
-        legs = []
-        for node, proto in self.nodes.items():
-            seq = next_seq()
-            h = hops[node]
-            msg = NpiMessage(
-                sender=self.producer, chunk=self.chunk, seq=seq,
-                cost_from_producer=costs[node], hops=h,
-            )
-            legs.append((node, h, partial(proto.on_npi, msg), seq))
-        self.faults.flood(NPI, self.producer, legs)
+        self._flood(NPI, self.producer, list(self.nodes),
+                    self._learn_producer, self._npi_leg)
+
+    def _flood(self, msg_type: str, src: Node, dsts: List[Node],
+               apply, leg) -> None:
+        hops = self._hops_from(src)
+        self.faults.flood(
+            msg_type, src, dsts, [hops[node] for node in dsts],
+            self.state.costs.cost_rows([src], dsts)[0].tolist(), apply, leg,
+        )
 
     def _flood_cc(self, origin: Node) -> None:
         """CC flood: k-hop neighbors learn (origin, Con_origin→them)."""
@@ -399,25 +387,62 @@ class ChunkSession:
         hop_limit = self.config.hop_limit
         # The hop dict is in breadth-first order, so the k-hop
         # neighbourhood is its prefix; its costs are one row-store slice.
-        reached = []
+        dsts: List[Node] = []
+        hops: List[int] = []
         for node, h in self._hops_from(origin).items():
             if h > hop_limit:
                 break
             if node != origin and node != self.producer:
-                reached.append((node, h))
-        costs = self.state.costs.cost_rows(
-            [origin], [node for node, _ in reached]
-        )[0].tolist()
-        next_seq = self.faults.next_seq
-        legs = []
-        for (node, h), cost in zip(reached, costs):
-            seq = next_seq()
-            msg = CcMessage(
-                sender=origin, chunk=self.chunk, seq=seq, origin=origin,
-                accumulated_cost=cost, hops=h,
-            )
-            legs.append((node, h, partial(self.nodes[node].on_cc, msg), seq))
-        self.faults.flood(CC, origin, legs)
+                dsts.append(node)
+                hops.append(h)
+        self.faults.flood(
+            CC, origin, dsts, hops,
+            self.state.costs.cost_rows([origin], dsts)[0].tolist(),
+            partial(self._learn_candidate, origin),
+            partial(self._cc_leg, origin),
+        )
+
+    # Column applies: one receiver update per item, in send order.
+    def _learn_producer(self, dsts: List[Node], costs: List[float]) -> None:
+        nodes = self.nodes
+        for node, cost in zip(dsts, costs):
+            nodes[node].learn_producer(cost)
+
+    def _learn_candidate(self, origin: Node, dsts: List[Node],
+                         costs: List[float]) -> None:
+        nodes = self.nodes
+        for node, cost in zip(dsts, costs):
+            nodes[node].learn_candidate(origin, cost)
+
+    def _learn_admin(self, admin: Node, dsts: List[Node],
+                     costs: List[float]) -> None:
+        nodes = self.nodes
+        for node, cost in zip(dsts, costs):
+            nodes[node].learn_admin(admin, cost)
+
+    # FULL-mode legs: one message per delivery.
+    def _npi_leg(self, dst: Node, cost: float, seq: int, hops: int):
+        msg = NpiMessage(
+            sender=self.producer, chunk=self.chunk, seq=seq,
+            cost_from_producer=cost, hops=hops,
+        )
+        return partial(self.nodes[dst].on_npi, msg)
+
+    def _cc_leg(self, origin: Node, dst: Node, cost: float, seq: int,
+                hops: int):
+        msg = CcMessage(
+            sender=origin, chunk=self.chunk, seq=seq, origin=origin,
+            accumulated_cost=cost, hops=hops,
+        )
+        return partial(self.nodes[dst].on_cc, msg)
+
+    def _badmin_leg(self, admin: Node, dst: Node, cost: float, seq: int,
+                    hops: int):
+        msg = BAdminMessage(
+            sender=admin, chunk=self.chunk, seq=seq,
+            cost_from_admin=cost, hops=hops,
+        )
+        return partial(self.nodes[dst].on_badmin, msg)
 
     # ------------------------------------------------------------------
     # Session driver
@@ -627,6 +652,13 @@ class ChunkSession:
                 # ``run()`` reports the partial placement.
                 self.sim.schedule(self.config.tick_interval, self._tick)
 
+    def close(self) -> None:
+        """Drop the node → session links once the session's results are
+        read, so the session and its nodes are freed by reference
+        counting alone instead of waiting for a cyclic collection."""
+        for proto in self.nodes.values():
+            proto.session = None
+
     def _progress_possible(self) -> bool:
         """Can any online, still-bidding or promotable node make progress?"""
         return any(
@@ -692,6 +724,7 @@ def solve_distributed(
                 fault_report.stats.merge(session.faults.fstats)
                 if session.unserved:
                     fault_report.unserved[chunk] = list(session.unserved)
+            session.close()
     # Mirror the Table II message census into the recorder (totals over
     # all chunks; recorded once at the end so the radio path stays cheap).
     for msg_type, count in stats.messages.items():

@@ -13,6 +13,16 @@ between them.  Every handler of a batch counts as one event toward
 ``events_processed``, the ``sim.events`` counter, the ``max_events``
 guard and the live depth behind ``max_queue_depth``.
 
+:meth:`Simulator.schedule_column` is the data-only form of a batch: one
+heap entry holding ``receivers`` and ``values`` plus one ``apply``
+function, which is handed the items in the order given.  Each item
+counts as one event, exactly like a batch handler.  A column entry
+lowers the live depth by all its items at once, before ``apply`` runs;
+that is exact only because an apply must schedule and cancel nothing
+(the Dist flood updates never do), so no handler could observe the
+depth in between.  Under ``REPRO_SANITIZE=1`` the simulator checks
+that every column apply leaves the queue as it found it.
+
 The simulator knows nothing about networks or caching — it schedules
 callables.  :mod:`repro.distributed.protocol` builds the message-passing
 layer on top.
@@ -25,16 +35,20 @@ import itertools
 import math
 from typing import Any, Callable, List, Optional, Sequence
 
+from repro.analysis import contracts
 from repro.errors import SimulationError
 from repro.obs import get_recorder, get_tracer
 
 Handler = Callable[[], None]
+#: Applies a column's items: ``apply(receivers, values)``, in order.
+ColumnApply = Callable[[Sequence[Any], Sequence[Any]], None]
 
 # A queued event is a plain list ``[time, seq, handler, cancelled, fired,
 # batch]``: heapq orders it by (time, seq) in C, and the unique seq means
 # the rest is never compared.  A list, not a tuple, so a handle can flag
 # it in place.  ``batch`` is None for a single event; for a batch entry it
-# is the list of handlers and ``handler`` is None.
+# is the list of handlers and ``handler`` is None; for a column entry it
+# is the ``(receivers, values)`` pair and ``handler`` is the apply.
 _Event = List[Any]
 _TIME = 0
 _SEQ = 1
@@ -94,6 +108,7 @@ class Simulator:
         # to run (a batch entry holds several).
         self._cancelled = 0
         self._live = 0
+        self._sanitize = contracts.sanitize_enabled()
 
     @property
     def now(self) -> float:
@@ -150,6 +165,32 @@ class Simulator:
         if self._live > self._max_queue_depth:
             self._max_queue_depth = self._live
 
+    def schedule_column(
+        self,
+        delay: float,
+        apply: ColumnApply,
+        receivers: Sequence[Any],
+        values: Sequence[Any],
+    ) -> None:
+        """Apply ``receivers[i]``'s ``values[i]``, in order, ``delay`` from now.
+
+        One heap entry for ``len(receivers)`` events; see the module
+        docstring.  ``apply`` may be handed the items in several slices
+        (a ``max_events`` split, :meth:`step`), always in order, and must
+        neither schedule nor cancel anything.  A column cannot be
+        cancelled.
+        """
+        if not 0 <= delay < math.inf:
+            self._reject_delay(delay)
+        if not receivers:
+            return
+        event = [self._now + delay, next(self._seq), apply, False, False,
+                 (receivers, values)]
+        heapq.heappush(self._queue, event)
+        self._live += len(receivers)
+        if self._live > self._max_queue_depth:
+            self._max_queue_depth = self._live
+
     def schedule_at(self, time: float, handler: Handler) -> EventHandle:
         """Schedule ``handler`` at an absolute simulation time.
 
@@ -200,6 +241,40 @@ class Simulator:
             handler()
         return len(handlers)
 
+    def _fire_column(self, event: _Event, limit: int) -> int:
+        """Apply up to ``limit`` items of a popped column entry.
+
+        Items past the limit go back on the queue under the column's own
+        (time, seq), like a batch's.  Returns the number of items applied.
+        """
+        receivers, values = event[_BATCH]
+        if len(receivers) > limit:
+            heapq.heappush(
+                self._queue,
+                [event[_TIME], event[_SEQ], event[_HANDLER], False, False,
+                 (receivers[limit:], values[limit:])],
+            )
+            receivers, values = receivers[:limit], values[:limit]
+        count = len(receivers)
+        self._live -= count
+        self._events_processed += count
+        if self._sanitize:
+            before = (len(self._queue), self._live, self._cancelled)
+            event[_HANDLER](receivers, values)
+            contracts.check_column_apply(
+                before=before,
+                after=(len(self._queue), self._live, self._cancelled),
+            )
+        else:
+            event[_HANDLER](receivers, values)
+        return count
+
+    def _fire_entry(self, event: _Event, limit: int) -> int:
+        """Run a popped batch or column entry; see the ``_fire_*`` methods."""
+        if event[_HANDLER] is None:
+            return self._fire_batch(event, limit)
+        return self._fire_column(event, limit)
+
     def step(self) -> bool:
         """Execute the next handler.  Returns False when the queue is empty."""
         while self._queue:
@@ -210,7 +285,7 @@ class Simulator:
             self._now = event[_TIME]
             event[_FIRED] = True
             if event[_BATCH] is not None:
-                self._fire_batch(event, 1)
+                self._fire_entry(event, 1)
                 return True
             self._live -= 1
             self._events_processed += 1
@@ -245,7 +320,7 @@ class Simulator:
                     event[_HANDLER]()
                     executed += 1
                 else:
-                    executed += self._fire_batch(
+                    executed += self._fire_entry(
                         event, max(1, max_events - executed)
                     )
                 if executed >= max_events:

@@ -10,6 +10,7 @@ from repro.distributed import (
     MessageStats,
     solve_distributed,
 )
+from repro.distributed.messages import BADMIN, CC, NPI
 from repro.errors import SimulationError
 from repro.metrics import evaluate_contention
 from repro.workloads import grid_problem
@@ -215,28 +216,44 @@ class TestLossInjection:
             assert producer_served >= len(problem.clients) // 2
 
 
-def _per_leg_flood(plane, msg_type, src, legs):
-    """Reference flood delivery: one census record and one event per leg."""
-    for dst, hops, handler, seq in legs:
-        plane.stats.record(msg_type, hops)
-        plane.sim.schedule(hops * plane.hop_latency, handler)
+def _per_leg_flood(plane, msg_type, src, dsts, hops, values, apply, leg):
+    """Reference flood delivery: one message, one census record and one
+    simulator event per leg, handled by the receiver's ``on_*``."""
+    for dst, h, value in zip(dsts, hops, values):
+        seq = plane.next_seq()
+        plane.stats.record(msg_type, h)
+        plane.sim.schedule(h * plane.hop_latency, leg(dst, value, seq, h))
+
+
+#: The per-receiver update behind each flood type; both delivery paths
+#: (column entries and per-leg messages) go through these.
+_FLOOD_UPDATES = {
+    "learn_producer": NPI,
+    "learn_candidate": CC,
+    "learn_admin": BADMIN,
+}
 
 
 def _outcome_record(problem, config):
     from repro.distributed.node import ProtocolNode
     from repro.obs import Recorder, use_recorder
 
-    # Flood handlers of different nodes commute on the outputs, so log
-    # the order they run in as well.
+    # Flood updates of different nodes commute on the outputs, so log
+    # what each receiver learned, from whom and when, in the order the
+    # updates run.  Learning a cost does not depend on a message's
+    # sequence number, so the flood is named by (type, sender): each
+    # node floods one CC and at most one BADMIN per session.
     handled = []
     recorder = Recorder()
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("on_npi", "on_cc", "on_badmin"):
-            def logged(node, msg, _handler=getattr(ProtocolNode, name)):
+        for name, msg_type in _FLOOD_UPDATES.items():
+            def logged(node, *args, _update=getattr(ProtocolNode, name),
+                       _type=msg_type):
+                sender = node.session.producer if _type == NPI else args[0]
                 handled.append(
-                    (node.id, msg.type, msg.seq, node.session.sim.now)
+                    (node.id, _type, sender, args[-1], node.session.sim.now)
                 )
-                _handler(node, msg)
+                _update(node, *args)
 
             patch.setattr(ProtocolNode, name, logged)
         with use_recorder(recorder):
@@ -256,8 +273,9 @@ def _outcome_record(problem, config):
 
 
 class TestHopRingDelivery:
-    """Flood legs delivered per hop ring run exactly as per-leg events
-    would, including when every ring lands at one time (hop_latency 0)."""
+    """Flood legs delivered per hop ring, as column entries, run exactly
+    as per-leg message events would, including when every ring lands at
+    one time (hop_latency 0)."""
 
     @pytest.mark.parametrize("hop_latency", [0.001, 0.0, 0.3])
     @pytest.mark.parametrize("config_kwargs", [
@@ -271,5 +289,50 @@ class TestHopRingDelivery:
         problem, _ = random_problem(40, seed=3, num_chunks=3, capacity=2)
         config = DistributedConfig(hop_latency=hop_latency, **config_kwargs)
         batched = _outcome_record(problem, config)
+        # The log is the oracle: it must see every flood type's updates.
+        assert {entry[1] for entry in batched["handled"]} == {NPI, CC, BADMIN}
+        assert len(batched["handled"]) == sum(
+            batched["messages"][t] for t in (NPI, CC, BADMIN)
+        )
         monkeypatch.setattr(FaultPlane, "flood", _per_leg_flood)
         assert _outcome_record(problem, config) == batched
+
+
+class TestSessionLifetime:
+    """A finished chunk session frees itself and its nodes by reference
+    counting alone: each node points back at its session, so the session
+    drops those links once its results are read.  Without that, every
+    session of a run waits for the cyclic collector."""
+
+    @pytest.mark.parametrize("config_kwargs", [
+        {}, {"loss_rate": 0.3}, {"jitter": 0.01, "retx_timeout": 0.5},
+    ])
+    def test_sessions_and_nodes_die_without_gc(self, monkeypatch,
+                                               config_kwargs):
+        import gc
+        import weakref
+
+        from repro.distributed.node import ProtocolNode
+        from repro.distributed.protocol import ChunkSession
+
+        refs = []
+        for cls in (ChunkSession, ProtocolNode):
+            def init(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                refs.append(weakref.ref(self))
+
+            monkeypatch.setattr(cls, "__init__", init)
+        problem = grid_problem(4, num_chunks=3)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = solve_distributed(
+                problem, DistributedConfig(**config_kwargs)
+            )
+            alive = [ref() for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert outcome.placement.chunks
+        # 3 sessions, each with 15 nodes besides the producer.
+        assert len(refs) == 3 * 16
+        assert alive == []

@@ -294,3 +294,105 @@ class TestScheduleBatch:
         sim.schedule_batch(1.0, [])
         assert sim.pending == 0
         assert sim.step() is False
+
+
+class TestScheduleColumn:
+    """A column entry applies its items like a batch of one-item events:
+    same order, same counters, same guard."""
+
+    @staticmethod
+    def _logger(log, sim):
+        def apply(receivers, values):
+            log.extend((r, v, sim.now) for r, v in zip(receivers, values))
+        return apply
+
+    def test_items_apply_in_the_order_given(self):
+        sim = Simulator()
+        applied = []
+        sim.schedule_column(1.0, self._logger(applied, sim), "cab", [3, 1, 2])
+        sim.run()
+        assert applied == [("c", 3, 1.0), ("a", 1, 1.0), ("b", 2, 1.0)]
+
+    def test_same_time_events_keep_their_scheduling_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("before"))
+        sim.schedule_column(
+            1.0, lambda rs, vs: fired.extend(rs), ["c1", "c2"], [0, 0]
+        )
+        sim.schedule(1.0, lambda: fired.append("after"))
+        sim.run()
+        assert fired == ["before", "c1", "c2", "after"]
+
+    def test_each_item_counts_as_one_event(self):
+        from repro.obs import Recorder, use_recorder
+
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        sim.schedule_column(1.0, lambda rs, vs: None, range(4), range(4))
+        assert sim.pending == 5
+        assert sim.max_queue_depth == 5
+        recorder = Recorder()
+        with use_recorder(recorder):
+            sim.run()
+        assert sim.events_processed == 5
+        assert sim.pending == 0
+        assert recorder.dump()["counters"]["sim.events"] == 5
+        assert recorder.dump()["gauges"]["sim.max_queue_depth"]["max"] == 5
+
+    def test_live_depth_drops_per_item(self):
+        sim = Simulator()
+        sim.schedule_column(1.0, lambda rs, vs: None, "abc", [1, 2, 3])
+        sim.schedule(2.0, lambda: None)
+        depths = [sim.pending]
+        while sim.step():
+            depths.append(sim.pending)
+        assert depths == [4, 3, 2, 1, 0]
+
+    def test_max_events_guard_splits_mid_column(self):
+        sim = Simulator()
+        applied = []
+        sim.schedule_column(1.0, self._logger(applied, sim), range(5), "vwxyz")
+        sim.schedule(1.0, lambda: applied.append("later"))
+        with pytest.raises(SimulationError):
+            sim.run(max_events=3)
+        assert [r for r, _, _ in applied] == [0, 1, 2]
+        # The rest of the column is still queued, ahead of the later event.
+        assert sim.pending == 3
+        sim.run()
+        assert applied[3:] == [(3, "y", 1.0), (4, "z", 1.0), "later"]
+        assert sim.events_processed == 6
+
+    def test_step_applies_one_item(self):
+        sim = Simulator()
+        applied = []
+        sim.schedule_column(1.0, self._logger(applied, sim), "ab", [1, 2])
+        assert sim.step() is True
+        assert applied == [("a", 1, 1.0)]
+        assert sim.pending == 1
+        assert sim.step() is True
+        assert sim.step() is False
+        assert applied == [("a", 1, 1.0), ("b", 2, 1.0)]
+
+    def test_empty_column_schedules_nothing(self):
+        sim = Simulator()
+        sim.schedule_column(1.0, lambda rs, vs: None, [], [])
+        assert sim.pending == 0
+        assert sim.max_queue_depth == 0
+        assert sim.step() is False
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_delay(self, delay):
+        with pytest.raises(SimulationError):
+            Simulator().schedule_column(delay, lambda rs, vs: None, [1], [1])
+
+    def test_sanitizer_rejects_an_apply_that_schedules(self, monkeypatch):
+        from repro.errors import InvariantError
+
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        sim = Simulator()
+        sim.schedule_column(
+            1.0, lambda rs, vs: sim.schedule(0.0, lambda: None), [1], [1]
+        )
+        with pytest.raises(InvariantError, match="column apply"):
+            sim.run()
