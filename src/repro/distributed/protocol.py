@@ -27,14 +27,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.analysis import contracts
 from repro.core.commit import commit_chunk
 from repro.core.placement import CachePlacement, ChunkPlacement
 from repro.core.problem import CachingProblem, ProblemState
-from repro.distributed.faults import PASSTHROUGH, FaultPlane, FaultReport
+from repro.distributed.faults import (
+    PASSTHROUGH, FaultPlane, FaultReport, LegBuilder,
+)
 from repro.distributed.messages import (
     BADMIN,
     CC,
@@ -53,7 +55,7 @@ from repro.distributed.messages import (
     TightMessage,
 )
 from repro.distributed.node import ACTIVE, ProtocolNode
-from repro.distributed.simulator import Simulator
+from repro.distributed.simulator import ColumnApply, Simulator
 from repro.obs import get_recorder, get_tracer
 
 Node = Hashable
@@ -373,7 +375,8 @@ class ChunkSession:
                     self._learn_producer, self._npi_leg)
 
     def _flood(self, msg_type: str, src: Node, dsts: List[Node],
-               apply, leg) -> None:
+               apply: ColumnApply, leg: LegBuilder) -> None:
+        """Flood ``dsts`` from ``src``; their costs are one row-store slice."""
         hops = self._hops_from(src)
         self.faults.flood(
             msg_type, src, dsts, [hops[node] for node in dsts],
@@ -386,21 +389,15 @@ class ChunkSession:
             return  # a churned-out candidate cannot announce itself
         hop_limit = self.config.hop_limit
         # The hop dict is in breadth-first order, so the k-hop
-        # neighbourhood is its prefix; its costs are one row-store slice.
+        # neighbourhood is its prefix.
         dsts: List[Node] = []
-        hops: List[int] = []
         for node, h in self._hops_from(origin).items():
             if h > hop_limit:
                 break
             if node != origin and node != self.producer:
                 dsts.append(node)
-                hops.append(h)
-        self.faults.flood(
-            CC, origin, dsts, hops,
-            self.state.costs.cost_rows([origin], dsts)[0].tolist(),
-            partial(self._learn_candidate, origin),
-            partial(self._cc_leg, origin),
-        )
+        self._flood(CC, origin, dsts, partial(self._learn_candidate, origin),
+                    partial(self._cc_leg, origin))
 
     # Column applies: one receiver update per item, in send order.
     def _learn_producer(self, dsts: List[Node], costs: List[float]) -> None:
@@ -421,7 +418,8 @@ class ChunkSession:
             nodes[node].learn_admin(admin, cost)
 
     # FULL-mode legs: one message per delivery.
-    def _npi_leg(self, dst: Node, cost: float, seq: int, hops: int):
+    def _npi_leg(self, dst: Node, cost: float, seq: int,
+                 hops: int) -> Callable[[], None]:
         msg = NpiMessage(
             sender=self.producer, chunk=self.chunk, seq=seq,
             cost_from_producer=cost, hops=hops,
@@ -429,7 +427,7 @@ class ChunkSession:
         return partial(self.nodes[dst].on_npi, msg)
 
     def _cc_leg(self, origin: Node, dst: Node, cost: float, seq: int,
-                hops: int):
+                hops: int) -> Callable[[], None]:
         msg = CcMessage(
             sender=origin, chunk=self.chunk, seq=seq, origin=origin,
             accumulated_cost=cost, hops=hops,
@@ -437,7 +435,7 @@ class ChunkSession:
         return partial(self.nodes[dst].on_cc, msg)
 
     def _badmin_leg(self, admin: Node, dst: Node, cost: float, seq: int,
-                    hops: int):
+                    hops: int) -> Callable[[], None]:
         msg = BAdminMessage(
             sender=admin, chunk=self.chunk, seq=seq,
             cost_from_admin=cost, hops=hops,
