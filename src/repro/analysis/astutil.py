@@ -1,13 +1,13 @@
 """Shared AST helpers for the analysis passes.
 
-The determinism, RNG-flow, and parallel-safety passes all need the same
-two primitives:
+The hygiene, determinism, RNG-flow, and parallel-safety passes all need
+the same two primitives:
 
-* :class:`ModuleAliases` — which local names a file binds to the stdlib
+* :class:`ModuleAliases` — which local names a file binds to the
   modules the rules care about (``random``, ``time``, ``datetime``,
-  ``os``, ``math``, ``multiprocessing``, ``concurrent.futures``),
-  resolved from both ``import x [as y]`` and ``from x import y [as z]``
-  forms.
+  ``os``, ``math``, ``multiprocessing``, ``concurrent.futures``,
+  ``numpy``, ``numpy.random``), resolved from both ``import x [as y]``
+  and ``from x import y [as z]`` forms.
 * :func:`dotted_call_name` — the dotted name of a call target when it is
   statically resolvable (``pool.map`` → ``"pool.map"``,
   ``multiprocessing.Pool`` → ``"multiprocessing.Pool"``), or ``None``
@@ -31,11 +31,13 @@ _TRACKED_MODULES = (
     "math",
     "multiprocessing",
     "concurrent.futures",
+    "numpy",
+    "numpy.random",
 )
 
 
 class ModuleAliases:
-    """Names one source file binds to the tracked stdlib modules.
+    """Names one source file binds to the tracked modules.
 
     ``modules[m]`` is the set of local names bound to module ``m``
     (``import time as t`` → ``{"t"}``); ``members[m]`` maps local names

@@ -22,8 +22,11 @@ Five AST rules (ids in brackets; scopes come from ``docs/layering.toml``):
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Sequence, Set
 
+from repro.analysis.astutil import (
+    ModuleAliases, collect_module_aliases, function_like,
+)
 from repro.analysis.imports import SourceModule
 from repro.analysis.report import Violation
 from repro.analysis.spec import LayeringSpec
@@ -38,7 +41,7 @@ def check_hygiene(
     """Run every hygiene rule over the module set."""
     violations: List[Violation] = []
     for module in modules:
-        aliases = _collect_aliases(module.tree)
+        aliases = collect_module_aliases(module.tree)
         violations.extend(_check_mutable_defaults(module))
         violations.extend(_check_bare_except(module))
         if not spec.in_scope(module.name, spec.wallclock_exempt):
@@ -50,59 +53,19 @@ def check_hygiene(
     return violations
 
 
-class _Aliases:
-    """Names each relevant module is bound to within one file."""
-
-    def __init__(self) -> None:
-        self.random_modules: Set[str] = set()
-        self.random_functions: Set[str] = set()
-        self.numpy_modules: Set[str] = set()
-        self.numpy_random: Set[str] = set()
-        self.time_modules: Set[str] = set()
-        self.time_function: Set[str] = set()
-
-
-def _collect_aliases(tree: ast.Module) -> _Aliases:
-    aliases = _Aliases()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".", 1)[0]
-                if alias.name == "random":
-                    aliases.random_modules.add(bound)
-                elif alias.name in ("numpy", "np"):
-                    aliases.numpy_modules.add(bound)
-                elif alias.name == "numpy.random":
-                    aliases.numpy_random.add(alias.asname or "numpy")
-                elif alias.name == "time":
-                    aliases.time_modules.add(bound)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if node.module == "random":
-                for alias in node.names:
-                    if alias.name not in _SEEDED_RANDOM_ATTRS:
-                        aliases.random_functions.add(alias.asname or alias.name)
-            elif node.module == "numpy":
-                for alias in node.names:
-                    if alias.name == "random":
-                        aliases.numpy_random.add(alias.asname or alias.name)
-            elif node.module == "numpy.random":
-                for alias in node.names:
-                    aliases.numpy_random.add(alias.asname or alias.name)
-            elif node.module == "time":
-                for alias in node.names:
-                    if alias.name == "time":
-                        aliases.time_function.add(alias.asname or alias.name)
-    return aliases
-
-
-def _function_like(node: ast.AST) -> bool:
-    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+def _bound_to(aliases: ModuleAliases, module: str, member: str) -> Set[str]:
+    """Local names ``from module import member [as name]`` binds."""
+    return {
+        bound
+        for bound, name in aliases.members[module].items()
+        if name == member
+    }
 
 
 def _check_mutable_defaults(module: SourceModule) -> List[Violation]:
     violations: List[Violation] = []
     for node in ast.walk(module.tree):
-        if not _function_like(node):
+        if not function_like(node):
             continue
         args = node.args  # type: ignore[attr-defined]
         defaults = list(args.defaults) + [
@@ -148,9 +111,11 @@ def _check_bare_except(module: SourceModule) -> List[Violation]:
 
 
 def _check_wallclock(
-    module: SourceModule, aliases: _Aliases
+    module: SourceModule, aliases: ModuleAliases
 ) -> List[Violation]:
     violations: List[Violation] = []
+    time_modules = aliases.module_names("time")
+    time_function = _bound_to(aliases, "time", "time")
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -160,10 +125,10 @@ def _check_wallclock(
             isinstance(func, ast.Attribute)
             and func.attr == "time"
             and isinstance(func.value, ast.Name)
-            and func.value.id in aliases.time_modules
+            and func.value.id in time_modules
         ):
             flagged = True
-        elif isinstance(func, ast.Name) and func.id in aliases.time_function:
+        elif isinstance(func, ast.Name) and func.id in time_function:
             flagged = True
         if flagged:
             violations.append(
@@ -206,9 +171,22 @@ def _check_float_equality(module: SourceModule) -> List[Violation]:
 
 
 def _check_unseeded_random(
-    module: SourceModule, aliases: _Aliases
+    module: SourceModule, aliases: ModuleAliases
 ) -> List[Violation]:
     violations: List[Violation] = []
+    random_modules = aliases.module_names("random")
+    random_functions = {
+        bound
+        for bound, name in aliases.members["random"].items()
+        if name not in _SEEDED_RANDOM_ATTRS
+    }
+    numpy_modules = aliases.module_names("numpy")
+    # ``import numpy.random`` binds ``numpy`` itself.
+    numpy_random = (
+        aliases.module_names("numpy.random")
+        | _bound_to(aliases, "numpy", "random")
+        | set(aliases.members["numpy.random"])
+    )
 
     def flag(node: ast.AST, message: str) -> None:
         violations.append(
@@ -221,7 +199,7 @@ def _check_unseeded_random(
             if (
                 isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
-                and func.value.id in aliases.random_modules
+                and func.value.id in random_modules
             ):
                 if func.attr in _SEEDED_RANDOM_ATTRS:
                     if not node.args and not node.keywords:
@@ -237,7 +215,7 @@ def _check_unseeded_random(
                         f"random.{func.attr}() uses the process-global RNG; "
                         "use a seeded random.Random instance",
                     )
-            elif isinstance(func, ast.Name) and func.id in aliases.random_functions:
+            elif isinstance(func, ast.Name) and func.id in random_functions:
                 flag(
                     node,
                     f"{func.id}() was imported from the random module and "
@@ -248,7 +226,7 @@ def _check_unseeded_random(
             isinstance(node, ast.Attribute)
             and node.attr == "random"
             and isinstance(node.value, ast.Name)
-            and node.value.id in aliases.numpy_modules
+            and node.value.id in numpy_modules
         ):
             flag(
                 node,
@@ -256,14 +234,14 @@ def _check_unseeded_random(
                 "explicit numpy Generator (np.random.default_rng(seed)) "
                 "from the caller",
             )
-        if isinstance(node, ast.Name) and node.id in aliases.numpy_random:
+        if isinstance(node, ast.Name) and node.id in numpy_random:
             if isinstance(node.ctx, ast.Load):
                 flag(
                     node,
                     "numpy.random use in a deterministic layer; pass an "
                     "explicit numpy Generator from the caller",
                 )
-        if _function_like(node) and not isinstance(node, ast.Lambda):
+        if function_like(node) and not isinstance(node, ast.Lambda):
             violations.extend(_check_seed_defaults(module, node))
     return violations
 

@@ -81,6 +81,17 @@ _ALGO_ALIASES = {
 }
 
 
+def _retry_budget(text: str) -> int:
+    """``--max-retries``: a retry count, so a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -143,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0 = no retransmission)",
     )
     faults.add_argument(
-        "--max-retries", type=int, default=3, metavar="N",
+        "--max-retries", type=_retry_budget, default=3, metavar="N",
         help="retry budget per message when --retx-timeout is set "
         "(default 3)",
     )

@@ -19,11 +19,13 @@ BADMIN floods — funnels through the plane, which in ``FULL`` mode can:
 * **retry it**: when ``retx_timeout > 0`` every delivery is acknowledged
   by the receiver; an unacknowledged message is retransmitted with
   exponential backoff (``retx_timeout * 2**attempt``) up to
-  ``max_retries`` times before the sender gives up.  Retransmissions
-  reuse the original per-message sequence number
-  (:class:`~repro.distributed.messages.Message.seq`), and receivers
+  ``max_retries`` times before the sender gives up.  The plane numbers
+  each delivery it sends (one per unicast, one per flood leg) the first
+  time it goes out, retransmissions reuse that number, and receivers
   suppress duplicates through a per-node seen-set, so the node state
-  machines observe each logical message at most once.
+  machines observe each logical message at most once.  Only the
+  numbers' uniqueness within a session matters: nothing else reads
+  them.
 
 Operating modes
 ---------------
@@ -57,22 +59,21 @@ machinery is provably absent when unused:
 Floods are delivered per hop ring
 ---------------------------------
 A flood names its receivers, their hop counts and the value each one
-learns (a path cost), in send order, and reserves its sequence numbers
-in one step.  Outside ``FULL`` mode nothing reads a flood's message
-objects after send time, so none are built: :meth:`FaultPlane.flood`
-records the census once, traces each leg at send time, and hands the
-simulator one column entry of ``(receivers, values)`` per arrival time —
-one per hop ring, since arrival is ``now + hops * hop_latency``.  The
-column's apply runs each receiver's update in send order.  Per-leg
-events would take consecutive sequence numbers, so the legs with one
-arrival time would fire back to back in send order; a column applies
-them in that same order, so the no-op contract holds.  Rings are keyed
-by arrival time, not hop count, so that with ``hop_latency = 0`` every
-leg still lands in send order.  Each item of a column counts as one
+learns (a path cost), in send order, plus the ``apply(receivers,
+values)`` that runs each receiver's update.  Outside ``FULL`` mode
+:meth:`FaultPlane.flood` records the census once, traces each leg at
+send time, and hands the simulator one column entry of ``(receivers,
+values)`` per arrival time — one per hop ring, since arrival is ``now +
+hops * hop_latency``.  The column's apply runs each receiver's update
+in send order.  Per-leg events would take consecutive sequence
+numbers, so the legs with one arrival time would fire back to back in
+send order; a column applies them in that same order, so the no-op
+contract holds.  Rings are keyed by arrival time, not hop count, so
+that with ``hop_latency = 0`` every leg still lands in send order.  Each item of a column counts as one
 simulator event, so ``sim_events`` and ``sim.max_queue_depth`` count
-legs.  ``FULL`` mode keeps one message and one event per leg, because
-loss, jitter and retransmission act per leg; the flood builds each
-leg's handler there through the ``leg`` callback.
+legs.  ``FULL`` mode keeps one delivery and one event per leg, because
+loss, jitter and retransmission act per leg; a leg's handler is
+``apply`` over that one receiver and value.
 
 Fault accounting lives in :class:`FaultStats` (mirrored into
 ``protocol.drops`` / ``protocol.retx.*`` / ``faults.churn.*`` recorder
@@ -82,9 +83,11 @@ census counts only messages the protocol actually delivered.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple,
 )
@@ -96,8 +99,6 @@ from repro.obs import get_recorder
 
 Node = Hashable
 Handler = Callable[[], None]
-#: Builds one FULL-mode flood leg's handler: ``leg(dst, value, seq, hops)``.
-LegBuilder = Callable[[Node, Any, int, int], Handler]
 
 PASSTHROUGH = "passthrough"
 LEGACY_LOSS = "legacy-loss"
@@ -223,7 +224,10 @@ class FaultReport:
 
 
 class _Pending:
-    """Sender-side record of one in-flight (possibly retried) message."""
+    """Sender-side record of one in-flight (possibly retried) message.
+
+    ``seq`` is the plane's next sequence number, taken at the first
+    attempt; retransmissions keep it."""
 
     __slots__ = (
         "seq", "msg_type", "src", "dst", "hops", "handler",
@@ -232,14 +236,13 @@ class _Pending:
 
     def __init__(
         self,
-        seq: int,
         msg_type: str,
         src: Node,
         dst: Node,
         hops: int,
         handler: Handler,
     ) -> None:
-        self.seq = seq
+        self.seq = -1
         self.msg_type = msg_type
         self.src = src
         self.dst = dst
@@ -335,7 +338,7 @@ class FaultPlane:
             if self.mode != PASSTHROUGH
             else None
         )
-        self._next_seq = 0
+        self._seqs = itertools.count()
         self._offline: Set[Node] = set()
         self._pending_joins: Dict[Node, int] = {}
         self._outstanding: Dict[int, _Pending] = {}
@@ -353,12 +356,6 @@ class FaultPlane:
     def in_flight(self) -> int:
         """Unacknowledged messages still holding a retransmission claim."""
         return len(self._outstanding)
-
-    def next_seq(self) -> int:
-        """Allocate the sequence number for one logical message."""
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        return seq
 
     def is_online(self, node: Node) -> bool:
         return node not in self._offline
@@ -423,7 +420,7 @@ class FaultPlane:
     # ------------------------------------------------------------------
     def unicast(
         self, msg_type: str, src: Node, dst: Node, hops: int,
-        handler: Handler, seq: int,
+        handler: Handler,
     ) -> None:
         """One k-hop-scoped control message (TIGHT/SPAN/FREEZE/NADMIN)."""
         if self.mode == PASSTHROUGH:
@@ -437,7 +434,7 @@ class FaultPlane:
                 return
             self._deliver_reliable(msg_type, src, dst, hops, handler)
             return
-        self._send(_Pending(seq, msg_type, src, dst, hops, handler))
+        self._send(_Pending(msg_type, src, dst, hops, handler))
 
     def flood(
         self,
@@ -447,29 +444,23 @@ class FaultPlane:
         hops: Sequence[int],
         values: Sequence[Any],
         apply: ColumnApply,
-        leg: LegBuilder,
     ) -> None:
         """One NPI / CC / BADMIN flood: ``dsts[i]``, ``hops[i]`` away,
         learns ``values[i]``; the lists are in send order.
 
-        The flood's sequence numbers are ``dsts``' positions offset by
-        one reservation.  In FULL mode every leg is another lossy,
-        retriable delivery of the message ``leg(dst, value, seq, hops)``
-        builds a handler for — re-flooding is idempotent because
-        receivers suppress duplicate sequence numbers and every flood
-        update is monotone.  Outside FULL mode floods are reliable
-        (broadcast redundancy makes per-node flood loss a different
-        regime from unicast loss) and each hop ring arrives as one
-        column entry ``apply(receivers, values)``; see the module
+        In FULL mode every leg is another lossy, retriable delivery whose
+        handler is ``apply((dst,), (value,))`` — re-flooding is
+        idempotent because receivers suppress duplicate sequence numbers
+        and every flood update is monotone.  Outside FULL mode floods are
+        reliable (broadcast redundancy makes per-node flood loss a
+        different regime from unicast loss) and each hop ring arrives as
+        one column entry ``apply(receivers, values)``; see the module
         docstring.
         """
-        first = self._next_seq
-        self._next_seq = first + len(dsts)
         if self.mode == FULL:
-            for offset, (dst, h, value) in enumerate(zip(dsts, hops, values)):
-                seq = first + offset
+            for dst, h, value in zip(dsts, hops, values):
                 self._send(_Pending(
-                    seq, msg_type, src, dst, h, leg(dst, value, seq, h)
+                    msg_type, src, dst, h, partial(apply, (dst,), (value,))
                 ))
             return
         if self._trace.enabled:
@@ -520,7 +511,9 @@ class FaultPlane:
     def _send(self, rec: _Pending) -> None:
         """Attempt (or re-attempt) one FULL-mode delivery."""
         retriable = self.retx_timeout > 0
-        if rec.attempt > 0:
+        if rec.attempt == 0:
+            rec.seq = next(self._seqs)
+        else:
             self.fstats.retx[rec.msg_type] = (
                 self.fstats.retx.get(rec.msg_type, 0) + 1
             )

@@ -33,16 +33,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.distributed.messages import (
-    BAdminMessage,
-    CcMessage,
-    FreezeMessage,
-    NAdminMessage,
-    NpiMessage,
-    SpanMessage,
-    TightMessage,
-)
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.protocol import ChunkSession
 
@@ -109,14 +99,12 @@ class ProtocolNode:
         return self.state != ACTIVE
 
     # ------------------------------------------------------------------
-    # Message handlers
+    # Message handlers: a Table II message is a call to its receiver's
+    # handler with the message's fields.  The flood handlers (NPI, CC,
+    # BADMIN) are the ``learn_*`` updates; the unicasts are ``on_*``.
     # ------------------------------------------------------------------
-    def on_npi(self, msg: NpiMessage) -> None:
-        """One NPI delivery (FULL fault mode's per-leg path)."""
-        self.learn_producer(msg.cost_from_producer)
-
     def learn_producer(self, cost: float) -> None:
-        """Learn the new chunk and the contention cost to the producer.
+        """NPI: learn the new chunk and the contention cost to the producer.
 
         Unlike the centralized dual ascent (where ``c_ii = 0`` makes every
         node tight with itself), ADMIN promotion here counts only SPAN
@@ -128,12 +116,8 @@ class ProtocolNode:
         """
         self.producer_cost = cost
 
-    def on_cc(self, msg: CcMessage) -> None:
-        """One CC delivery (FULL fault mode's per-leg path)."""
-        self.learn_candidate(msg.origin, msg.accumulated_cost)
-
     def learn_candidate(self, origin: Node, cost: float) -> None:
-        """Record a candidate and the measured contention cost to it."""
+        """CC: record a candidate and the measured contention cost to it."""
         if origin == self.id:
             return
         previous = self.candidates.get(origin)
@@ -146,45 +130,43 @@ class ProtocolNode:
         self.candidates[origin] = cost
         heappush(self._tight_queue, (cost, index, origin))
 
-    def on_tight(self, msg: TightMessage) -> None:
-        """A client's bid covered the cost of reaching us."""
+    def on_tight(self, sender: Node, contention: float, bid: float) -> None:
+        """TIGHT: ``sender``'s bid covered its ``contention`` to us."""
         if self.is_admin:
-            self.session.send_freeze(self.id, msg.sender, server=self.id)
+            self.session.send_freeze(self.id, sender, server=self.id)
             return
         if not self.can_cache:
             return  # INACTIVE for the facility role
-        record = self.tights.get(msg.sender)
-        if record is None:
-            self.tights[msg.sender] = _TightRecord(
-                contention=msg.contention,
-                payment=max(0.0, msg.bid - msg.contention),
+        if sender not in self.tights:
+            self.tights[sender] = _TightRecord(
+                contention=contention, payment=max(0.0, bid - contention)
             )
 
-    def on_span(self, msg: SpanMessage) -> None:
-        """A client asks us to fetch the chunk on its behalf."""
+    def on_span(
+        self, sender: Node, contention: float, resource_bid: float
+    ) -> None:
+        """SPAN: ``sender`` asks us to fetch the chunk on its behalf."""
         if self.is_admin:
-            self.session.send_freeze(self.id, msg.sender, server=self.id)
+            self.session.send_freeze(self.id, sender, server=self.id)
             return
         if not self.can_cache:
             return
-        record = self.tights.get(msg.sender)
+        record = self.tights.get(sender)
         if record is None:
-            record = _TightRecord(
-                contention=msg.contention, payment=msg.resource_bid
-            )
-            self.tights[msg.sender] = record
+            record = _TightRecord(contention=contention, payment=resource_bid)
+            self.tights[sender] = record
         record.spanned = True
-        record.payment = max(record.payment, msg.resource_bid)
+        record.payment = max(record.payment, resource_bid)
         self._maybe_become_admin()
 
-    def on_freeze(self, msg: FreezeMessage) -> None:
-        """Instructed to connect to ``msg.server`` and stop bidding."""
+    def on_freeze(self, server: Node) -> None:
+        """FREEZE: connect to ``server`` and stop bidding."""
         if self.state == ACTIVE:
-            self._freeze(msg.server)
+            self._freeze(server)
 
-    def on_nadmin(self, msg: NAdminMessage) -> None:
-        """A candidate we were tight with opened; connect and relay."""
-        admin = msg.sender
+    def on_nadmin(self, admin: Node) -> None:
+        """NADMIN: ``admin``, a candidate we were tight with, opened;
+        connect and relay."""
         cost = self.candidates.get(admin, self.producer_cost)
         # An overwrite can raise the cost of the cheapest server.
         self.open_servers[admin] = cost
@@ -197,12 +179,8 @@ class ProtocolNode:
             if client != self.id:
                 self.session.send_freeze(self.id, client, server=admin)
 
-    def on_badmin(self, msg: BAdminMessage) -> None:
-        """One BADMIN delivery (FULL fault mode's per-leg path)."""
-        self.learn_admin(msg.sender, msg.cost_from_admin)
-
     def learn_admin(self, admin: Node, cost: float) -> None:
-        """Network-wide admin announcement with estimated cost."""
+        """BADMIN: network-wide admin announcement with estimated cost."""
         servers = self.open_servers
         previous = servers.get(admin)
         if previous is None:

@@ -25,19 +25,21 @@ transmission counts per Table II type are collected in
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import SimulationError
 from repro.analysis import contracts
 from repro.core.commit import commit_chunk
 from repro.core.placement import CachePlacement, ChunkPlacement
 from repro.core.problem import CachingProblem, ProblemState
-from repro.distributed.faults import (
-    PASSTHROUGH, FaultPlane, FaultReport, LegBuilder,
-)
+from repro.distributed.faults import PASSTHROUGH, FaultPlane, FaultReport
 from repro.distributed.messages import (
+    ALL_TYPES,
     BADMIN,
     CC,
     FREEZE,
@@ -45,14 +47,7 @@ from repro.distributed.messages import (
     NPI,
     SPAN,
     TIGHT,
-    BAdminMessage,
-    CcMessage,
-    FreezeMessage,
     MessageStats,
-    NAdminMessage,
-    NpiMessage,
-    SpanMessage,
-    TightMessage,
 )
 from repro.distributed.node import ACTIVE, ProtocolNode
 from repro.distributed.simulator import ColumnApply, Simulator
@@ -236,7 +231,7 @@ class ChunkSession:
         ]
         self.admins: List[Node] = []
         self.ticks = 0
-        self._promotion_queue: List[Node] = []
+        self._promotion_queue: Deque[Node] = deque()
         self._promotion_pending: Set[Node] = set()
         self._arbiter_scheduled = False
         #: Nodes still unserved when a faulty session quiesced (sorted by
@@ -298,7 +293,7 @@ class ChunkSession:
             return
         if node in self._promotion_pending:
             return
-        get_recorder().count("dist.promotion_requests")
+        self._obs.count("dist.promotion_requests")
         self._promotion_pending.add(node)
         self._promotion_queue.append(node)
         if not self._arbiter_scheduled:
@@ -309,7 +304,7 @@ class ChunkSession:
         """Admit one still-valid candidate; requeue the arbiter if needed."""
         self._arbiter_scheduled = False
         while self._promotion_queue:
-            node = self._promotion_queue.pop(0)
+            node = self._promotion_queue.popleft()
             self._promotion_pending.discard(node)
             if not self.faults.is_online(node):
                 continue  # churned out between request and arbitration
@@ -322,65 +317,53 @@ class ChunkSession:
             self.sim.schedule(self.config.promotion_latency, self._arbitrate)
 
     # --- unicasts (k-hop scoped) --------------------------------------
+    # A message is a call to the receiver's handler with its fields.
     def _deliver(
-        self, msg_type: str, src: Node, dst: Node, handler, seq: int
+        self, msg_type: str, src: Node, dst: Node, handler: Callable[[], None]
     ) -> None:
         hops = self._hop(src, dst)
-        if msg_type != NPI and msg_type != BADMIN and hops > self.config.hop_limit:
+        if hops > self.config.hop_limit:
             return  # out of control-message range
-        self.faults.unicast(msg_type, src, dst, hops, handler, seq)
+        self.faults.unicast(msg_type, src, dst, hops, handler)
 
     def send_tight(self, src: Node, dst: Node, contention: float, bid: float) -> None:
-        seq = self.faults.next_seq()
-        msg = TightMessage(
-            sender=src, chunk=self.chunk, seq=seq, target=dst,
-            contention=contention, bid=bid,
+        self._deliver(
+            TIGHT, src, dst, partial(self.nodes[dst].on_tight, src, contention, bid)
         )
-        self._deliver(TIGHT, src, dst, lambda: self.nodes[dst].on_tight(msg), seq)
 
     def send_span(
         self, src: Node, dst: Node, contention: float, resource_bid: float
     ) -> None:
-        seq = self.faults.next_seq()
-        msg = SpanMessage(
-            sender=src, chunk=self.chunk, seq=seq, target=dst,
-            contention=contention, resource_bid=resource_bid,
+        self._deliver(
+            SPAN, src, dst,
+            partial(self.nodes[dst].on_span, src, contention, resource_bid),
         )
-        self._deliver(SPAN, src, dst, lambda: self.nodes[dst].on_span(msg), seq)
 
     def send_freeze(self, src: Node, dst: Node, server: Node) -> None:
-        seq = self.faults.next_seq()
-        msg = FreezeMessage(sender=src, chunk=self.chunk, seq=seq, server=server)
-        self._deliver(FREEZE, src, dst, lambda: self.nodes[dst].on_freeze(msg), seq)
+        self._deliver(FREEZE, src, dst, partial(self.nodes[dst].on_freeze, server))
 
     def send_nadmin(self, src: Node, dst: Node) -> None:
-        seq = self.faults.next_seq()
-        msg = NAdminMessage(sender=src, chunk=self.chunk, seq=seq)
-        self._deliver(NADMIN, src, dst, lambda: self.nodes[dst].on_nadmin(msg), seq)
+        self._deliver(NADMIN, src, dst, partial(self.nodes[dst].on_nadmin, src))
 
     # --- floods ---------------------------------------------------------
     # Each flood names its receivers in send order and hands the fault
-    # plane their hop counts and path costs.  A ring of receivers lands
-    # as one column whose apply calls each receiver's ``learn_*``
-    # update; in FULL mode each leg is a message whose ``on_*`` handler
-    # calls the same update.
+    # plane their hop counts and path costs, with the apply that runs
+    # each receiver's ``learn_*`` update in order.
     def broadcast_badmin(self, admin: Node) -> None:
         """Network-wide admin announcement, accumulating path contention."""
         dsts = [node for node in self.nodes if node != admin]
-        self._flood(BADMIN, admin, dsts, partial(self._learn_admin, admin),
-                    partial(self._badmin_leg, admin))
+        self._flood(BADMIN, admin, dsts, partial(self._learn_admin, admin))
 
     def _flood_npi(self) -> None:
-        self._flood(NPI, self.producer, list(self.nodes),
-                    self._learn_producer, self._npi_leg)
+        self._flood(NPI, self.producer, list(self.nodes), self._learn_producer)
 
     def _flood(self, msg_type: str, src: Node, dsts: List[Node],
-               apply: ColumnApply, leg: LegBuilder) -> None:
+               apply: ColumnApply) -> None:
         """Flood ``dsts`` from ``src``; their costs are one row-store slice."""
         hops = self._hops_from(src)
         self.faults.flood(
             msg_type, src, dsts, [hops[node] for node in dsts],
-            self.state.costs.cost_rows([src], dsts)[0].tolist(), apply, leg,
+            self.state.costs.cost_rows([src], dsts)[0].tolist(), apply,
         )
 
     def _flood_cc(self, origin: Node) -> None:
@@ -396,51 +379,26 @@ class ChunkSession:
                 break
             if node != origin and node != self.producer:
                 dsts.append(node)
-        self._flood(CC, origin, dsts, partial(self._learn_candidate, origin),
-                    partial(self._cc_leg, origin))
+        self._flood(CC, origin, dsts, partial(self._learn_candidate, origin))
 
-    # Column applies: one receiver update per item, in send order.
-    def _learn_producer(self, dsts: List[Node], costs: List[float]) -> None:
+    # Flood applies: one receiver update per item, in send order.
+    def _learn_producer(self, dsts: Sequence[Node],
+                        costs: Sequence[float]) -> None:
         nodes = self.nodes
         for node, cost in zip(dsts, costs):
             nodes[node].learn_producer(cost)
 
-    def _learn_candidate(self, origin: Node, dsts: List[Node],
-                         costs: List[float]) -> None:
+    def _learn_candidate(self, origin: Node, dsts: Sequence[Node],
+                         costs: Sequence[float]) -> None:
         nodes = self.nodes
         for node, cost in zip(dsts, costs):
             nodes[node].learn_candidate(origin, cost)
 
-    def _learn_admin(self, admin: Node, dsts: List[Node],
-                     costs: List[float]) -> None:
+    def _learn_admin(self, admin: Node, dsts: Sequence[Node],
+                     costs: Sequence[float]) -> None:
         nodes = self.nodes
         for node, cost in zip(dsts, costs):
             nodes[node].learn_admin(admin, cost)
-
-    # FULL-mode legs: one message per delivery.
-    def _npi_leg(self, dst: Node, cost: float, seq: int,
-                 hops: int) -> Callable[[], None]:
-        msg = NpiMessage(
-            sender=self.producer, chunk=self.chunk, seq=seq,
-            cost_from_producer=cost, hops=hops,
-        )
-        return partial(self.nodes[dst].on_npi, msg)
-
-    def _cc_leg(self, origin: Node, dst: Node, cost: float, seq: int,
-                hops: int) -> Callable[[], None]:
-        msg = CcMessage(
-            sender=origin, chunk=self.chunk, seq=seq, origin=origin,
-            accumulated_cost=cost, hops=hops,
-        )
-        return partial(self.nodes[dst].on_cc, msg)
-
-    def _badmin_leg(self, admin: Node, dst: Node, cost: float, seq: int,
-                    hops: int) -> Callable[[], None]:
-        msg = BAdminMessage(
-            sender=admin, chunk=self.chunk, seq=seq,
-            cost_from_admin=cost, hops=hops,
-        )
-        return partial(self.nodes[dst].on_badmin, msg)
 
     # ------------------------------------------------------------------
     # Session driver
@@ -460,10 +418,9 @@ class ChunkSession:
         with self._trace.span("chunk_session", track="protocol") as span:
             self._flood_npi()
             # After NPI propagates, cacheable candidates announce themselves.
-            self.sim.schedule_batch(
-                0.5 * self.config.tick_interval,
-                [partial(self._flood_cc, proto.id) for proto in self._facilities],
-            )
+            announce = 0.5 * self.config.tick_interval
+            for proto in self._facilities:
+                self.sim.schedule(announce, partial(self._flood_cc, proto.id))
             self.sim.schedule(self.config.tick_interval, self._tick)
             self.sim.run()
             if len(self._done) < len(self.nodes):
@@ -502,8 +459,6 @@ class ChunkSession:
         if self.faults.faults_active:
             census_before = None
         if sanitize and census_before is not None:
-            from repro.distributed.messages import ALL_TYPES
-
             contracts.check_message_census(
                 chunk=self.chunk,
                 known_types=ALL_TYPES,

@@ -5,23 +5,19 @@ react to received control messages and to their own bidding clock.  This
 module provides the engine: a priority queue of timestamped events with a
 monotone sequence number as tie-breaker, so runs are exactly reproducible.
 
-:meth:`Simulator.schedule_batch` queues several handlers as one heap
-entry that runs them back to back, in the order given.  It behaves
-exactly like scheduling each of them in turn with the same delay: such
-events take consecutive sequence numbers, so nothing else can fire
-between them.  Every handler of a batch counts as one event toward
-``events_processed``, the ``sim.events`` counter, the ``max_events``
-guard and the live depth behind ``max_queue_depth``.
-
-:meth:`Simulator.schedule_column` is the data-only form of a batch: one
-heap entry holding ``receivers`` and ``values`` plus one ``apply``
-function, which is handed the items in the order given.  Each item
-counts as one event, exactly like a batch handler.  A column entry
-lowers the live depth by all its items at once, before ``apply`` runs;
-that is exact only because an apply must schedule and cancel nothing
-(the Dist flood updates never do), so no handler could observe the
-depth in between.  Under ``REPRO_SANITIZE=1`` the simulator checks
-that every column apply leaves the queue as it found it.
+:meth:`Simulator.schedule_column` is the one multi-item entry: one heap
+entry holding ``receivers`` and ``values`` plus one ``apply`` function,
+which is handed the items in the order given.  It behaves like
+scheduling one event per item with the same delay: such events take
+consecutive sequence numbers, so nothing else could fire between them.
+Each item counts as one event toward ``events_processed``, the
+``sim.events`` counter, the ``max_events`` guard and the live depth
+behind ``max_queue_depth``.  A column entry lowers the live depth by
+all its items at once, before ``apply`` runs; that is exact only
+because an apply must schedule and cancel nothing (the Dist flood
+updates never do), so no handler could observe the depth in between.
+Under ``REPRO_SANITIZE=1`` the simulator checks that every column
+apply leaves the queue as it found it.
 
 The simulator knows nothing about networks or caching — it schedules
 callables.  :mod:`repro.distributed.protocol` builds the message-passing
@@ -44,18 +40,17 @@ Handler = Callable[[], None]
 ColumnApply = Callable[[Sequence[Any], Sequence[Any]], None]
 
 # A queued event is a plain list ``[time, seq, handler, cancelled, fired,
-# batch]``: heapq orders it by (time, seq) in C, and the unique seq means
+# column]``: heapq orders it by (time, seq) in C, and the unique seq means
 # the rest is never compared.  A list, not a tuple, so a handle can flag
-# it in place.  ``batch`` is None for a single event; for a batch entry it
-# is the list of handlers and ``handler`` is None; for a column entry it
-# is the ``(receivers, values)`` pair and ``handler`` is the apply.
+# it in place.  ``column`` is None for a single event; for a column entry
+# it is the ``(receivers, values)`` pair and ``handler`` is the apply.
 _Event = List[Any]
 _TIME = 0
 _SEQ = 1
 _HANDLER = 2
 _CANCELLED = 3
 _FIRED = 4
-_BATCH = 5
+_COLUMN = 5
 
 
 class EventHandle:
@@ -105,7 +100,7 @@ class Simulator:
         self._events_processed = 0
         self._max_queue_depth = 0
         # Cancelled heap entries still queued, and the handlers still due
-        # to run (a batch entry holds several).
+        # to run (a column entry holds several).
         self._cancelled = 0
         self._live = 0
         self._sanitize = contracts.sanitize_enabled()
@@ -146,24 +141,6 @@ class Simulator:
         if self._live > self._max_queue_depth:
             self._max_queue_depth = self._live
         return EventHandle(event, self)
-
-    def schedule_batch(self, delay: float, handlers: Sequence[Handler]) -> None:
-        """Run ``handlers`` in order, ``delay`` time units from now.
-
-        Equivalent to ``schedule(delay, h)`` for each handler in turn,
-        with one heap entry instead of ``len(handlers)``.  A batch cannot
-        be cancelled.
-        """
-        if not 0 <= delay < math.inf:
-            self._reject_delay(delay)
-        if not handlers:
-            return
-        event = [self._now + delay, next(self._seq), None, False, False,
-                 list(handlers)]
-        heapq.heappush(self._queue, event)
-        self._live += len(handlers)
-        if self._live > self._max_queue_depth:
-            self._max_queue_depth = self._live
 
     def schedule_column(
         self,
@@ -220,34 +197,14 @@ class Simulator:
             heapq.heapify(self._queue)
             self._cancelled = 0
 
-    def _fire_batch(self, event: _Event, limit: int) -> int:
-        """Run up to ``limit`` handlers of a popped batch entry.
-
-        Handlers past the limit go back on the queue under the batch's own
-        (time, seq), so they still fire next, ahead of anything the run
-        handlers schedule.  Returns the number of handlers run.
-        """
-        handlers = event[_BATCH]
-        if len(handlers) > limit:
-            heapq.heappush(
-                self._queue,
-                [event[_TIME], event[_SEQ], None, False, False,
-                 handlers[limit:]],
-            )
-            handlers = handlers[:limit]
-        for handler in handlers:
-            self._live -= 1
-            self._events_processed += 1
-            handler()
-        return len(handlers)
-
     def _fire_column(self, event: _Event, limit: int) -> int:
         """Apply up to ``limit`` items of a popped column entry.
 
         Items past the limit go back on the queue under the column's own
-        (time, seq), like a batch's.  Returns the number of items applied.
+        (time, seq), so they still fire next, ahead of anything scheduled
+        meanwhile.  Returns the number of items applied.
         """
-        receivers, values = event[_BATCH]
+        receivers, values = event[_COLUMN]
         if len(receivers) > limit:
             heapq.heappush(
                 self._queue,
@@ -269,12 +226,6 @@ class Simulator:
             event[_HANDLER](receivers, values)
         return count
 
-    def _fire_entry(self, event: _Event, limit: int) -> int:
-        """Run a popped batch or column entry; see the ``_fire_*`` methods."""
-        if event[_HANDLER] is None:
-            return self._fire_batch(event, limit)
-        return self._fire_column(event, limit)
-
     def step(self) -> bool:
         """Execute the next handler.  Returns False when the queue is empty."""
         while self._queue:
@@ -284,8 +235,8 @@ class Simulator:
                 continue
             self._now = event[_TIME]
             event[_FIRED] = True
-            if event[_BATCH] is not None:
-                self._fire_entry(event, 1)
+            if event[_COLUMN] is not None:
+                self._fire_column(event, 1)
                 return True
             self._live -= 1
             self._events_processed += 1
@@ -314,13 +265,13 @@ class Simulator:
                 heappop(queue)
                 self._now = event[_TIME]
                 event[_FIRED] = True
-                if event[_BATCH] is None:
+                if event[_COLUMN] is None:
                     self._live -= 1
                     self._events_processed += 1
                     event[_HANDLER]()
                     executed += 1
                 else:
-                    executed += self._fire_entry(
+                    executed += self._fire_column(
                         event, max(1, max_events - executed)
                     )
                 if executed >= max_events:

@@ -160,6 +160,23 @@ def test_removed_bench_command_is_unknown(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("-1", "argument --max-retries: must be >= 0, got -1"),
+    ("two", "argument --max-retries: expected an integer, got 'two'"),
+], ids=["negative", "not-an-integer"])
+def test_bad_max_retries_rejected_at_parse_time(value, message, capsys):
+    # Without another fault flag the retry budget is never read, so only
+    # the parser can catch it.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--grid", "3", "--algorithm", "dist",
+              "--max-retries", value])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_experiment_all_accepted():
     args = build_parser().parse_args(["experiment", "all", "--fast"])
     assert args.id == "all"

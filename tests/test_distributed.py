@@ -1,6 +1,7 @@
 """Unit tests for the distributed algorithm (Algorithm 2)."""
 
 import math
+from functools import partial
 
 import pytest
 
@@ -216,17 +217,16 @@ class TestLossInjection:
             assert producer_served >= len(problem.clients) // 2
 
 
-def _per_leg_flood(plane, msg_type, src, dsts, hops, values, apply, leg):
-    """Reference flood delivery: one message, one census record and one
-    simulator event per leg, handled by the receiver's ``on_*``."""
+def _per_leg_flood(plane, msg_type, src, dsts, hops, values, apply):
+    """Reference flood delivery: one census record and one simulator
+    event per leg, each applying the flood to its one receiver."""
     for dst, h, value in zip(dsts, hops, values):
-        seq = plane.next_seq()
         plane.stats.record(msg_type, h)
-        plane.sim.schedule(h * plane.hop_latency, leg(dst, value, seq, h))
+        plane.sim.schedule(h * plane.hop_latency, partial(apply, [dst], [value]))
 
 
 #: The per-receiver update behind each flood type; both delivery paths
-#: (column entries and per-leg messages) go through these.
+#: (column entries and per-leg events) go through these.
 _FLOOD_UPDATES = {
     "learn_producer": NPI,
     "learn_candidate": CC,
@@ -240,9 +240,9 @@ def _outcome_record(problem, config):
 
     # Flood updates of different nodes commute on the outputs, so log
     # what each receiver learned, from whom and when, in the order the
-    # updates run.  Learning a cost does not depend on a message's
-    # sequence number, so the flood is named by (type, sender): each
-    # node floods one CC and at most one BADMIN per session.
+    # updates run.  An update sees no sequence number, so the flood is
+    # named by (type, sender): each node floods one CC and at most one
+    # BADMIN per session.
     handled = []
     recorder = Recorder()
     with pytest.MonkeyPatch.context() as patch:
@@ -274,7 +274,7 @@ def _outcome_record(problem, config):
 
 class TestHopRingDelivery:
     """Flood legs delivered per hop ring, as column entries, run exactly
-    as per-leg message events would, including when every ring lands at
+    as per-leg events would, including when every ring lands at
     one time (hop_latency 0)."""
 
     @pytest.mark.parametrize("hop_latency", [0.001, 0.0, 0.3])

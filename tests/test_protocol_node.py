@@ -1,8 +1,9 @@
 """Node-level unit tests for Algorithm 2's state machine.
 
 These drive :class:`~repro.distributed.node.ProtocolNode` directly by
-injecting messages through a real (but tiny) chunk session, pinning down
-the handler semantics independent of whole-protocol outcomes.
+calling its message handlers with a message's fields, on a real (but
+tiny) chunk session, pinning down the handler semantics independent of
+whole-protocol outcomes.
 """
 
 import math
@@ -12,16 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.distributed import DistributedConfig
-from repro.distributed.messages import (
-    BAdminMessage,
-    CcMessage,
-    FreezeMessage,
-    MessageStats,
-    NAdminMessage,
-    NpiMessage,
-    SpanMessage,
-    TightMessage,
-)
+from repro.distributed.messages import MessageStats
 from repro.distributed.node import ACTIVE, ADMIN, FROZEN, ProtocolNode
 from repro.distributed.protocol import ChunkSession
 from repro.workloads import grid_problem
@@ -42,49 +34,46 @@ def node(session):
 
 class TestNpi:
     def test_learns_producer_cost(self, node):
-        node.on_npi(NpiMessage(sender=4, chunk=0, cost_from_producer=12.0))
+        node.learn_producer(12.0)
         assert node.producer_cost == 12.0
 
     def test_no_self_support(self, node):
-        node.on_npi(NpiMessage(sender=4, chunk=0, cost_from_producer=12.0))
+        node.learn_producer(12.0)
         assert node.id not in node.tights
 
 
 class TestCc:
     def test_records_candidate(self, node):
-        node.on_cc(CcMessage(sender=1, chunk=0, origin=1, accumulated_cost=5.0))
+        node.learn_candidate(1, 5.0)
         assert node.candidates[1] == 5.0
 
     def test_keeps_cheapest(self, node):
-        node.on_cc(CcMessage(sender=1, chunk=0, origin=1, accumulated_cost=5.0))
-        node.on_cc(CcMessage(sender=1, chunk=0, origin=1, accumulated_cost=9.0))
+        node.learn_candidate(1, 5.0)
+        node.learn_candidate(1, 9.0)
         assert node.candidates[1] == 5.0
-        node.on_cc(CcMessage(sender=1, chunk=0, origin=1, accumulated_cost=3.0))
+        node.learn_candidate(1, 3.0)
         assert node.candidates[1] == 3.0
 
     def test_ignores_own_flood(self, node):
-        node.on_cc(CcMessage(sender=0, chunk=0, origin=0, accumulated_cost=1.0))
+        node.learn_candidate(0, 1.0)
         assert 0 not in node.candidates
 
 
 class TestTightSpan:
     def test_tight_registers_client(self, node):
-        node.on_tight(TightMessage(sender=1, chunk=0, target=0,
-                                   contention=5.0, bid=7.0))
+        node.on_tight(1, contention=5.0, bid=7.0)
         assert 1 in node.tights
         assert node.tights[1].payment == pytest.approx(2.0)
 
     def test_span_marks_supporter(self, node):
-        node.on_span(SpanMessage(sender=1, chunk=0, target=0,
-                                 contention=5.0, resource_bid=4.0))
+        node.on_span(1, contention=5.0, resource_bid=4.0)
         assert node.tights[1].spanned
         assert node.tights[1].payment == pytest.approx(4.0)
 
     def test_admin_replies_freeze(self, session):
         admin = session.nodes[1]
         admin.is_admin = True
-        admin.on_tight(TightMessage(sender=0, chunk=0, target=1,
-                                    contention=5.0, bid=7.0))
+        admin.on_tight(0, contention=5.0, bid=7.0)
         session.sim.run()
         # node 0 received FREEZE(server=1)
         assert session.nodes[0].state == FROZEN
@@ -98,14 +87,13 @@ class TestTightSpan:
             state.storage.add(1, 100 + chunk_id)
         session = ChunkSession(state, 0, DistributedConfig(), MessageStats())
         target = session.nodes[1]
-        target.on_tight(TightMessage(sender=0, chunk=0, target=1,
-                                     contention=5.0, bid=9.0))
+        target.on_tight(0, contention=5.0, bid=9.0)
         assert 0 not in target.tights
 
 
 class TestFreezeAndAdminNotices:
     def test_freeze_stops_bidding(self, node):
-        node.on_freeze(FreezeMessage(sender=1, chunk=0, server=1))
+        node.on_freeze(1)
         assert node.state == FROZEN
         assert node.target == 1
         alpha = node.alpha
@@ -113,16 +101,15 @@ class TestFreezeAndAdminNotices:
         assert node.alpha == alpha  # no further bidding
 
     def test_freeze_idempotent_when_done(self, node):
-        node.on_freeze(FreezeMessage(sender=1, chunk=0, server=1))
-        node.on_freeze(FreezeMessage(sender=2, chunk=0, server=2))
+        node.on_freeze(1)
+        node.on_freeze(2)
         assert node.target == 1  # first freeze wins
 
     def test_nadmin_freezes_and_forwards(self, session):
         node = session.nodes[1]
         node.candidates[4] = 6.0
-        node.on_tight(TightMessage(sender=2, chunk=0, target=1,
-                                   contention=4.0, bid=5.0))
-        node.on_nadmin(NAdminMessage(sender=4, chunk=0))
+        node.on_tight(2, contention=4.0, bid=5.0)
+        node.on_nadmin(4)
         assert node.state == FROZEN and node.target == 4
         session.sim.run()
         # the tight client 2 was forwarded to the admin (backup pointer)
@@ -131,12 +118,12 @@ class TestFreezeAndAdminNotices:
 
     def test_badmin_freezes_affordable_active(self, node):
         node.alpha = 10.0
-        node.on_badmin(BAdminMessage(sender=5, chunk=0, cost_from_admin=8.0))
+        node.learn_admin(5, 8.0)
         assert node.state == FROZEN and node.target == 5
 
     def test_badmin_remembers_unaffordable_server(self, node):
         node.alpha = 2.0
-        node.on_badmin(BAdminMessage(sender=5, chunk=0, cost_from_admin=8.0))
+        node.learn_admin(5, 8.0)
         assert node.state == ACTIVE
         assert node.open_servers[5] == 8.0
 
@@ -157,7 +144,7 @@ class TestClientTick:
     def test_tight_sent_when_candidate_affordable(self, session):
         node = session.nodes[0]
         node.producer_cost = math.inf
-        node.on_cc(CcMessage(sender=1, chunk=0, origin=1, accumulated_cost=2.0))
+        node.learn_candidate(1, 2.0)
         node.client_tick(1.0)
         node.client_tick(1.0)
         session.sim.run()
@@ -167,7 +154,7 @@ class TestClientTick:
     def test_span_follows_tight(self, session):
         node = session.nodes[0]
         node.producer_cost = math.inf
-        node.on_cc(CcMessage(sender=1, chunk=0, origin=1, accumulated_cost=2.0))
+        node.learn_candidate(1, 2.0)
         for _ in range(4):
             node.client_tick(1.0)
         session.sim.run()
@@ -178,22 +165,19 @@ class TestClientTick:
 class TestPromotion:
     def test_promotion_requires_threshold(self, session):
         candidate = session.nodes[1]
-        candidate.on_span(SpanMessage(sender=0, chunk=0, target=1,
-                                      contention=3.0, resource_bid=5.0))
+        candidate.on_span(0, contention=3.0, resource_bid=5.0)
         assert not candidate.promotion_valid()  # threshold is 3
 
     def test_promotion_with_enough_support(self, session):
         candidate = session.nodes[1]
         for sender in (0, 2, 3):
-            candidate.on_span(SpanMessage(sender=sender, chunk=0, target=1,
-                                          contention=3.0, resource_bid=5.0))
+            candidate.on_span(sender, contention=3.0, resource_bid=5.0)
         assert candidate.promotion_valid()
 
     def test_frozen_supporters_dont_count(self, session):
         candidate = session.nodes[1]
         for sender in (0, 2, 3):
-            candidate.on_span(SpanMessage(sender=sender, chunk=0, target=1,
-                                          contention=3.0, resource_bid=5.0))
+            candidate.on_span(sender, contention=3.0, resource_bid=5.0)
         session.notify_done(0)
         session.notify_done(2)
         assert not candidate.promotion_valid()
@@ -201,8 +185,7 @@ class TestPromotion:
     def test_promote_announces(self, session):
         candidate = session.nodes[1]
         for sender in (0, 2, 3):
-            candidate.on_span(SpanMessage(sender=sender, chunk=0, target=1,
-                                          contention=3.0, resource_bid=5.0))
+            candidate.on_span(sender, contention=3.0, resource_bid=5.0)
         candidate.promote()
         assert candidate.state == ADMIN
         assert candidate.is_admin
@@ -219,8 +202,7 @@ class TestPromotion:
         session.state.costs.invalidate()
         candidate = session.nodes[1]
         for sender in (0, 2, 3):
-            candidate.on_span(SpanMessage(sender=sender, chunk=0, target=1,
-                                          contention=3.0, resource_bid=0.5))
+            candidate.on_span(sender, contention=3.0, resource_bid=0.5)
         # f = 4/(5-4) = 4 > 1.5 total payment
         assert not candidate.promotion_valid()
 
@@ -247,10 +229,10 @@ class _ScanClient:
         self.state = FROZEN if server != self.id else ADMIN
         self.target = server
 
-    def on_npi(self, cost):
+    def learn_producer(self, cost):
         self.producer_cost = cost
 
-    def on_cc(self, origin, cost):
+    def learn_candidate(self, origin, cost):
         if origin == self.id:
             return
         previous = self.candidates.get(origin)
@@ -263,7 +245,7 @@ class _ScanClient:
         if self.state == ACTIVE:
             self._freeze(admin)
 
-    def on_badmin(self, admin, cost):
+    def learn_admin(self, admin, cost):
         self.open_servers[admin] = min(
             self.open_servers.get(admin, math.inf), cost
         )
@@ -300,17 +282,11 @@ _PEERS = [0, 1, 2, 3]  # node 0 is the client under test
 _COST = st.integers(min_value=0, max_value=6).map(float)
 _BIDDING = st.lists(
     st.one_of(
-        st.tuples(
-            st.just("cc"), st.sampled_from(_PEERS), _COST, st.booleans()
-        ),
+        st.tuples(st.just("cc"), st.sampled_from(_PEERS), _COST),
         st.tuples(st.just("tick"), st.sampled_from([1.0, 2.0, 3.0])),
+        st.tuples(st.just("badmin"), st.sampled_from(_PEERS[1:]), _COST),
         st.tuples(
-            st.just("badmin"), st.sampled_from(_PEERS[1:]), _COST,
-            st.booleans(),
-        ),
-        st.tuples(
-            st.just("npi"), st.integers(min_value=0, max_value=12).map(float),
-            st.booleans(),
+            st.just("npi"), st.integers(min_value=0, max_value=12).map(float)
         ),
     ),
     max_size=30,
@@ -348,17 +324,15 @@ class TestClientBookkeeping:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(ops=_OPS)
     # The producer ties an open server that became affordable with it.
-    @example(ops=[("npi", 2.0, False), ("badmin", 1, 2.0, False),
-                  ("tick", 2.0)])
+    @example(ops=[("npi", 2.0), ("badmin", 1, 2.0), ("tick", 2.0)])
     # Two TIGHTs due in one tick, the later candidate cheaper.
-    @example(ops=[("cc", 1, 3.0, False), ("cc", 2, 1.0, False),
-                  ("tick", 3.0)])
+    @example(ops=[("cc", 1, 3.0), ("cc", 2, 1.0), ("tick", 3.0)])
     # A CC lowers a cost after the ticks started; both entries come due.
-    @example(ops=[("cc", 1, 5.0, False), ("tick", 1.0), ("cc", 1, 2.0, True),
-                  ("cc", 2, 1.0, False), ("tick", 3.0)])
+    @example(ops=[("cc", 1, 5.0), ("tick", 1.0), ("cc", 1, 2.0),
+                  ("cc", 2, 1.0), ("tick", 3.0)])
     # A NADMIN raises the cheapest open server's cost above the next.
-    @example(ops=[("cc", 2, 5.0, False), ("badmin", 2, 3.0, False),
-                  ("badmin", 3, 4.0, True), ("nadmin-best",)])
+    @example(ops=[("cc", 2, 5.0), ("badmin", 2, 3.0), ("badmin", 3, 4.0),
+                  ("nadmin-best",)])
     def test_matches_the_scans(self, ops):
         session = ChunkSession(
             self.STATE, 0, DistributedConfig(), MessageStats()
@@ -374,29 +348,14 @@ class TestClientBookkeeping:
         for op in ops:
             kind = op[0]
             if kind == "npi":
-                _, cost, as_message = op
-                if as_message:
-                    node.on_npi(NpiMessage(sender=4, chunk=0,
-                                           cost_from_producer=cost))
-                else:
-                    node.learn_producer(cost)
-                ref.on_npi(cost)
+                node.learn_producer(op[1])
+                ref.learn_producer(op[1])
             elif kind == "cc":
-                _, origin, cost, as_message = op
-                if as_message:
-                    node.on_cc(CcMessage(sender=origin, chunk=0, origin=origin,
-                                         accumulated_cost=cost))
-                else:
-                    node.learn_candidate(origin, cost)
-                ref.on_cc(origin, cost)
+                node.learn_candidate(*op[1:])
+                ref.learn_candidate(*op[1:])
             elif kind == "badmin":
-                _, admin, cost, as_message = op
-                if as_message:
-                    node.on_badmin(BAdminMessage(sender=admin, chunk=0,
-                                                 cost_from_admin=cost))
-                else:
-                    node.learn_admin(admin, cost)
-                ref.on_badmin(admin, cost)
+                node.learn_admin(*op[1:])
+                ref.learn_admin(*op[1:])
             elif kind in ("nadmin", "nadmin-best"):
                 if kind == "nadmin":
                     admin = op[1]
@@ -404,7 +363,7 @@ class TestClientBookkeeping:
                     admin = min(ref.open_servers, key=ref.open_servers.get)
                 else:
                     continue
-                node.on_nadmin(NAdminMessage(sender=admin, chunk=0))
+                node.on_nadmin(admin)
                 ref.on_nadmin(admin)
             else:
                 node.client_tick(op[1])
