@@ -167,10 +167,8 @@ class ProtocolNode:
     def on_nadmin(self, admin: Node) -> None:
         """NADMIN: ``admin``, a candidate we were tight with, opened;
         connect and relay."""
-        cost = self.candidates.get(admin, self.producer_cost)
-        # An overwrite can raise the cost of the cheapest server.
-        self.open_servers[admin] = cost
-        self._find_open_best()
+        # The client stops bidding here, so its open servers are never
+        # read again: freezing is the only client-side effect.
         if self.state == ACTIVE:
             self._freeze(admin)
         # Backup pointers (Algorithm 1 lines 40-41): clients tight with us
@@ -181,6 +179,8 @@ class ProtocolNode:
 
     def learn_admin(self, admin: Node, cost: float) -> None:
         """BADMIN: network-wide admin announcement with estimated cost."""
+        if self.state != ACTIVE:
+            return  # a stopped client never reads its open servers again
         servers = self.open_servers
         previous = servers.get(admin)
         if previous is None:
@@ -192,7 +192,7 @@ class ProtocolNode:
         elif cost < previous:
             servers[admin] = cost
             self._find_open_best()
-        if self.state == ACTIVE and self.alpha >= cost:
+        if self.alpha >= cost:
             self._freeze(admin)
 
     def _find_open_best(self) -> None:

@@ -240,16 +240,16 @@ class _ScanClient:
             self.candidates[origin] = cost
 
     def on_nadmin(self, admin):
-        cost = self.candidates.get(admin, self.producer_cost)
-        self.open_servers[admin] = cost
         if self.state == ACTIVE:
             self._freeze(admin)
 
     def learn_admin(self, admin, cost):
+        if self.state != ACTIVE:
+            return
         self.open_servers[admin] = min(
             self.open_servers.get(admin, math.inf), cost
         )
-        if self.state == ACTIVE and self.alpha >= cost:
+        if self.alpha >= cost:
             self._freeze(admin)
 
     def client_tick(self, step):
@@ -292,11 +292,10 @@ _BIDDING = st.lists(
     max_size=30,
 )
 # An active client freezes on any NADMIN, so one NADMIN at most splits
-# the run; the floods after it still update the frozen client's state.
+# the run; the floods after it reach a client that no longer bids.
 _NADMIN = st.sampled_from([
     [], [("nadmin", 1)], [("nadmin", 2)], [("nadmin", 3)],
-    # NADMIN from the current cheapest open server; its cost becomes
-    # the CC or the producer cost, which may be higher.
+    # NADMIN from the current cheapest open server.
     [("nadmin-best",)],
 ])
 _OPS = st.tuples(_BIDDING, _NADMIN, _BIDDING).map(
@@ -330,9 +329,10 @@ class TestClientBookkeeping:
     # A CC lowers a cost after the ticks started; both entries come due.
     @example(ops=[("cc", 1, 5.0), ("tick", 1.0), ("cc", 1, 2.0),
                   ("cc", 2, 1.0), ("tick", 3.0)])
-    # A NADMIN raises the cheapest open server's cost above the next.
+    # A NADMIN from the cheapest open server stops the client; the
+    # floods after it leave its open servers alone.
     @example(ops=[("cc", 2, 5.0), ("badmin", 2, 3.0), ("badmin", 3, 4.0),
-                  ("nadmin-best",)])
+                  ("nadmin-best",), ("badmin", 1, 1.0)])
     def test_matches_the_scans(self, ops):
         session = ChunkSession(
             self.STATE, 0, DistributedConfig(), MessageStats()
@@ -371,10 +371,12 @@ class TestClientBookkeeping:
             assert (node.target, node.state) == (ref.target, ref.state)
             assert sent == ref.sent
             assert node.tight_sent == ref.tight_sent
-            assert node.open_servers == ref.open_servers
             assert node.candidates == ref.candidates
-            # The running minimum stays the scan's answer even where no
-            # tick reads it (a NADMIN freezes an active client at once).
-            assert (node._open_best, node._open_cost) == _first_cheapest(
-                ref.open_servers
-            )
+            # A stopped client never reads its open servers again, so
+            # both keep them only while it bids; then the running minimum
+            # is the scan's answer even where no tick reads it.
+            if node.state == ACTIVE:
+                assert node.open_servers == ref.open_servers
+                assert (node._open_best, node._open_cost) == (
+                    _first_cheapest(ref.open_servers)
+                )
