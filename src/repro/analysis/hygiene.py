@@ -5,9 +5,10 @@ Five AST rules (ids in brackets; scopes come from ``docs/layering.toml``):
 * ``unseeded-random`` — inside the deterministic layers (core/, graphs/,
   distributed/, online/, workloads/, baselines/): calls through the
   module-level :mod:`random` RNG (``random.choice(...)``), a
-  ``random.Random()`` constructed without a seed, any touch of
-  ``numpy.random``, or a ``seed`` parameter defaulting to ``None``.  The
-  event simulator's reproducibility guarantee rests on this rule.
+  ``random.Random()`` or name-imported ``Random()`` constructed without
+  a seed, any touch of ``numpy.random``, or a ``seed`` parameter
+  defaulting to ``None``.  The event simulator's reproducibility
+  guarantee rests on this rule.
 * ``mutable-default`` — list/dict/set displays, comprehensions, or
   ``list()``/``dict()``/``set()``/``bytearray()`` calls as parameter
   defaults, anywhere in the package.
@@ -180,6 +181,8 @@ def _check_unseeded_random(
         for bound, name in aliases.members["random"].items()
         if name not in _SEEDED_RANDOM_ATTRS
     }
+    # ``from random import Random [as R]`` binds the constructors by name.
+    random_constructors = set(aliases.members["random"]) - random_functions
     numpy_modules = aliases.module_names("numpy")
     # ``import numpy.random`` binds ``numpy`` itself.
     numpy_random = (
@@ -214,6 +217,13 @@ def _check_unseeded_random(
                         node,
                         f"random.{func.attr}() uses the process-global RNG; "
                         "use a seeded random.Random instance",
+                    )
+            elif isinstance(func, ast.Name) and func.id in random_constructors:
+                if not node.args and not node.keywords:
+                    flag(
+                        node,
+                        f"{func.id}() constructed without a seed falls "
+                        "back to OS entropy; pass an explicit seed",
                     )
             elif isinstance(func, ast.Name) and func.id in random_functions:
                 flag(

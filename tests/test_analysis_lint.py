@@ -71,6 +71,19 @@ class TestHygieneRules:
         report = lint_fixture("unseeded_random_bad.py")
         assert len(report.violations) >= 5
 
+    def test_unseeded_random_flags_name_imported_constructors(self):
+        # ``Random()`` after ``from random import Random`` and ``R()``
+        # after ``... import Random as R`` fall back to OS entropy just
+        # like ``random.Random()``; the seeded ``Random(7)`` passes.
+        lines = FIXTURES.joinpath("unseeded_random_bad.py").read_text(
+            encoding="utf-8"
+        ).splitlines()
+        flagged = {
+            lines[v.line - 1].strip()
+            for v in lint_fixture("unseeded_random_bad.py").violations
+        }
+        assert {"by_name = Random()", "by_alias = R()"} <= flagged
+
     def test_wallclock_exempt_scope(self):
         spec = LayeringSpec(
             layers={"fixtures": 0}, wallclock_exempt=("fixtures",)
