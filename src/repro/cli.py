@@ -136,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     faults = solve.add_argument_group(
         "fault injection (dist only)",
         "radio faults for the distributed protocol; any non-default "
-        "value other than --loss-rate engages the full fault plane "
-        "(lossy floods, partial placements; see docs/FAULTS.md)",
+        "value engages the fault plane (lossy floods, partial "
+        "placements; see docs/FAULTS.md)",
     )
     faults.add_argument(
         "--loss-rate", type=float, default=0.0, metavar="P",
@@ -164,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable; KIND is leave or join)",
     )
     faults.add_argument(
-        "--fault-seed", type=int, default=None, metavar="S",
-        help="fault-plane RNG seed (default: reuse the loss seed 0)",
+        "--fault-seed", type=int, default=0, metavar="S",
+        help="fault-plane RNG seed (default 0)",
     )
 
     serve = sub.add_parser(

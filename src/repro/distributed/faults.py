@@ -6,7 +6,8 @@ this module interposes a :class:`FaultPlane` between the protocol
 (:mod:`repro.distributed.protocol`) and the discrete-event
 :class:`~repro.distributed.simulator.Simulator`.  Every control-message
 delivery — unicasts *and* the per-destination legs of the NPI / CC /
-BADMIN floods — funnels through the plane, which in ``FULL`` mode can:
+BADMIN floods — funnels through the plane, which, once a fault knob is
+set, can:
 
 * **drop** it: per-link Bernoulli loss with probability ``loss_rate``
   (seeded, deterministic);
@@ -27,40 +28,30 @@ BADMIN floods — funnels through the plane, which in ``FULL`` mode can:
   numbers' uniqueness within a session matters: nothing else reads
   them.
 
-Operating modes
----------------
-The plane resolves one of three modes from the config, so the fault
-machinery is provably absent when unused:
+Inactive and active planes
+--------------------------
+With every fault knob at its default the plane is inactive, so the
+fault machinery is provably absent when unused.  A unicast reduces to
+exactly the pre-fault code path — record the stats, trace,
+``sim.schedule(hops * hop_latency, handler)`` — consuming no randomness
+and scheduling no extra events.  A flood is delivered per hop ring (see
+below).  Placements, :class:`MessageStats`, ``sim_events`` and the
+protocol trace are byte-identical to a build without this module
+(tested against golden snapshots in ``tests/test_faults.py`` and
+``tests/test_dist_golden.py``).
 
-``PASSTHROUGH``
-    No faults configured.  A unicast reduces to exactly the pre-fault
-    code path — record the stats, trace, ``sim.schedule(hops *
-    hop_latency, handler)`` — consuming no randomness and scheduling no
-    extra events.  A flood is delivered per hop ring (see below).
-    Placements, :class:`MessageStats`, ``sim_events`` and the protocol
-    trace are byte-identical to a build without this module (tested
-    against golden snapshots in ``tests/test_faults.py`` and
-    ``tests/test_dist_golden.py``).
-
-``LEGACY_LOSS``
-    Only ``loss_rate`` is set (the pre-existing knob): unicast control
-    messages (TIGHT / SPAN / FREEZE / NADMIN) are dropped with the
-    historical RNG stream (``random.Random(loss_seed * 1_000_003 +
-    chunk)``, one draw per unicast) while floods stay reliable —
-    bit-compatible with the previous releases' loss injection.
-
-``FULL``
-    ``jitter``, ``churn_schedule`` or ``retx_timeout`` engaged: every
-    delivery (floods included) is subject to loss, jitter, churn and —
-    when enabled — acknowledged retransmission.  ``loss_rate = 1.0`` is
-    legal here: the retry budget bounds the work and the session
-    terminates with a partial-placement report instead of hanging.
+Any non-default knob — ``loss_rate`` alone included — makes the plane
+active (``faults_active``): every delivery, flood legs included, is
+subject to loss, jitter, churn and, when enabled, acknowledged
+retransmission.  ``loss_rate`` may be anything in ``[0, 1]``; at ``1.0``
+nothing arrives, and the session terminates with a partial-placement
+report instead of hanging.
 
 Floods are delivered per hop ring
 ---------------------------------
 A flood names its receivers, their hop counts and the value each one
 learns (a path cost), in send order, plus the ``apply(receivers,
-values)`` that runs each receiver's update.  Outside ``FULL`` mode
+values)`` that runs each receiver's update.  On an inactive plane
 :meth:`FaultPlane.flood` records the census once, traces each leg at
 send time, and hands the simulator one column entry of ``(receivers,
 values)`` per arrival time — one per hop ring, since arrival is ``now +
@@ -71,8 +62,8 @@ send order; a column applies them in that same order, so the no-op
 contract holds.  Rings are keyed by arrival time, not hop count, so
 that with ``hop_latency = 0`` every leg still lands in send order.  Each item of a column counts as one
 simulator event, so ``sim_events`` and ``sim.max_queue_depth`` count
-legs.  ``FULL`` mode keeps one delivery and one event per leg, because
-loss, jitter and retransmission act per leg; a leg's handler is
+legs.  An active plane keeps one delivery and one event per leg,
+because loss, jitter and retransmission act per leg; a leg's handler is
 ``apply`` over that one receiver and value.
 
 Fault accounting lives in :class:`FaultStats` (mirrored into
@@ -99,10 +90,6 @@ from repro.obs import get_recorder
 
 Node = Hashable
 Handler = Callable[[], None]
-
-PASSTHROUGH = "passthrough"
-LEGACY_LOSS = "legacy-loss"
-FULL = "full"
 
 LEAVE = "leave"
 JOIN = "join"
@@ -308,6 +295,10 @@ class FaultPlane:
         ):
             if not math.isfinite(value):
                 raise SimulationError(f"{name} must be finite, got {value}")
+        if not 0.0 <= loss_rate <= 1.0:
+            raise SimulationError(
+                f"loss_rate must be in [0, 1], got {loss_rate}"
+            )
         if jitter < 0:
             raise SimulationError(f"jitter must be >= 0, got {jitter}")
         if retx_timeout < 0:
@@ -318,24 +309,16 @@ class FaultPlane:
             raise SimulationError(
                 f"max_retries must be >= 0, got {max_retries}"
             )
-        if jitter > 0 or retx_timeout > 0 or self.churn_events:
-            self.mode = FULL
-            if not 0.0 <= loss_rate <= 1.0:
-                raise SimulationError("loss_rate must be in [0, 1]")
-        elif loss_rate > 0:
-            self.mode = LEGACY_LOSS
-            if not 0.0 <= loss_rate < 1.0:
-                raise SimulationError("loss_rate must be in [0, 1)")
-        else:
-            self.mode = PASSTHROUGH
-            if loss_rate < 0:
-                raise SimulationError("loss_rate must be in [0, 1)")
-        # The RNG exists only when it can be consumed, and the legacy
-        # stream (one draw per unicast) keeps the historical seeding so
-        # pre-fault loss runs replay bit-for-bit.
+        #: True when any knob is off its default: the session must then
+        #: expect drops, churn and duplicates.
+        self.faults_active = bool(
+            loss_rate > 0 or jitter > 0 or retx_timeout > 0
+            or self.churn_events
+        )
+        # The RNG exists only when it can be consumed.
         self._rng = (
             random.Random(seed * 1_000_003 + chunk)
-            if self.mode != PASSTHROUGH
+            if self.faults_active
             else None
         )
         self._seqs = itertools.count()
@@ -347,11 +330,6 @@ class FaultPlane:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def faults_active(self) -> bool:
-        """True when the session must expect drops / churn / duplicates."""
-        return self.mode == FULL
-
     @property
     def in_flight(self) -> int:
         """Unacknowledged messages still holding a retransmission claim."""
@@ -423,18 +401,13 @@ class FaultPlane:
         handler: Handler,
     ) -> None:
         """One k-hop-scoped control message (TIGHT/SPAN/FREEZE/NADMIN)."""
-        if self.mode == PASSTHROUGH:
-            self._deliver_reliable(msg_type, src, dst, hops, handler)
+        if self.faults_active:
+            self._send(_Pending(msg_type, src, dst, hops, handler))
             return
-        if self.mode == LEGACY_LOSS:
-            # Historical semantics: one draw per unicast, drop is final,
-            # floods unaffected.  Dropped messages never reach the stats.
-            if self._rng.random() < self.loss_rate:
-                self._count_drop(msg_type, src, dst)
-                return
-            self._deliver_reliable(msg_type, src, dst, hops, handler)
-            return
-        self._send(_Pending(msg_type, src, dst, hops, handler))
+        self.stats.record(msg_type, hops)
+        if self._trace.enabled:
+            self._trace_msg(msg_type, src, dst, hops)
+        self.sim.schedule(hops * self.hop_latency, handler)
 
     def flood(
         self,
@@ -448,16 +421,14 @@ class FaultPlane:
         """One NPI / CC / BADMIN flood: ``dsts[i]``, ``hops[i]`` away,
         learns ``values[i]``; the lists are in send order.
 
-        In FULL mode every leg is another lossy, retriable delivery whose
-        handler is ``apply((dst,), (value,))`` — re-flooding is
+        On an active plane every leg is another lossy, retriable delivery
+        whose handler is ``apply((dst,), (value,))`` — re-flooding is
         idempotent because receivers suppress duplicate sequence numbers
-        and every flood update is monotone.  Outside FULL mode floods are
-        reliable (broadcast redundancy makes per-node flood loss a
-        different regime from unicast loss) and each hop ring arrives as
-        one column entry ``apply(receivers, values)``; see the module
-        docstring.
+        and every flood update is monotone.  On an inactive plane each
+        hop ring arrives as one column entry ``apply(receivers,
+        values)``; see the module docstring.
         """
-        if self.mode == FULL:
+        if self.faults_active:
             for dst, h, value in zip(dsts, hops, values):
                 self._send(_Pending(
                     msg_type, src, dst, h, partial(apply, (dst,), (value,))
@@ -493,15 +464,6 @@ class FaultPlane:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _deliver_reliable(
-        self, msg_type: str, src: Node, dst: Node, hops: int, handler: Handler
-    ) -> None:
-        """The exact pre-fault delivery path (no RNG, no extra events)."""
-        self.stats.record(msg_type, hops)
-        if self._trace.enabled:
-            self._trace_msg(msg_type, src, dst, hops)
-        self.sim.schedule(hops * self.hop_latency, handler)
-
     def _latency(self, hops: int) -> float:
         delay = hops * self.hop_latency
         if self.jitter > 0:
@@ -509,7 +471,7 @@ class FaultPlane:
         return delay
 
     def _send(self, rec: _Pending) -> None:
-        """Attempt (or re-attempt) one FULL-mode delivery."""
+        """Attempt (or re-attempt) one delivery on an active plane."""
         retriable = self.retx_timeout > 0
         if rec.attempt == 0:
             rec.seq = next(self._seqs)
@@ -548,8 +510,7 @@ class FaultPlane:
             rec.timer = self.sim.schedule(
                 backoff, (lambda r=rec: self._on_timeout(r))
             )
-        # retx_timeout == 0 (jitter/churn only): drop is final, exactly
-        # like the legacy loss regime but applied to every delivery.
+        # retx_timeout == 0: a drop is final.
 
     def _arrive(self, rec: _Pending) -> None:
         if rec.dst in self._offline:

@@ -37,7 +37,7 @@ from repro.analysis import contracts
 from repro.core.commit import commit_chunk
 from repro.core.placement import CachePlacement, ChunkPlacement
 from repro.core.problem import CachingProblem, ProblemState
-from repro.distributed.faults import PASSTHROUGH, FaultPlane, FaultReport
+from repro.distributed.faults import FaultPlane, FaultReport
 from repro.distributed.messages import (
     ALL_TYPES,
     BADMIN,
@@ -104,16 +104,15 @@ class DistributedConfig:
         Arbitration window; must exceed the worst-case FREEZE delivery
         time (network diameter × ``hop_latency``) and stay well under
         ``tick_interval``.
-    loss_rate / loss_seed:
-        Failure injection: each *unicast* control message (TIGHT, SPAN,
-        FREEZE, NADMIN) is independently dropped with this probability
-        (seeded, deterministic).  With no other fault knob engaged,
-        floods (NPI, CC, BADMIN) are treated as reliable — broadcast
-        redundancy makes their per-node loss a different regime.  The
-        protocol must still terminate: clients always retain the
-        producer fallback.  Dropped messages are not counted in the
-        message statistics (they never arrived), so loss shows up as
-        degraded placement quality, not accounting noise.
+    loss_rate:
+        Failure injection in ``[0, 1]``: every delivery — each unicast
+        control message (TIGHT, SPAN, FREEZE, NADMIN) and each leg of
+        the NPI / CC / BADMIN floods — is independently dropped with this
+        probability (seeded, deterministic).  The protocol must still
+        terminate: clients always retain the producer fallback.  Dropped
+        messages are not counted in the message statistics (they never
+        arrived), so loss shows up as degraded placement quality, not
+        accounting noise.
     jitter:
         Uniform per-delivery latency jitter in ``[0, jitter)`` simulated
         seconds, added on top of ``hops * hop_latency`` — engages the
@@ -134,15 +133,13 @@ class DistributedConfig:
     max_retries:
         Retry budget per message once ``retx_timeout`` is engaged.
     fault_seed:
-        Seed of the fault plane's RNG substream; ``None`` (default)
-        reuses ``loss_seed``.
+        Seed of the fault plane's RNG; each chunk session draws from its
+        own substream of it.
 
-    When ``jitter``, ``churn_schedule`` or ``retx_timeout`` is engaged,
-    the plane runs in FULL mode: loss applies to every delivery
-    (``loss_rate = 1.0`` becomes legal), the Table II census sanitizer
-    check is skipped (floods are no longer conservation-exact), and a
-    session that quiesces with unserved nodes commits them to the
-    producer and reports them in the outcome's
+    When any fault knob is engaged the plane is active: the Table II
+    census sanitizer check is skipped (floods are no longer
+    conservation-exact), and a session that quiesces with unserved nodes
+    commits them to the producer and reports them in the outcome's
     :class:`~repro.distributed.faults.FaultReport` instead of raising.
     With every fault knob at its default the plane is a provable no-op:
     placements and :class:`MessageStats` are byte-identical to a
@@ -160,20 +157,19 @@ class DistributedConfig:
     promotion_latency: float = 0.05
     span_policy: str = "all"
     loss_rate: float = 0.0
-    loss_seed: int = 0
     jitter: float = 0.0
     churn_schedule: tuple = ()
     retx_timeout: float = 0.0
     max_retries: int = 3
-    fault_seed: Optional[int] = None
+    fault_seed: int = 0
 
 
 @dataclass
 class DistributedOutcome:
     """Placement plus protocol-level observables.
 
-    ``faults`` is ``None`` when every chunk session ran the fault plane
-    in passthrough mode (no fault knob engaged); otherwise it aggregates
+    ``faults`` is ``None`` when no fault knob is engaged (every chunk
+    session ran an inactive fault plane); otherwise it aggregates
     the drop / retransmission / churn accounting and any nodes that
     quiesced unserved (committed to the producer fallback).
     """
@@ -235,7 +231,7 @@ class ChunkSession:
         self._promotion_pending: Set[Node] = set()
         self._arbiter_scheduled = False
         #: Nodes still unserved when a faulty session quiesced (sorted by
-        #: the deterministic node order; empty outside FULL fault mode).
+        #: the deterministic node order; empty without fault knobs).
         self.unserved: List[Node] = []
         # Resolved once per session: the per-message trace guard must be
         # a plain attribute read, not a context-var lookup per radio send.
@@ -243,8 +239,8 @@ class ChunkSession:
         # Same contract for the per-tick series guard.
         self._obs = get_recorder()
         # Every delivery funnels through the fault plane; with all fault
-        # knobs at their defaults it resolves to passthrough mode, which
-        # is byte-identical to scheduling on the simulator directly.
+        # knobs at their defaults it is inactive, which is byte-identical
+        # to scheduling on the simulator directly.
         self.faults = FaultPlane(
             sim=self.sim,
             stats=stats,
@@ -256,11 +252,7 @@ class ChunkSession:
             retx_timeout=config.retx_timeout,
             max_retries=config.max_retries,
             churn=config.churn_schedule,
-            seed=(
-                config.fault_seed
-                if config.fault_seed is not None
-                else config.loss_seed
-            ),
+            seed=config.fault_seed,
         )
         self.faults.start(set(self.nodes), self.producer)
 
@@ -454,8 +446,9 @@ class ChunkSession:
                 can_cache=self.state.can_cache,
             )
         # The Table II census invariants (every node hears NPI exactly
-        # once, BADMIN = admins × (N-1), ...) assume reliable floods; in
-        # FULL fault mode floods are lossy, so the cross-check is skipped.
+        # once, BADMIN = admins × (N-1), ...) assume reliable floods; on
+        # an active fault plane floods are lossy, so the cross-check is
+        # skipped.
         if self.faults.faults_active:
             census_before = None
         if sanitize and census_before is not None:
@@ -483,8 +476,8 @@ class ChunkSession:
                 obs.count(f"protocol.msgs.{msg_type}", delta)
                 session_total += delta
         obs.count("protocol.msgs.total", session_total)
-        # Fault accounting (all zero — and unrecorded — in passthrough).
-        if self.faults.mode != PASSTHROUGH:
+        # Fault accounting (all zero — and unrecorded — without faults).
+        if self.faults.faults_active:
             fstats = self.faults.fstats
             if fstats.total_drops():
                 obs.count("protocol.drops", fstats.total_drops())
@@ -671,7 +664,7 @@ def solve_distributed(
             )
             ticks.append(session.ticks)
             events += session.sim.events_processed
-            if session.faults.mode != PASSTHROUGH:
+            if session.faults.faults_active:
                 if fault_report is None:
                     fault_report = FaultReport()
                 fault_report.stats.merge(session.faults.fstats)

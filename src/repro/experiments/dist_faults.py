@@ -14,8 +14,9 @@ node random network, and the sweep reports
 
 A final row adds scheduled churn (a slice of nodes leaves mid-protocol,
 half of them return) on top of the highest loss rate.  The ``loss=0``
-row runs the plane in passthrough mode, so it doubles as a live check of
-the no-op contract: its cost gap is exactly the fault-free gap.
+row sets no fault knob, so the plane stays inactive and the row doubles
+as a live check of the no-op contract: its cost gap is exactly the
+fault-free gap.
 """
 
 from __future__ import annotations

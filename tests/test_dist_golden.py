@@ -10,7 +10,7 @@
 * every ``sim.max_queue_depth`` the simulator reported, one per chunk.
 
 It does so at 300 nodes, and on 60 nodes under the default config and
-under each protocol ablation and the legacy loss mode.  It also pins the
+under each protocol ablation and under 20 % loss alone.  It also pins the
 sha256 of one 60-node run's protocol-track trace: every ``msg.<TYPE>``
 and ``dist.tick`` instant and every ``chunk_session`` span, by name and
 args, in emission order (wall-clock timestamps excluded).

@@ -172,13 +172,13 @@ class TestLossInjection:
     def test_protocol_survives_loss(self):
         problem = grid_problem(4, num_chunks=3)
         outcome = solve_distributed(
-            problem, DistributedConfig(loss_rate=0.3, loss_seed=1)
+            problem, DistributedConfig(loss_rate=0.3, fault_seed=1)
         )
         outcome.placement.validate()  # everyone still served
 
     def test_loss_is_deterministic(self):
         problem = grid_problem(4, num_chunks=2)
-        config = DistributedConfig(loss_rate=0.2, loss_seed=7)
+        config = DistributedConfig(loss_rate=0.2, fault_seed=7)
         a = solve_distributed(problem, config)
         b = solve_distributed(problem, config)
         assert [c.caches for c in a.placement.chunks] == [
@@ -189,7 +189,7 @@ class TestLossInjection:
         problem = grid_problem(6)
         clean = solve_distributed(problem)
         lossy = solve_distributed(
-            problem, DistributedConfig(loss_rate=0.5, loss_seed=3)
+            problem, DistributedConfig(loss_rate=0.5, fault_seed=3)
         )
         lossy.placement.validate()
         # fewer control messages get through, so fewer caches open
@@ -199,13 +199,14 @@ class TestLossInjection:
 
     def test_invalid_loss_rate(self):
         problem = grid_problem(3, num_chunks=1)
-        with pytest.raises(SimulationError):
-            solve_distributed(problem, DistributedConfig(loss_rate=1.0))
+        for rate in (-0.1, 1.5):
+            with pytest.raises(SimulationError, match="loss_rate must be in"):
+                solve_distributed(problem, DistributedConfig(loss_rate=rate))
 
     def test_extreme_loss_falls_back_to_producer(self):
         problem = grid_problem(4, num_chunks=2)
         outcome = solve_distributed(
-            problem, DistributedConfig(loss_rate=0.99, loss_seed=5)
+            problem, DistributedConfig(loss_rate=0.99, fault_seed=5)
         )
         outcome.placement.validate()
         # almost no control traffic lands: placements are producer-heavy

@@ -1,9 +1,9 @@
 """Tests for the fault-injection layer (``repro.distributed.faults``).
 
-Covers the three fault-plane modes, the no-op golden contract (with all
-fault knobs at their defaults the protocol reproduces a pre-fault-plane
-snapshot byte for byte), determinism under faults, churn semantics, and
-the 100%-loss / retry-budget termination path.  This module doubles as
+Covers when the fault plane engages, the no-op golden contract (with
+all fault knobs at their defaults the protocol reproduces a
+pre-fault-plane snapshot byte for byte), determinism under faults, churn
+semantics, and the 100%-loss / retry-budget termination path.  This module doubles as
 the CI fault-injection smoke job.
 """
 
@@ -19,12 +19,7 @@ from repro.distributed import (
     FaultStats,
     solve_distributed,
 )
-from repro.distributed.faults import (
-    FULL,
-    LEGACY_LOSS,
-    PASSTHROUGH,
-    normalize_churn,
-)
+from repro.distributed.faults import normalize_churn
 from repro.distributed.messages import MessageStats
 from repro.distributed.protocol import ChunkSession
 from repro.errors import SimulationError
@@ -70,13 +65,6 @@ class TestNoOpContract:
         problem, _ = random_problem(25, seed=11, num_chunks=3)
         assert _canon(_snapshot(problem)) == _canon(golden["random25_seed11"])
 
-    def test_legacy_loss_stream_byte_identical(self, golden):
-        """loss_rate alone replays the historical RNG stream exactly."""
-        snapshot = _snapshot(
-            grid_problem(6), DistributedConfig(loss_rate=0.2, loss_seed=7)
-        )
-        assert _canon(snapshot) == _canon(golden["grid6_loss"])
-
     def test_passthrough_reports_no_faults(self):
         outcome = solve_distributed(grid_problem(4))
         assert outcome.faults is None
@@ -95,10 +83,9 @@ class TestModeResolution:
         return FaultPlane(**defaults)
 
     def test_default_is_passthrough(self):
-        assert self._plane().mode == PASSTHROUGH
-
-    def test_loss_only_is_legacy(self):
-        assert self._plane(loss_rate=0.3).mode == LEGACY_LOSS
+        plane = self._plane()
+        assert not plane.faults_active
+        assert plane._rng is None  # consumes no randomness
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -106,17 +93,20 @@ class TestModeResolution:
             {"jitter": 0.01},
             {"retx_timeout": 0.5},
             {"churn": ((1.0, "n", "leave"),)},
+            {"loss_rate": 0.3},
         ],
     )
     def test_any_full_knob_engages_full_mode(self, kwargs):
-        assert self._plane(**kwargs).mode == FULL
+        assert self._plane(**kwargs).faults_active
 
-    def test_legacy_rejects_total_loss(self):
-        with pytest.raises(SimulationError):
-            self._plane(loss_rate=1.0)
+    def test_seed_alone_engages_nothing(self):
+        assert not self._plane(seed=7).faults_active
+
+    def test_total_loss_alone_is_accepted(self):
+        assert self._plane(loss_rate=1.0).faults_active
 
     def test_full_mode_allows_total_loss(self):
-        assert self._plane(loss_rate=1.0, retx_timeout=0.5).mode == FULL
+        assert self._plane(loss_rate=1.0, retx_timeout=0.5).faults_active
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -125,7 +115,7 @@ class TestModeResolution:
             {"jitter": -1.0},
             {"retx_timeout": -1.0},
             {"retx_timeout": 0.5, "max_retries": -1},
-            {"loss_rate": 1.5, "jitter": 0.1},
+            {"loss_rate": 1.5},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
@@ -142,8 +132,8 @@ class TestModeResolution:
 
 
 class TestFloodDelivery:
-    """Outside FULL mode a flood is one simulator entry per hop ring; in
-    FULL mode every leg stays its own event (plus its retx timer)."""
+    """Without fault knobs a flood is one simulator entry per hop ring;
+    with any knob every leg is its own event (plus its retx timer)."""
 
     @staticmethod
     def _flood_npi(**kwargs):
@@ -161,7 +151,7 @@ class TestFloodDelivery:
             rings,
         )
 
-    @pytest.mark.parametrize("kwargs", [{}, {"loss_rate": 0.3}])
+    @pytest.mark.parametrize("kwargs", [{}])
     def test_reliable_floods_schedule_one_entry_per_ring(self, kwargs):
         session, entries, pending, rings = self._flood_npi(**kwargs)
         assert entries == rings
@@ -173,12 +163,15 @@ class TestFloodDelivery:
             ({"jitter": 0.01}, 1),
             ({"churn_schedule": ((50.0, 5, "leave"),)}, 1),
             ({"retx_timeout": 0.5}, 2),  # delivery + retransmission timer
+            ({"loss_rate": 0.3}, 1),
         ],
     )
     def test_full_mode_schedules_one_event_per_leg(self, kwargs, per_leg):
         session, entries, pending, _ = self._flood_npi(**kwargs)
-        assert session.faults.mode == FULL
-        assert entries == per_leg * len(session.nodes)
+        assert session.faults.faults_active
+        # A dropped leg schedules no delivery.
+        drops = session.faults.fstats.total_drops()
+        assert entries == per_leg * len(session.nodes) - drops
         assert pending == entries
 
 
@@ -307,6 +300,27 @@ class TestTotalLoss:
         assert report.stats.total_drops() > 0
 
 
+    def test_total_loss_alone_falls_back_to_producer(self):
+        """Without retransmission a drop is final, so at 100% loss each
+        session ends after its first tick with nobody served."""
+        problem = grid_problem(6)
+        outcome = solve_distributed(
+            problem, DistributedConfig(loss_rate=1.0)
+        )
+        outcome.placement.validate()
+        report = outcome.faults
+        nodes = problem.graph.num_nodes - 1
+        assert report.total_unserved == nodes * problem.num_chunks
+        assert outcome.stats.total_messages() == 0
+        assert outcome.ticks_per_chunk == [1] * problem.num_chunks
+        for chunk in outcome.placement.chunks:
+            assert not chunk.caches
+            assert all(
+                server == problem.producer
+                for server in chunk.assignment.values()
+            )
+
+
 class TestRetransmission:
     def test_retx_only_matches_fault_free_run(self):
         """With zero loss, no jitter and no churn, the ack/retransmission
@@ -369,13 +383,14 @@ class TestFaultStats:
         assert a.leaves == 1
         assert a.joins == 2
 
-    def test_legacy_loss_outcome_reports_drops(self):
+    def test_loss_only_drops_flood_legs(self):
         outcome = solve_distributed(
-            grid_problem(5), DistributedConfig(loss_rate=0.3, loss_seed=3)
+            grid_problem(5), DistributedConfig(loss_rate=0.3, fault_seed=3)
         )
+        outcome.placement.validate()
         report = outcome.faults
         assert report is not None
-        assert report.converged  # legacy loss cannot leave nodes unserved
-        assert report.stats.total_drops() > 0
-        # Legacy mode never drops floods.
-        assert set(report.stats.drops) <= {"TIGHT", "SPAN", "FREEZE", "NADMIN"}
+        # Loss alone acts on every delivery, flood legs included.
+        assert {"NPI", "CC", "BADMIN"} <= set(report.stats.drops)
+        # No retransmission: every drop is final.
+        assert report.stats.total_retx() == 0

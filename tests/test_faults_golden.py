@@ -1,6 +1,6 @@
-"""Golden digests of Dist (Algorithm 2) under FULL fault mode.
+"""Golden digests of Dist (Algorithm 2) on an active fault plane.
 
-``tests/data/golden_full_dist.json`` pins three FULL-mode runs on
+``tests/data/golden_full_dist.json`` pins three faulty runs on
 ``random_problem(n, seed=2017)`` with 3 chunks and capacity 3, where
 every flood leg is its own lossy, jittered or retried delivery:
 
@@ -60,7 +60,7 @@ def _sha(document: Any) -> str:
 
 
 def run_case(nodes: int, overrides: Dict[str, Any]) -> Dict[str, Any]:
-    """Solve one FULL-mode case with Dist and return its pinned record."""
+    """Solve one faulty case with Dist and return its pinned record."""
     problem, _ = random_problem(
         nodes, seed=SEED, num_chunks=CHUNKS, capacity=CAPACITY
     )
@@ -68,7 +68,7 @@ def run_case(nodes: int, overrides: Dict[str, Any]) -> Dict[str, Any]:
     with use_recorder(recorder):
         outcome = solve_distributed(problem, DistributedConfig(**overrides))
     report = outcome.faults
-    assert report is not None  # FULL mode always reports
+    assert report is not None  # an active plane always reports
     return {
         "placement": _sha([_chunk_digest(c) for c in outcome.placement.chunks]),
         "census": _sha(

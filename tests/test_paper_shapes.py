@@ -441,11 +441,12 @@ def test_ablation_path_policy(problem):
 
 def test_loss_resilience(problem):
     """Sec. III-C motivates contention by colliding 802.11 control
-    traffic.  Under unicast loss every client is still served (producer
-    fallback) while cache formation shrinks with TIGHT/SPAN support."""
+    traffic.  Under message loss every placement stays valid (unserved
+    clients fall back to the producer) while cache formation shrinks
+    with TIGHT/SPAN support."""
     outcomes = {
         rate: solve_distributed(
-            problem, DistributedConfig(loss_rate=rate, loss_seed=42)
+            problem, DistributedConfig(loss_rate=rate, fault_seed=42)
         )
         for rate in (0.0, 0.2, 0.5, 0.8)
     }
