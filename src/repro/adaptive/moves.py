@@ -45,7 +45,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.commit import nearest_server_assignment
+from repro.core.commit import nearest_server_assignment, price_chunk
 from repro.core.costs import CostModel
 from repro.core.placement import ChunkPlacement, StageCost, edge_key
 from repro.core.problem import ProblemState
@@ -204,23 +204,16 @@ def rebuild_chunk_placement(state: ProblemState, chunk: int) -> ChunkPlacement:
     """
     problem = state.problem
     holders = sorted(state.storage.holders(chunk), key=str)
-    assignment = nearest_server_assignment(state, holders)
+    # Both calls go through this module's globals, so a wrapper set on
+    # ``moves.nearest_server_assignment`` or ``moves.steiner_tree`` sees
+    # them.
+    assignment = nearest_server_assignment(state.costs, problem, holders)
     tree_edges: frozenset = frozenset()
-    dissemination = 0.0
     if holders:
         weighted = state.costs.contention_weighted_graph()
         tree = steiner_tree(weighted, [problem.producer] + holders)
         tree_edges = frozenset(edge_key(u, v) for u, v, _ in tree.edges())
-        ordered = sorted(
-            tree_edges, key=lambda key: tuple(sorted(map(repr, key)))
-        )
-        dissemination = sum(
-            state.costs.edge_cost(*tuple(key)) for key in ordered
-        )
-    access = sum(
-        state.costs.contention_cost(assignment[client], client)
-        for client in sorted(assignment, key=str)
-    )
+    access, dissemination = price_chunk(state.costs, assignment, tree_edges)
     return ChunkPlacement(
         chunk=chunk,
         caches=frozenset(holders),

@@ -22,6 +22,7 @@ for each chunk").
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Hashable, List, Sequence
 
 from repro.graphs.graph import Graph
@@ -56,11 +57,20 @@ def contention_cost_rows(
     """Empty-network contention rows for each source (the Cont metric).
 
     Uses Eq. 2 with ``S(k) = 0`` everywhere, i.e. path costs are summed
-    node degrees — the static view of [4].
+    node degrees — the static view of [4].  Each row keeps the reachable
+    targets only, in graph order.
     """
     empty = StorageState(graph.nodes(), 0, producer=None)
-    model = CostModel(graph, empty)
-    return {source: model.all_contention_costs(source) for source in sources}
+    targets = list(graph.nodes())
+    block = CostModel(graph, empty).cost_rows(sources, targets).tolist()
+    return {
+        source: {
+            target: cost
+            for target, cost in zip(targets, row)
+            if cost != math.inf
+        }
+        for source, row in zip(sources, block)
+    }
 
 
 def greedy_select(

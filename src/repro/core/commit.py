@@ -14,22 +14,23 @@ tie-breaking.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional
+from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ProblemError
 from repro.analysis import contracts
 from repro.graphs.steiner import steiner_tree
-from repro.core.placement import ChunkPlacement, StageCost, edge_key
-from repro.core.problem import ProblemState
+from repro.core.costs import CostModel
+from repro.core.placement import ChunkPlacement, EdgeKey, StageCost, edge_key
+from repro.core.problem import CachingProblem, ProblemState
 from repro.obs import get_recorder, get_tracer
 
 Node = Hashable
 
 
 def nearest_server_assignment(
-    state: ProblemState, caches: List[Node]
+    costs: CostModel, problem: CachingProblem, caches: Sequence[Node]
 ) -> Dict[Node, Node]:
     """Assign every client its cheapest server among ``caches ∪ {producer}``.
 
@@ -42,17 +43,39 @@ def nearest_server_assignment(
     client raises the :class:`~repro.errors.NoPathError` of its first
     unreachable server.
     """
-    problem = state.problem
     clients = problem.clients
-    servers = [problem.producer] + caches
-    block = state.costs.cost_rows(servers, clients)
+    servers = [problem.producer, *caches]
+    block = costs.cost_rows(servers, clients)
     unreachable = np.argwhere(~np.isfinite(block.T))
     if len(unreachable):
         # The scalar read of the first unreachable pair raises its error.
         client, server = unreachable[0].tolist()
-        state.costs.contention_cost(servers[server], clients[client])
+        costs.contention_cost(servers[server], clients[client])
     best = block.argmin(axis=0).tolist()
     return dict(zip(clients, map(servers.__getitem__, best)))
+
+
+def price_chunk(
+    costs: CostModel,
+    assignment: Dict[Node, Node],
+    tree_edges: Iterable[EdgeKey],
+) -> Tuple[float, float]:
+    """``(access, dissemination)`` of one chunk under ``costs``.
+
+    Access sums Eq. 2's ``c_ij`` from each client's server; dissemination
+    sums ``c_e`` over the tree's edges, in ``repr`` order of their
+    endpoints (frozenset iteration order is not byte-stable).  Every
+    term is integer-valued and far below 2^53, so neither sum depends
+    on its order.  An empty tree disseminates ``0.0``.
+    """
+    access = sum(
+        costs.contention_cost(server, client)
+        for client, server in assignment.items()
+    )
+    ordered = sorted(tree_edges, key=lambda key: tuple(sorted(map(repr, key))))
+    if not ordered:
+        return access, 0.0
+    return access, sum(costs.edge_cost(*tuple(key)) for key in ordered)
 
 
 def commit_chunk(
@@ -131,7 +154,9 @@ def _commit_chunk(
 
     if assignment is None:
         with obs.timer("assignment"):
-            assignment = nearest_server_assignment(state, cache_list)
+            assignment = nearest_server_assignment(
+                state.costs, problem, cache_list
+            )
     else:
         allowed = set(cache_list) | {problem.producer}
         for client, server in assignment.items():
@@ -146,12 +171,6 @@ def _commit_chunk(
                 f"assignment misses clients {sorted(map(repr, missing))[:5]}"
             )
 
-    access = sum(
-        state.costs.contention_cost(server, client)
-        for client, server in assignment.items()
-    )
-
-    dissemination = 0.0
     if tree_edges is None:
         tree_edges = frozenset()
         if cache_list:
@@ -161,15 +180,10 @@ def _commit_chunk(
                 tree_edges = frozenset(
                     edge_key(u, v) for u, v, _ in tree.edges()
                 )
-    if cache_list:
-        # Sort the edge set before summing: float addition is order-
-        # dependent and frozenset iteration order is not byte-stable.
-        ordered_edges = sorted(
-            tree_edges, key=lambda key: tuple(sorted(map(repr, key)))
-        )
-        dissemination = sum(
-            state.costs.edge_cost(*tuple(key)) for key in ordered_edges
-        )
+    # No cache, nothing disseminated, whatever tree was passed in.
+    access, dissemination = price_chunk(
+        state.costs, assignment, tree_edges if cache_list else ()
+    )
 
     placement = ChunkPlacement(
         chunk=chunk,

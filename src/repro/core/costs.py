@@ -71,13 +71,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from types import MappingProxyType
 from typing import (
     Dict,
     Hashable,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     TYPE_CHECKING,
@@ -238,12 +236,10 @@ class CostModel:
         self._hop_trees: Dict[Node, _HopTree] = {}
         # Storage-dependent structures: the row store (valid where
         # ``_built``), the (node position, delta) range adds queued for
-        # it, the rows read as dicts since the last change, and the
-        # contention policy's Dijkstra trees.
+        # it, and the contention policy's Dijkstra trees.
         self._matrix = np.empty((n, n))
         self._built = np.zeros(n, dtype=bool)
         self._pending: List[Tuple[int, float]] = []
-        self._views: Dict[Node, Dict[Node, float]] = {}
         self._tree_cache: Dict[
             Node, Tuple[Dict[Node, float], Dict[Node, Node]]
         ] = {}
@@ -308,7 +304,6 @@ class CostModel:
             self._x[k] += delta
             if delta and rows.size:
                 self._pending.append((k, float(delta)))
-                self._views.clear()
             patched = True
             recorder.count("costs.incremental_patches")
         trace = get_tracer()
@@ -361,7 +356,6 @@ class CostModel:
             )
         self._pending.clear()
         self._built[:] = False
-        self._views.clear()
         self._tree_cache.clear()
         self._snapshot_storage()
         get_recorder().count("costs.full_rebuilds")
@@ -404,10 +398,9 @@ class CostModel:
         if via not in self.graph:
             raise ProblemError(f"node {via!r} is not in the graph")
         if self.path_policy != PATH_POLICY_HOPS:
-            return frozenset(
-                node for node in self.all_contention_costs(source)
-                if node != source
-            )
+            row = self._matrix[self._row(source)]
+            reach = np.flatnonzero(np.isfinite(row)).tolist()
+            return frozenset(map(self._nodes.__getitem__, reach)) - {source}
         preorder = self._hop_tree(source).preorder
         p = self._index[source]
         k = self._index[via]
@@ -448,35 +441,25 @@ class CostModel:
     def contention_cost(self, source: Node, target: Node) -> float:
         """Eq. 2: ``c_ij`` between two nodes (0 when identical).
 
-        Raises :class:`~repro.errors.NoPathError` when ``target`` is
-        unreachable from ``source`` (disconnected or churned graphs), and
-        :class:`~repro.errors.NodeNotFoundError` when ``target`` is not a
-        node at all.
+        One entry of the row store: the same float as
+        ``cost_rows([source], [target])[0, 0]``.  Raises
+        :class:`~repro.errors.NodeNotFoundError` when either node is not
+        in the graph, and :class:`~repro.errors.NoPathError` when
+        ``target`` is unreachable from ``source`` (disconnected or
+        churned graphs).
         """
         if source == target:
+            if source not in self._index:
+                raise NodeNotFoundError(source)
             return 0.0
-        # The row lookup of _costs_from, inlined: this is the hot read.
-        costs = self._views.get(source)
-        if costs is None:
-            costs = self._costs_from(source)
-        else:
-            get_recorder().count("costs.row_cache_hits")
-        try:
-            return costs[target]
-        except KeyError:
-            if target not in self.graph:
-                raise NodeNotFoundError(target) from None
-            raise NoPathError(source, target) from None
-
-    def all_contention_costs(self, source: Node) -> Mapping[Node, float]:
-        """``c_ij`` from ``source`` to every reachable node (``c_ii = 0``).
-
-        A read-only mapping in BFS order (Dijkstra settle order under
-        ``"contention"``).  It is a snapshot: every caller shares one
-        underlying row until the next storage change, and the mapping
-        keeps its values after that change.
-        """
-        return MappingProxyType(self._costs_from(source))
+        row = self._row(source)
+        column = self._index.get(target)
+        if column is None:
+            raise NodeNotFoundError(target)
+        cost = self._matrix.item(row, column)
+        if cost == math.inf:
+            raise NoPathError(source, target)
+        return cost
 
     def cost_rows(
         self, sources: Sequence[Node], targets: Sequence[Node]
@@ -492,10 +475,6 @@ class CostModel:
         except KeyError as exc:
             raise NodeNotFoundError(exc.args[0]) from None
         return self._matrix[np.ix_(rows, columns)]
-
-    def cost_matrix(self) -> Dict[Node, Mapping[Node, float]]:
-        """Full ``c_ij`` matrix (Algorithm 1, lines 8–13)."""
-        return {node: self.all_contention_costs(node) for node in self.graph.nodes()}
 
     def edge_cost(self, u: Node, v: Node) -> float:
         """Dissemination edge cost ``c_e = c_ij`` for adjacent ``u, v``,
@@ -601,7 +580,9 @@ class CostModel:
         return row
 
     def _row_dict(self, source: Node, row: np.ndarray) -> Dict[Node, float]:
-        """``row``'s reachable entries as a plain dict, in tree order."""
+        """``row``'s reachable entries as a plain dict, in tree order: the
+        form :func:`~repro.analysis.contracts.check_incremental_cost_rows`
+        compares."""
         if self.path_policy == PATH_POLICY_HOPS:
             tree = self._hop_tree(source)
             keys, reach = tree.keys, tree.reach
@@ -624,13 +605,3 @@ class CostModel:
         self._matrix[row] = self._build_row(source)
         self._built[row] = True
         return row
-
-    def _costs_from(self, source: Node) -> Dict[Node, float]:
-        """``source``'s row as a dict, shared until the next change."""
-        costs = self._views.get(source)
-        if costs is not None:
-            get_recorder().count("costs.row_cache_hits")
-            return costs
-        row = self._row(source)
-        costs = self._views[source] = self._row_dict(source, self._matrix[row])
-        return costs

@@ -8,7 +8,10 @@ replica resolution (:meth:`CheapestCost.resolve`) and the commit's
 ``cost_rows(servers, clients)`` block.  Each must equal the scalar loop
 over :meth:`CostModel.contention_cost` kept here as its oracle: the
 same floats (compared with ``==``), the same winners under ties, the
-same exception and message for unknown and unreachable nodes.
+same exception and message for unknown and unreachable nodes.  The
+scalar read itself is one entry of the same row store: it must equal
+the one-entry block ``cost_rows([s], [t])``, with patches still queued
+when it is the first read after a storage change.
 
 Networks come from the grid, random-geometric, line, ring, star and
 balanced-tree generators, under both path policies, with a random
@@ -19,6 +22,7 @@ seed (``derandomize=True``).
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -148,6 +152,35 @@ def raised(call):
     return None
 
 
+def scalar_entry(costs, source, target):
+    """``contention_cost(source, target)``, or ``(type, message)`` raised."""
+    try:
+        return costs.contention_cost(source, target)
+    except (NodeNotFoundError, NoPathError) as exc:
+        return type(exc), str(exc)
+
+
+def block_entry(costs, source, target):
+    """The one-entry block, read as :func:`scalar_entry` reads a pair: an
+    ``inf`` entry is the :class:`NoPathError` of the pair."""
+    try:
+        cost = costs.cost_rows([source], [target])[0, 0]
+    except NodeNotFoundError as exc:
+        return type(exc), str(exc)
+    if cost == math.inf:
+        return NoPathError, str(NoPathError(source, target))
+    return cost
+
+
+def toggle(state, node, chunk):
+    """Evict ``chunk`` from ``node`` if it holds it, else cache it there
+    if it can: one storage change, queued as a patch on built rows."""
+    if chunk in state.storage.chunks_at(node):
+        state.evict(node, chunk)
+    elif state.can_cache(node):
+        state.cache(node, chunk)
+
+
 # -- the generated cases -------------------------------------------------
 
 @st.composite
@@ -268,9 +301,28 @@ def test_block_assignment_equals_first_minimum_loop(case):
     for chunk in range(CHUNKS):
         caches = holders[chunk][:]
         rng.shuffle(caches)
-        assert nearest_server_assignment(state, caches) == scalar_assignment(
-            state.costs, problem.producer, caches, clients
-        )
+        assert nearest_server_assignment(
+            state.costs, problem, caches
+        ) == scalar_assignment(state.costs, problem.producer, caches, clients)
+
+
+@SETTINGS
+@given(priced_states())
+def test_scalar_read_equals_one_entry_block(case):
+    state, _, _, rng = case
+    costs = state.costs
+    nodes = list(state.problem.graph.nodes())
+    costs.cost_rows(nodes, nodes)  # every row built: changes queue patches
+    with pytest.MonkeyPatch.context() as patch:
+        # The sanitizer applies each patch at once to check it.
+        patch.setenv("REPRO_SANITIZE", "0")
+        for _ in range(8):
+            node = rng.choice(state.problem.clients)
+            toggle(state, node, rng.randrange(CHUNKS))
+            source, target = (rng.choice(nodes + ["ghost"]) for _ in range(2))
+            # The scalar read comes first, so it applies any queued patch.
+            expected = scalar_entry(costs, source, target)
+            assert block_entry(costs, source, target) == expected
 
 
 # -- errors: unknown and unreachable nodes -------------------------------
@@ -312,6 +364,36 @@ def test_block_prices_raise_the_scalar_error(policy, holders, clients):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
+def test_scalar_read_raises_the_block_error(policy, monkeypatch):
+    # The sanitizer applies each patch at once to check it.
+    monkeypatch.setenv("REPRO_SANITIZE", "0")
+    costs = split_network(policy)
+    storage = costs.storage
+    nodes = list(costs.graph.nodes())
+    costs.cost_rows(nodes, nodes)
+    for source in nodes + ["ghost"]:
+        for target in nodes + ["ghost"]:
+            # Queue a patch (a full drop under "contention") before each
+            # pair, so the scalar read is the first read after a change.
+            if 1 in storage.chunks_at(1):
+                storage.remove(1, 1)
+            else:
+                storage.add(1, 1)
+            costs.invalidate(dirty_nodes=[1])
+            if policy == PATH_POLICY_HOPS:
+                assert costs._pending
+            expected = scalar_entry(costs, source, target)
+            assert block_entry(costs, source, target) == expected
+    assert scalar_entry(costs, 0, "island-b") == (
+        NoPathError, "no path between 0 and 'island-b'"
+    )
+    assert scalar_entry(costs, "ghost", "ghost") == (
+        NodeNotFoundError, "node 'ghost' is not in the graph"
+    )
+    assert scalar_entry(costs, 0, "ghost") == scalar_entry(costs, "ghost", 0)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
 def test_cheapest_resolution_leaves_unreachable_clients_to_the_loop(policy):
     costs = split_network(policy)
     selector = cheapest(costs)
@@ -341,7 +423,9 @@ def test_block_assignment_raises_the_scalar_error(policy):
     state = problem.new_state()
     clients = problem.clients
 
-    unknown = raised(lambda: nearest_server_assignment(state, [1, "ghost"]))
+    unknown = raised(
+        lambda: nearest_server_assignment(state.costs, problem, [1, "ghost"])
+    )
     assert unknown == raised(
         lambda: scalar_assignment(state.costs, 4, [1, "ghost"], clients)
     )
@@ -351,7 +435,9 @@ def test_block_assignment_raises_the_scalar_error(policy):
     problem.graph.remove_edge(5, 8)
     problem.graph.remove_edge(7, 8)
     state.costs.invalidate_topology()
-    cut = raised(lambda: nearest_server_assignment(state, [1, 2]))
+    cut = raised(
+        lambda: nearest_server_assignment(state.costs, problem, [1, 2])
+    )
     assert cut == raised(
         lambda: scalar_assignment(state.costs, 4, [1, 2], clients)
     )
@@ -374,7 +460,10 @@ def tie_line(policy: str):
 @pytest.mark.parametrize("policy", POLICIES)
 def test_commit_assignment_gives_ties_to_the_producer(policy):
     state = tie_line(policy)
-    assert nearest_server_assignment(state, [2]) == {1: 0, 2: 2}
+    assert nearest_server_assignment(state.costs, state.problem, [2]) == {
+        1: 0,
+        2: 2,
+    }
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -386,8 +475,8 @@ def test_commit_assignment_gives_ties_among_caches_to_the_earlier(policy):
     # Client 3 sits between caches 2 and 4 at equal cost.
     assert state.costs.contention_cost(2, 3) == 4.0
     assert state.costs.contention_cost(4, 3) == 4.0
-    assert nearest_server_assignment(state, [4, 2])[3] == 4
-    assert nearest_server_assignment(state, [2, 4])[3] == 2
+    assert nearest_server_assignment(state.costs, problem, [4, 2])[3] == 4
+    assert nearest_server_assignment(state.costs, problem, [2, 4])[3] == 2
 
 
 @pytest.mark.parametrize("policy", POLICIES)

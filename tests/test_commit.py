@@ -11,23 +11,25 @@ from repro.workloads import grid_problem
 class TestNearestAssignment:
     def test_self_service_when_caching(self, small_problem):
         state = small_problem.new_state()
-        assignment = nearest_server_assignment(state, [1, 14])
+        assignment = nearest_server_assignment(
+            state.costs, small_problem, [1, 14]
+        )
         assert assignment[1] == 1
         assert assignment[14] == 14
 
     def test_producer_when_no_caches(self, small_problem):
         state = small_problem.new_state()
-        assignment = nearest_server_assignment(state, [])
+        assignment = nearest_server_assignment(state.costs, small_problem, [])
         assert all(s == small_problem.producer for s in assignment.values())
 
     def test_all_clients_covered(self, small_problem):
         state = small_problem.new_state()
-        assignment = nearest_server_assignment(state, [5])
+        assignment = nearest_server_assignment(state.costs, small_problem, [5])
         assert set(assignment) == set(small_problem.clients)
 
     def test_picks_cheaper_server(self, small_problem):
         state = small_problem.new_state()
-        assignment = nearest_server_assignment(state, [0])
+        assignment = nearest_server_assignment(state.costs, small_problem, [0])
         # node 1 is adjacent to cache 0; producer 9 is farther
         assert assignment[1] == 0
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -30,6 +31,19 @@ from repro.graphs import (
 )
 from repro.obs import Recorder, use_recorder
 from repro.workloads import random_problem
+
+
+def full_block(model):
+    """Every ``c_ij`` of ``model``, as one ``cost_rows`` block."""
+    nodes = list(model.graph.nodes())
+    return model.cost_rows(nodes, nodes)
+
+
+def reachable(model, source):
+    """The targets with a finite cost from ``source``."""
+    nodes = list(model.graph.nodes())
+    row = model.cost_rows([source], nodes)[0]
+    return {node for node, cost in zip(nodes, row) if np.isfinite(cost)}
 
 
 class TestFairnessDegreeCost:
@@ -120,15 +134,16 @@ class TestCostModel:
         assert model.contention_cost(0, 2) == base
 
     def test_all_costs_match_single(self, model):
-        rows = model.all_contention_costs(0)
-        for target in model.graph.nodes():
-            assert rows[target] == model.contention_cost(0, target)
+        nodes = list(model.graph.nodes())
+        row = model.cost_rows([0], nodes)[0].tolist()
+        for target, cost in zip(nodes, row):
+            assert cost == model.contention_cost(0, target)
 
     def test_cost_matrix_complete(self, model):
-        matrix = model.cost_matrix()
+        block = full_block(model)
         nodes = list(model.graph.nodes())
-        assert set(matrix) == set(nodes)
-        assert all(set(row) == set(nodes) for row in matrix.values())
+        assert block.shape == (len(nodes), len(nodes))
+        assert np.isfinite(block).all()
 
     def test_edge_cost(self, model):
         assert model.edge_cost(0, 1) == 5.0
@@ -231,16 +246,16 @@ class TestIncrementalInvalidation:
 
     def _assert_matches_fresh(self, model):
         fresh = CostModel(model.graph, model.storage, model.path_policy)
-        assert model.cost_matrix() == fresh.cost_matrix()
+        assert np.array_equal(full_block(model), full_block(fresh))
 
     def test_single_dirty_patch_matches_fresh_model(self, model):
-        model.cost_matrix()  # populate every row
+        full_block(model)  # populate every row
         model.storage.add(5, 0)
         model.invalidate(dirty_nodes=(5,))
         self._assert_matches_fresh(model)
 
     def test_sequence_of_commits_matches_fresh_model(self, model):
-        model.cost_matrix()
+        full_block(model)
         for chunk, node in enumerate((1, 5, 10, 5, 14, 1)):
             model.storage.add(node, chunk)
             model.invalidate(dirty_nodes=(node,))
@@ -249,38 +264,38 @@ class TestIncrementalInvalidation:
     def test_evict_patches_downward(self, model):
         model.storage.add(6, 0)
         model.invalidate(dirty_nodes=(6,))
-        before = model.cost_matrix()
+        before = full_block(model)
         model.storage.remove(6, 0)
         model.invalidate(dirty_nodes=(6,))
         self._assert_matches_fresh(model)
-        assert model.cost_matrix() != before
+        assert not np.array_equal(full_block(model), before)
 
     def test_self_cost_stays_zero_when_source_dirty(self, model):
-        model.cost_matrix()
+        full_block(model)
         model.storage.add(5, 0)
         model.invalidate(dirty_nodes=(5,))
         assert model.contention_cost(5, 5) == 0.0
-        assert model.all_contention_costs(5)[5] == 0.0
+        assert model.cost_rows([5], [5])[0, 0] == 0.0
 
     def test_rows_built_after_patch_are_consistent(self, model):
         # Only one row cached when the patch lands; rows built later must
         # agree with it (they read the already-updated storage).
-        model.all_contention_costs(0)
+        model.cost_rows([0], [0])
         model.storage.add(5, 0)
         model.invalidate(dirty_nodes=(5,))
         self._assert_matches_fresh(model)
 
     def test_noop_dirty_invalidate_changes_nothing(self, model):
-        before = model.cost_matrix()
+        before = full_block(model)
         model.invalidate(dirty_nodes=(5,))  # storage did not change
-        assert model.cost_matrix() == before
+        assert np.array_equal(full_block(model), before)
 
     def test_unknown_dirty_node_rejected(self, model):
         with pytest.raises(ProblemError):
             model.invalidate(dirty_nodes=("nowhere",))
 
     def test_hop_trees_survive_dirty_invalidation(self, model):
-        model.cost_matrix()
+        full_block(model)
         tree = model._hop_trees[0]
         model.storage.add(5, 0)
         model.invalidate(dirty_nodes=(5,))
@@ -289,11 +304,11 @@ class TestIncrementalInvalidation:
     def test_counters(self, model):
         rec = Recorder()
         with use_recorder(rec):
-            model.cost_matrix()
+            full_block(model)
             builds = rec.counter("costs.row_builds")
             model.storage.add(5, 0)
             model.invalidate(dirty_nodes=(5,))
-            model.cost_matrix()
+            full_block(model)
         assert builds == model.graph.num_nodes
         assert rec.counter("costs.row_builds") == builds  # patched, not rebuilt
         assert rec.counter("costs.incremental_patches") == 1
@@ -327,7 +342,7 @@ class TestIncrementalInvalidation:
     def test_contention_policy_falls_back_to_full_drop(self, grid4):
         storage = StorageState(grid4.nodes(), 5, producer=9)
         model = CostModel(grid4, storage, PATH_POLICY_CONTENTION)
-        model.all_contention_costs(0)
+        model.cost_rows([0], [0])
         assert model._built.any() and model._tree_cache
         rec = Recorder()
         with use_recorder(rec):
@@ -337,13 +352,13 @@ class TestIncrementalInvalidation:
         assert model._tree_cache == {}
         assert rec.counter("costs.full_rebuilds") == 1
         fresh = CostModel(grid4, storage, PATH_POLICY_CONTENTION)
-        assert model.cost_matrix() == fresh.cost_matrix()
+        assert np.array_equal(full_block(model), full_block(fresh))
 
     def test_sanitizer_catches_inconsistent_patch(self, model, monkeypatch):
         # Corrupt a stored matrix entry, then trigger an incremental
         # patch: the REPRO_SANITIZE cross-check must notice the divergence.
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        model.cost_matrix()
+        full_block(model)
         model._matrix[model._index[0], model._index[15]] += 1.0
         model.storage.add(5, 0)
         with pytest.raises(InvariantError):
@@ -393,16 +408,17 @@ class TestUnreachableTargets:
 
     def test_all_costs_cover_component_only(self, split):
         model = CostModel(split, StorageState(split.nodes(), 5))
-        assert set(model.all_contention_costs(0)) == {0, 1, 2}
-        assert set(model.all_contention_costs("a")) == {"a", "b"}
+        assert reachable(model, 0) == {0, 1, 2}
+        assert reachable(model, "a") == {"a", "b"}
 
     def test_dirty_patch_skips_unreachable_dirty_node(self, split):
         storage = StorageState(split.nodes(), 5)
         model = CostModel(split, storage)
-        row = dict(model.all_contention_costs(0))
+        nodes = list(split.nodes())
+        row = model.cost_rows([0], nodes)
         storage.add("a", 0)  # dirty node in the other component
         model.invalidate(dirty_nodes=("a",))
-        assert model.all_contention_costs(0) == row
+        assert np.array_equal(model.cost_rows([0], nodes), row)
 
 
 class TestContentionTreeCache:

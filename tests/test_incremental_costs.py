@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import repro.core.commit as commit_mod
@@ -38,7 +39,10 @@ def checked_commit(monkeypatch):
         fresh = CostModel(
             state.problem.graph, state.storage, state.problem.path_policy
         )
-        assert state.costs.cost_matrix() == fresh.cost_matrix()
+        nodes = list(state.problem.graph.nodes())
+        assert np.array_equal(
+            state.costs.cost_rows(nodes, nodes), fresh.cost_rows(nodes, nodes)
+        )
         checks["count"] += 1
         return placement
 

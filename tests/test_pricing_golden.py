@@ -122,7 +122,7 @@ def _assignments(path_policy: str) -> str:
             key=str,
         )
         caches = rng.sample(eligible, size)
-        assignment = nearest_server_assignment(state, caches)
+        assignment = nearest_server_assignment(state.costs, problem, caches)
         placement = commit_chunk(state, chunk, caches)
         assert placement.assignment == assignment
         pinned.append(
