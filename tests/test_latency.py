@@ -1,5 +1,10 @@
 """Unit tests for the request-level latency report."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import solve_approximation
@@ -130,3 +135,44 @@ class TestPercentileFunction:
             fetch_latencies=(1.0, 2.0, 3.0), per_chunk_completion={}
         )
         assert report.percentile(50) == percentile([1.0, 2.0, 3.0], 50)
+
+
+#: A tie between two caches on paths of unequal DCF delay.  Producer
+#: ``p`` sits four hops from client ``j``; caches ``a`` (degree 4) and
+#: ``b`` (degree 1, behind the degree-6 node ``m``) each cost
+#: ``c(·, j) = 11`` once they hold the chunk.
+TIE_SCRIPT = """
+from repro.core import CachingProblem, commit_chunk
+from repro.core.placement import CachePlacement
+from repro.delay import latency_report
+from repro.graphs import Graph
+
+graph = Graph()
+edges = "j-a a-x1 a-x2 a-x3 j-m m-b m-z1 m-z2 m-z3 m-z4 j-q1 q1-q2 q2-q3 q3-q4 q4-p"
+for edge in edges.split():
+    graph.add_edge(*edge.split("-"))
+problem = CachingProblem(graph=graph, producer="p", num_chunks=1, capacity=2)
+state = problem.new_state()
+assert state.costs.contention_cost("a", "j") == 7.0
+chunk = commit_chunk(state, 0, ["b", "a"])
+assert state.costs.contention_cost("a", "j") == 11.0
+assert state.costs.contention_cost("b", "j") == 11.0
+report = latency_report(CachePlacement(problem=problem, chunks=[chunk]))
+print(repr(report.fetch_latencies[problem.clients.index("j")]))
+"""
+
+
+def _tie_latency(hash_seed: str) -> str:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", TIE_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout.strip()
+
+
+def test_tied_copies_do_not_depend_on_the_hash_seed():
+    # Caches go to the tie-break in str order, so "a" wins under every
+    # hash seed (frozenset order once picked "a" or "b" by seed).
+    assert _tie_latency("1") == _tie_latency("2") == "8.760119999999999"
