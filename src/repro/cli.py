@@ -81,6 +81,10 @@ _ALGO_ALIASES = {
 }
 
 
+#: ``--max-retries`` default, ``DistributedConfig.max_retries``'s.
+DEFAULT_MAX_RETRIES = 3
+
+
 def _retry_budget(text: str) -> int:
     """``--max-retries``: a retry count, so a non-negative integer."""
     try:
@@ -154,9 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0 = no retransmission)",
     )
     faults.add_argument(
-        "--max-retries", type=_retry_budget, default=3, metavar="N",
-        help="retry budget per message when --retx-timeout is set "
-        "(default 3)",
+        "--max-retries", type=_retry_budget, default=DEFAULT_MAX_RETRIES,
+        metavar="N",
+        help="retry budget per message; needs --retx-timeout "
+        f"(default {DEFAULT_MAX_RETRIES})",
     )
     faults.add_argument(
         "--churn", action="append", default=None, metavar="T:NODE:KIND",
@@ -503,6 +508,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("fault-injection flags require --algorithm dist",
               file=sys.stderr)
         return 2
+    if args.max_retries != DEFAULT_MAX_RETRIES and not args.retx_timeout:
+        print("solve: --max-retries needs --retx-timeout (without acked "
+              "retransmission nothing is retried)", file=sys.stderr)
+        return 2
     outcome = None
     if fault_config is not None:
         from repro.distributed import solve_distributed
@@ -567,7 +576,10 @@ def _parse_fault_config(args: argparse.Namespace):
     Returns None when every fault flag is at its default, so the plain
     (registry-driven) solve path stays untouched.
     """
-    if not (args.loss_rate or args.jitter or args.retx_timeout or args.churn):
+    if not (
+        args.loss_rate or args.jitter or args.retx_timeout or args.churn
+        or args.max_retries != DEFAULT_MAX_RETRIES or args.fault_seed
+    ):
         return None
     from repro.distributed import DistributedConfig
 

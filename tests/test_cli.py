@@ -165,8 +165,7 @@ def test_removed_bench_command_is_unknown(capsys):
     ("two", "argument --max-retries: expected an integer, got 'two'"),
 ], ids=["negative", "not-an-integer"])
 def test_bad_max_retries_rejected_at_parse_time(value, message, capsys):
-    # Without another fault flag the retry budget is never read, so only
-    # the parser can catch it.
+    # The parser rejects the value before any other fault flag is read.
     with pytest.raises(SystemExit) as excinfo:
         main(["solve", "--grid", "3", "--algorithm", "dist",
               "--max-retries", value])
@@ -175,6 +174,42 @@ def test_bad_max_retries_rejected_at_parse_time(value, message, capsys):
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-retries", "5", "--fault-seed", "9"],
+    ["--max-retries", "5"],
+    ["--fault-seed", "9"],
+    ["--loss-rate", "0.2"],
+    ["--jitter", "0.1"],
+    ["--retx-timeout", "0.5"],
+    ["--churn", "5:3:leave"],
+], ids=["retries-and-seed", "retries", "seed", "loss", "jitter", "retx",
+        "churn"])
+def test_fault_flags_off_dist_exit_2(flags, capsys):
+    assert main(["solve", "--grid", "3", "--algorithm", "appx", *flags]) == 2
+    captured = capsys.readouterr()
+    assert "fault-injection flags require --algorithm dist" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_fault_flags_at_their_defaults_are_not_fault_flags(capsys):
+    argv = ["solve", "--grid", "3", "--algorithm", "appx",
+            "--max-retries", "3", "--fault-seed", "0", "--loss-rate", "0"]
+    assert main(argv) == 0
+    assert "Appx on 3x3 grid" in capsys.readouterr().out
+
+
+def test_max_retries_without_retx_timeout_exit_2_on_dist(capsys):
+    argv = ["solve", "--grid", "3", "--algorithm", "dist",
+            "--max-retries", "5", "--jitter", "0.1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--retx-timeout" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert main(argv + ["--retx-timeout", "0.5"]) == 0
 
 
 def test_experiment_all_accepted():
