@@ -20,8 +20,10 @@ import math
 import random
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import GraphError
-from repro.graphs.components import connected_components, is_connected
+from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
 
 #: Default RNG seed (the paper's evaluation-year convention); every
@@ -86,23 +88,74 @@ def random_geometric_graph(
     -------
     (graph, positions):
         The graph and a ``node -> (x, y)`` position map.
+
+    Each attempt is one numpy range mask, tested for connectivity as it
+    stands; only the accepted draw becomes a :class:`Graph`.
     """
     if num_nodes < 1:
         raise ValueError(f"num_nodes must be positive, got {num_nodes}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not (math.isfinite(area) and area > 0):
+        raise ValueError(f"area must be positive and finite, got {area}")
     rng = random.Random(seed)
+    r2 = radius * radius
+    dist2 = np.empty((num_nodes, num_nodes))
+    dy = np.empty_like(dist2)
     for _ in range(max_attempts):
         positions = {
             i: (rng.uniform(0, area), rng.uniform(0, area)) for i in range(num_nodes)
         }
-        graph = _geometric_edges(positions, radius)
-        if not ensure_connected or is_connected(graph):
-            return graph, positions
+        within = _within_range(positions, r2, dist2, dy)
+        if not ensure_connected or _mask_connected(within):
+            return _range_graph(within), positions
     raise GraphError(
         f"could not draw a connected geometric graph in {max_attempts} attempts "
         f"(n={num_nodes}, radius={radius}, area={area}); increase the radius"
     )
+
+
+def _within_range(
+    positions: dict, r2: float, dist2: np.ndarray, dy: np.ndarray
+) -> np.ndarray:
+    """The ``n × n`` mask ``dx*dx + dy*dy <= r2`` over nodes ``0..n-1``.
+
+    The same float64 operations as a scalar pair test, so the two agree
+    bit for bit.  ``dist2`` and ``dy`` are ``n × n`` float scratch
+    buffers, reused by every attempt of a draw.
+    """
+    x, y = np.array(list(positions.values()), dtype=np.float64).T
+    np.subtract.outer(x, x, out=dist2)
+    np.multiply(dist2, dist2, out=dist2)
+    np.subtract.outer(y, y, out=dy)
+    np.multiply(dy, dy, out=dy)
+    dist2 += dy
+    return dist2 <= r2
+
+
+def _mask_connected(within: np.ndarray) -> bool:
+    """True if the range mask joins every node (frontier BFS from node 0)."""
+    seen = np.zeros(len(within), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = within[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
+def _range_graph(within: np.ndarray) -> Graph:
+    """The graph of a range mask, edges added in row-major pair order.
+
+    Nodes ``0..n-1`` first, then one ``add_edge(u, v)`` per pair
+    ``u < v`` in range, ``u`` ascending and ``v`` ascending within it.
+    """
+    graph = Graph()
+    graph.add_nodes(range(len(within)))
+    rows, cols = np.nonzero(np.triu(within, 1))
+    for u, v in zip(rows.tolist(), cols.tolist()):
+        graph.add_edge(u, v)
+    return graph
 
 
 def connected_random_network(
@@ -114,16 +167,23 @@ def connected_random_network(
     ``degree_target`` (comparable to the grid's interior degree of 4), then
     grows it until connectivity is reached.  This is the generator the
     random-network experiments (Figs. 4, 7b) use for 20–180 node sweeps.
+
+    Every radius step reseeds with the same ``seed``, so each step redraws
+    the same 20 position sets and only the radius differs.  Fresh
+    positions per step would move every pinned random topology.
     """
     if num_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {num_nodes}")
+    if not (math.isfinite(degree_target) and degree_target > 0):
+        raise ValueError(
+            f"degree_target must be positive and finite, got {degree_target}"
+        )
     # Expected degree in a unit square is ~ n * pi * r^2; solve for r.
     radius = math.sqrt(degree_target / (num_nodes * math.pi))
-    rng_seed = seed
     for _ in range(30):
         try:
             return random_geometric_graph(
-                num_nodes, radius, seed=rng_seed, ensure_connected=True,
+                num_nodes, radius, seed=seed, ensure_connected=True,
                 max_attempts=20,
             )
         except GraphError:
@@ -218,19 +278,4 @@ def erdos_renyi_connected(
         b = rng.choice(sorted(components[1]))
         graph.add_edge(a, b)
         components = connected_components(graph)
-    return graph
-
-
-def _geometric_edges(positions: dict, radius: float) -> Graph:
-    graph = Graph()
-    graph.add_nodes(positions)
-    labels = sorted(positions)
-    r2 = radius * radius
-    for i, u in enumerate(labels):
-        ux, uy = positions[u]
-        for v in labels[i + 1 :]:
-            vx, vy = positions[v]
-            dx, dy = ux - vx, uy - vy
-            if dx * dx + dy * dy <= r2:
-                graph.add_edge(u, v)
     return graph

@@ -1,5 +1,10 @@
 """Unit tests for topology generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import GraphError
@@ -16,6 +21,7 @@ from repro.graphs import (
     random_geometric_graph,
     star_graph,
 )
+from repro.graphs import generators
 
 
 class TestGrid:
@@ -92,6 +98,27 @@ class TestRandomGeometric:
         with pytest.raises(ValueError):
             random_geometric_graph(5, 0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(radius=float("nan")), "radius"),
+            (dict(radius=float("inf")), "radius"),
+            (dict(radius=-0.5), "radius"),
+            (dict(area=float("nan")), "area"),
+            (dict(area=float("inf")), "area"),
+            (dict(area=0.0), "area"),
+            (dict(area=-1.0), "area"),
+        ],
+    )
+    def test_bad_inputs_named_before_any_draw(self, monkeypatch, kwargs, name):
+        def no_draw(*args):
+            raise AssertionError("drew positions for a bad input")
+
+        monkeypatch.setattr(generators, "_within_range", no_draw)
+        args = {"num_nodes": 20, "radius": 0.3, "area": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            random_geometric_graph(**args)
+
     def test_positions_within_area(self):
         _, pos = random_geometric_graph(
             20, 0.4, seed=2, area=2.0, ensure_connected=False
@@ -111,6 +138,36 @@ class TestConnectedRandomNetwork:
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):
             connected_random_network(1)
+
+    @pytest.mark.parametrize(
+        "degree_target", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_bad_degree_target_named_before_any_draw(
+        self, monkeypatch, degree_target
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a network for a bad degree_target")
+
+        monkeypatch.setattr(generators, "random_geometric_graph", no_draw)
+        with pytest.raises(ValueError, match="^degree_target must be positive"):
+            connected_random_network(100, degree_target=degree_target)
+
+    def test_draw_does_not_import_scipy(self):
+        """``import scipy.sparse.csgraph`` alone roughly doubles a bare
+        process's max RSS; the draw path must not pull it in."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import sys, repro\n"
+            "from repro.graphs import connected_random_network\n"
+            "connected_random_network(50)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestCanonical:
