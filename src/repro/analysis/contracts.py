@@ -87,7 +87,8 @@ def check_dual_solution(
     clients: Sequence[Node],
     facilities: Sequence[Node],
     open_cost: Mapping[Node, float],
-    connect_cost: Mapping[Node, Mapping[Node, float]],
+    connect_matrix: Sequence[Sequence[float]],
+    row_of: Mapping[Node, int],
     admins: Sequence[Node],
     assignment: Mapping[Node, Node],
     alpha: Mapping[Node, float],
@@ -96,9 +97,11 @@ def check_dual_solution(
     step: float,
     threshold: int,
 ) -> None:
-    """Assert the dual-ascent outcome is a feasible frozen state."""
+    """Assert the dual-ascent outcome is a feasible frozen state; server
+    ``i`` reaches ``clients[c]`` at ``connect_matrix[row_of[i]][c]``."""
     rule = "dual-feasibility"
-    client_set = set(clients)
+    column_of = {client: c for c, client in enumerate(clients)}
+    client_set = set(column_of)
     admin_list = list(admins)
     admin_set = set(admin_list)
     facility_set = set(facilities)
@@ -134,7 +137,7 @@ def check_dual_solution(
         bid = alpha[client]
         if bid < -_tol(bid):
             _fail(rule, f"client {client!r} has negative bid alpha={bid}")
-        cost = connect_cost[server][client]
+        cost = float(connect_matrix[row_of[server]][column_of[client]])
         if bid + _tol(cost) < cost:
             _fail(
                 rule,

@@ -39,16 +39,15 @@ ALGORITHM_NAME = "greedy-confl"
 def greedy_chunk_selection(instance: ConFLInstance) -> List[Node]:
     """Greedy facility set for one ConFL instance (order = opening order)."""
     producer = instance.producer
-    clients = list(instance.clients)
     facilities = [
         f for f in instance.facilities if math.isfinite(instance.open_cost[f])
     ]
-    connect = instance.connect_cost
+    rows = instance.connect_matrix.tolist()
+    row_of = instance.row_of
     scale = instance.dissemination_scale
 
-    best_cost: Dict[Node, float] = {
-        j: connect[producer][j] for j in clients
-    }
+    # Per client position: the cheapest connection cost so far.
+    best_cost: List[float] = rows[row_of[producer]]
     # Wiring distances on the contention-weighted graph, updated as the
     # "tree" grows: wire(i) = min over open servers of dist(server, i).
     wire: Dict[Node, float] = dijkstra(instance.steiner_graph, producer)[0]
@@ -59,10 +58,9 @@ def greedy_chunk_selection(instance: ConFLInstance) -> List[Node]:
         best_gain = 0.0
         best_node: Optional[Node] = None
         for i in remaining:
-            row = connect[i]
             saving = 0.0
-            for j in clients:
-                diff = best_cost[j] - row[j]
+            for best, cost in zip(best_cost, rows[row_of[i]]):
+                diff = best - cost
                 if diff > 0:
                     saving += diff
             gain = saving - instance.open_cost[i] - scale * wire.get(i, math.inf)
@@ -73,10 +71,9 @@ def greedy_chunk_selection(instance: ConFLInstance) -> List[Node]:
             break
         selected.append(best_node)
         remaining.remove(best_node)
-        row = connect[best_node]
-        for j in clients:
-            if row[j] < best_cost[j]:
-                best_cost[j] = row[j]
+        for c, cost in enumerate(rows[row_of[best_node]]):
+            if cost < best_cost[c]:
+                best_cost[c] = cost
         # The new facility joins the dissemination tree: wiring distances
         # can only shrink toward it.
         from_new = dijkstra(instance.steiner_graph, best_node)[0]

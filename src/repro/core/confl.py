@@ -17,8 +17,8 @@ contention feed forward (lines 5–16).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
@@ -43,14 +43,11 @@ class ConFLInstance:
         Nodes eligible to cache the chunk (spare storage, not producer).
     open_cost:
         facility → weighted opening cost ``fairness_weight · f_i``.
-    connect_cost:
-        server → client → weighted connection cost
-        ``contention_weight · c_ij`` (``c_ii = 0``); servers include the
-        producer.
     connect_matrix:
-        The same weighted costs as one float64 array: row 0 is the
-        producer, row ``1 + f`` the ``f``-th facility, and the columns
-        follow ``clients``.
+        The weighted connection costs ``contention_weight · c_ij``
+        (``c_ii = 0``) as one float64 ``(servers × clients)`` array: the
+        columns follow ``clients`` and :attr:`row_of` gives each
+        server's row.
     steiner_graph:
         Topology re-weighted with dissemination edge costs
         ``contention_weight · c_e`` (the ``M`` scale is applied by the
@@ -63,20 +60,22 @@ class ConFLInstance:
     clients: Tuple[Node, ...]
     facilities: Tuple[Node, ...]
     open_cost: Dict[Node, float]
-    connect_cost: Dict[Node, Dict[Node, float]]
     connect_matrix: np.ndarray
     steiner_graph: Graph
     dissemination_scale: float
     raw_open_cost: Dict[Node, float] = field(default_factory=dict)
 
+    @cached_property
+    def row_of(self) -> Dict[Node, int]:
+        """Each server's row of :attr:`connect_matrix`: 0 for the
+        producer, ``1 + f`` for the ``f``-th facility."""
+        return {s: r for r, s in enumerate((self.producer, *self.facilities))}
+
     def max_connect_cost(self) -> float:
-        """``max c_ij`` — bounds the dual-ascent round count (Sec. IV-B)."""
-        best = 0.0
-        for row in self.connect_cost.values():
-            for value in row.values():
-                if value > best and math.isfinite(value):
-                    best = value
-        return best
+        """``max c_ij`` over the finite costs, at least 0 — bounds the
+        dual-ascent round count (Sec. IV-B)."""
+        matrix = self.connect_matrix
+        return float(matrix.max(initial=0.0, where=np.isfinite(matrix)))
 
 
 def build_confl_instance(state: ProblemState) -> ConFLInstance:
@@ -100,13 +99,10 @@ def build_confl_instance(state: ProblemState) -> ConFLInstance:
         node: problem.fairness_weight * cost for node, cost in raw_open.items()
     }
 
+    # Rows in ConFLInstance.row_of order: the producer, then the facilities.
     servers = [producer] + facilities
     weighted = state.costs.cost_rows(servers, clients)
     weighted *= problem.contention_weight
-    connect = {
-        server: dict(zip(clients, row.tolist()))
-        for server, row in zip(servers, weighted)
-    }
 
     steiner_graph = Graph()
     steiner_graph.add_nodes(graph.nodes())
@@ -120,7 +116,6 @@ def build_confl_instance(state: ProblemState) -> ConFLInstance:
         clients=tuple(clients),
         facilities=tuple(facilities),
         open_cost=open_cost,
-        connect_cost=connect,
         connect_matrix=weighted,
         steiner_graph=steiner_graph,
         dissemination_scale=problem.dissemination_scale,

@@ -45,6 +45,8 @@ def enumerate_optimal(
         )
     clients = list(instance.clients)
     producer = instance.producer
+    rows = instance.connect_matrix.tolist()
+    row_of = instance.row_of
 
     best_cost = math.inf
     best: Optional[Tuple[Tuple[Node, ...], Dict[Node, Node]]] = None
@@ -56,12 +58,10 @@ def enumerate_optimal(
             servers = [producer] + list(subset)
             assignment: Dict[Node, Node] = {}
             access = 0.0
-            for j in clients:
-                server = min(
-                    servers, key=lambda s: instance.connect_cost[s][j]
-                )
+            for c, j in enumerate(clients):
+                server = min(servers, key=lambda s: rows[row_of[s]][c])
                 assignment[j] = server
-                access += instance.connect_cost[server][j]
+                access += rows[row_of[server]][c]
             if subset:
                 steiner, _ = dreyfus_wagner(
                     instance.steiner_graph, [producer] + list(subset)

@@ -77,6 +77,7 @@ def build_chunk_model(instance: ConFLInstance, name: str = "confl") -> ChunkMode
         f for f in instance.facilities if math.isfinite(instance.open_cost[f])
     ]
     servers = [producer] + facilities
+    rows = instance.connect_matrix.tolist()  # Python floats
 
     # y_in — cache the chunk at facility i (Eq. 7 domain).
     open_vars = {i: model.binary_var(f"y_{i}") for i in facilities}
@@ -159,9 +160,9 @@ def build_chunk_model(instance: ConFLInstance, name: str = "confl") -> ChunkMode
             for rank, i in enumerate(facilities)
         ]
         + [
-            instance.connect_cost[i][j] * assign_vars[(i, j)]
+            rows[instance.row_of[i]][c] * assign_vars[(i, j)]
             for i in servers
-            for j in clients
+            for c, j in enumerate(clients)
         ]
         + [
             instance.dissemination_scale

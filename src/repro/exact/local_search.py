@@ -49,6 +49,9 @@ class _ChunkObjective:
             for f in instance.facilities
             if math.isfinite(instance.open_cost[f])
         ]
+        # Each server's connection costs, by client position.
+        rows = instance.connect_matrix.tolist()
+        self._row = {s: rows[r] for s, r in instance.row_of.items()}
         # One-time all-pairs shortest paths on the dissemination graph.
         self._dist, self._parents = all_pairs_with_parents(
             instance.steiner_graph
@@ -68,23 +71,22 @@ class _ChunkObjective:
             self._tree_cost_cache[caches] = cost
         return cost
 
-    def _kmb_cost(self, terminals: List[Node]) -> float:
-        """Metric-closure MST expanded over real paths, deduplicating
-        shared edges (the standard KMB construction, from cached APSP)."""
-        if len(terminals) == 1:
-            return 0.0
+    def _kmb_paths(self, terminals: List[Node]) -> Iterable[Tuple[Node, Node]]:
+        """Edges of the metric-closure MST expanded over real paths (the
+        standard KMB construction, from cached APSP); shared edges repeat."""
         closure = Graph()
         closure.add_nodes(terminals)
         for a_index, a in enumerate(terminals):
             row = self._dist[a]
             for b in terminals[a_index + 1 :]:
                 closure.add_edge(a, b, row[b])
-        mst = kruskal_mst(closure)
-        edges = set()
-        for a, b, _ in mst.edges():
+        for a, b, _ in kruskal_mst(closure).edges():
             path = path_from_tree(self._parents[a], a, b)
-            for u, v in zip(path, path[1:]):
-                edges.add(frozenset((u, v)))
+            yield from zip(path, path[1:])
+
+    def _kmb_cost(self, terminals: List[Node]) -> float:
+        """KMB tree cost, each shared edge counted once."""
+        edges = {frozenset(edge) for edge in self._kmb_paths(terminals)}
         # Canonically ordered sum: set iteration order is not byte-stable
         # and float addition is order-dependent.
         total = 0.0
@@ -110,21 +112,10 @@ class _ChunkObjective:
         return cost, [(u, v) for u, v, _ in tree.edges()]
 
     def _kmb_tree(self, terminals: List[Node]) -> Tuple[float, Graph]:
-        closure = Graph()
-        closure.add_nodes(terminals)
-        for a_index, a in enumerate(terminals):
-            row = self._dist[a]
-            for b in terminals[a_index + 1 :]:
-                closure.add_edge(a, b, row[b])
-        mst = kruskal_mst(closure)
         expanded = Graph()
-        for a, b, _ in mst.edges():
-            path = path_from_tree(self._parents[a], a, b)
-            for u, v in zip(path, path[1:]):
-                if not expanded.has_edge(u, v):
-                    expanded.add_edge(
-                        u, v, self.instance.steiner_graph.weight(u, v)
-                    )
+        for u, v in self._kmb_paths(terminals):
+            if not expanded.has_edge(u, v):
+                expanded.add_edge(u, v, self.instance.steiner_graph.weight(u, v))
         tree = kruskal_mst(expanded)
         terminal_set = set(terminals)
         pruned = True
@@ -151,11 +142,10 @@ class _ChunkObjective:
         )
 
     def access_cost(self, caches: FrozenSet[Node]) -> float:
-        inst = self.instance
-        servers = [inst.producer] + list(caches)
+        rows = [self._row[s] for s in [self.instance.producer, *caches]]
         total = 0.0
-        for j in inst.clients:
-            total += min(inst.connect_cost[s][j] for s in servers)
+        for costs in zip(*rows):
+            total += min(costs)
         return total
 
     def exact_objective(self, caches: FrozenSet[Node]) -> float:
@@ -173,11 +163,11 @@ class _ChunkObjective:
         inst = self.instance
         result: Dict[Node, Node] = {}
         ordered = sorted(caches, key=str)
-        for j in inst.clients:
+        for c, j in enumerate(inst.clients):
             best = inst.producer
-            best_cost = inst.connect_cost[inst.producer][j]
+            best_cost = self._row[inst.producer][c]
             for s in ordered:
-                cost = inst.connect_cost[s][j]
+                cost = self._row[s][c]
                 if cost < best_cost:
                     best = s
                     best_cost = cost

@@ -38,7 +38,8 @@ def check_result(instance, config, result, **overrides):
         clients=list(instance.clients),
         facilities=list(result.payments),
         open_cost=instance.open_cost,
-        connect_cost=instance.connect_cost,
+        connect_matrix=instance.connect_matrix,
+        row_of=instance.row_of,
         admins=result.admins,
         assignment=result.assignment,
         alpha=result.alpha,

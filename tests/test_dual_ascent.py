@@ -1,6 +1,8 @@
 """Unit tests for the ConFL instance builder and the dual ascent."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
-from repro.workloads import grid_problem
+from repro.workloads import grid_problem, random_problem
 
 
 def reference_dual_ascent(instance, config):
@@ -40,7 +42,10 @@ def reference_dual_ascent(instance, config):
     facilities = [
         i for i in instance.facilities if math.isfinite(instance.open_cost[i])
     ]
-    connect = instance.connect_cost
+    connect = {
+        server: dict(zip(clients, instance.connect_matrix[row].tolist()))
+        for server, row in instance.row_of.items()
+    }
     threshold = config.resolved_threshold(instance)
     alpha = {j: 0.0 for j in clients}
     frozen, target, admins = set(), {}, []
@@ -170,11 +175,15 @@ class TestConFLInstance:
         assert instance.open_cost[1] == pytest.approx(0.5)
         raw = state.costs.contention_cost(problem.producer, 0)
         assert raw > 0
-        assert instance.connect_cost[problem.producer][0] == pytest.approx(3 * raw)
+        column = instance.clients.index(0)
+        assert instance.connect_matrix[
+            instance.row_of[problem.producer], column
+        ] == pytest.approx(3 * raw)
 
     def test_connect_cost_self_zero(self, small_problem):
         instance = build_confl_instance(small_problem.new_state())
-        assert instance.connect_cost[1][1] == 0.0
+        column = instance.clients.index(1)
+        assert instance.connect_matrix[instance.row_of[1], column] == 0.0
 
     def test_steiner_graph_weights(self, small_problem):
         instance = build_confl_instance(small_problem.new_state())
@@ -184,6 +193,45 @@ class TestConFLInstance:
     def test_max_connect_cost_positive(self, small_problem):
         instance = build_confl_instance(small_problem.new_state())
         assert instance.max_connect_cost() > 0
+
+    def test_max_connect_cost_skips_non_finite(self, small_problem):
+        instance = build_confl_instance(small_problem.new_state())
+        matrix = instance.connect_matrix.copy()
+        matrix[0, 0], matrix[1, 1] = math.inf, math.nan
+        expected = max(
+            [0.0] + [v for v in matrix.ravel().tolist() if math.isfinite(v)]
+        )
+        patched = dataclasses.replace(instance, connect_matrix=matrix)
+        assert patched.max_connect_cost() == expected
+        negative = dataclasses.replace(instance, connect_matrix=-matrix)
+        assert negative.max_connect_cost() == 0.0
+
+    def test_row_of_follows_the_matrix_layout(self, small_problem):
+        state = small_problem.new_state()
+        instance = build_confl_instance(state)
+        servers = [instance.producer, *instance.facilities]
+        assert instance.row_of == {s: r for r, s in enumerate(servers)}
+        for server, row in instance.row_of.items():
+            assert instance.connect_matrix[row].tolist() == [
+                float(state.costs.contention_cost(server, j))
+                for j in instance.clients
+            ]
+
+    def test_build_retains_about_one_matrix(self, monkeypatch):
+        """The instance holds its costs once: one build keeps less than
+        twice the matrix alive (warm cost rows, 300 nodes)."""
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        problem, _ = random_problem(300, seed=2017)
+        state = problem.new_state()
+        build_confl_instance(state)  # warm the cost rows
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            instance = build_confl_instance(state)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 * instance.connect_matrix.nbytes
 
 
 class TestDualAscent:
@@ -277,9 +325,11 @@ class TestDualInvariants:
     def test_frozen_clients_afford_their_server(self, small_problem):
         instance = build_confl_instance(small_problem.new_state())
         result = dual_ascent(instance)
+        matrix = instance.connect_matrix
         for client, server in result.assignment.items():
+            column = instance.clients.index(client)
             assert result.alpha[client] >= (
-                instance.connect_cost[server][client] - 1e-9
+                matrix[instance.row_of[server], column] - 1e-9
             )
 
     def test_open_facilities_fully_paid(self, small_problem):

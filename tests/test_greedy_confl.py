@@ -24,16 +24,14 @@ class TestGreedySelection:
         producer on the chunk objective it optimizes."""
         instance = build_confl_instance(small_problem.new_state())
         selected = greedy_chunk_selection(instance)
-        producer_only = sum(
-            instance.connect_cost[instance.producer][j]
-            for j in instance.clients
-        )
+        row = instance.connect_matrix.tolist()
+        producer_only = sum(row[0])
         with_caches = sum(
             min(
-                instance.connect_cost[s][j]
+                row[instance.row_of[s]][c]
                 for s in [instance.producer] + selected
             )
-            for j in instance.clients
+            for c in range(len(instance.clients))
         ) + sum(instance.open_cost[i] for i in selected)
         assert not selected or with_caches < producer_only
 

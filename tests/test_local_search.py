@@ -27,8 +27,7 @@ class TestChunkObjective:
     def test_empty_set_is_producer_only(self, instance, objective):
         cost = objective.evaluate(frozenset())
         manual = sum(
-            instance.connect_cost[instance.producer][j]
-            for j in instance.clients
+            instance.connect_matrix[instance.row_of[instance.producer]].tolist()
         )
         assert cost == pytest.approx(manual)
 
