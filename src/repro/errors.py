@@ -46,19 +46,7 @@ class NoPathError(GraphError):
 
 
 class SolverError(ReproError):
-    """Raised when an optimization solver fails or reports infeasibility."""
-
-
-class InfeasibleError(SolverError):
-    """Raised when a model is proven infeasible."""
-
-
-class UnboundedError(SolverError):
-    """Raised when a model is proven unbounded."""
-
-
-class ModelError(ReproError):
-    """Raised for malformed optimization models (bad bounds, senses...)."""
+    """Raised when an optimization solver fails or gets a bad setting."""
 
 
 class ProblemError(ReproError):

@@ -13,8 +13,8 @@
   dual-ascent payment, an access cost) moves a digest here, where the
   hop-cost ``golden_dual_ascent.json`` cannot see it.
 * ``enumeration``: per chunk of a 3×3 grid, the ``enumerate_optimal``
-  result and the ``build_chunk_model`` objective coefficients, in term
-  order.
+  result and the ``build_chunk_model`` objective coefficients of the
+  ``y``, ``x`` and ``z`` columns, in column order.
 
 Regenerate (only after an intended change of outputs) with::
 
@@ -118,7 +118,14 @@ def enumeration_record(case: str) -> List[Dict[str, str]]:
     for chunk in problem.chunks:
         instance = build_confl_instance(state)
         result = enumerate_optimal(instance)
-        objective = build_chunk_model(instance).model.objective
+        model = build_chunk_model(instance)
+        # The y, x and z columns lead, in this order; the flow columns
+        # after them carry no cost.
+        names = (
+            [f"y_{i}" for i in model.open_vars]
+            + [f"x_{i}_{j}" for i, j in model.assign_vars]
+            + [f"z_{u}_{v}" for u, v in model.edge_vars]
+        )
         records.append(
             {
                 "enumeration": _digest(
@@ -138,10 +145,10 @@ def enumeration_record(case: str) -> List[Dict[str, str]]:
                     json.dumps(
                         {
                             "terms": [
-                                [var.name, coeff]
-                                for var, coeff in objective.terms.items()
+                                [name, coeff]
+                                for name, coeff in zip(names, model.c.tolist())
                             ],
-                            "constant": objective.constant,
+                            "constant": 0.0,
                         }
                     )
                 ),
