@@ -115,13 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     solve = sub.add_parser("solve", help="solve one caching instance")
-    group = solve.add_mutually_exclusive_group(required=True)
-    group.add_argument("--grid", type=int, metavar="SIDE",
-                       help="SIDE x SIDE grid network")
-    group.add_argument("--nodes", type=int, metavar="N",
-                       help="connected random network with N nodes")
-    solve.add_argument("--chunks", type=int, default=5)
-    solve.add_argument("--capacity", type=int, default=5)
+    _add_problem_flags(solve)
     solve.add_argument("--seed", type=int, default=2017,
                        help="seed for the --nodes topology")
     solve.add_argument(
@@ -177,13 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="replay a request workload against a solved placement",
     )
-    group = serve.add_mutually_exclusive_group(required=True)
-    group.add_argument("--grid", type=int, metavar="SIDE",
-                       help="SIDE x SIDE grid network")
-    group.add_argument("--nodes", type=int, metavar="N",
-                       help="connected random network with N nodes")
-    serve.add_argument("--chunks", type=int, default=5)
-    serve.add_argument("--capacity", type=int, default=5)
+    _add_problem_flags(serve)
     serve.add_argument(
         "--seed", type=int, default=2017,
         help="seed for the topology, the workload stream, and the engine",
@@ -230,13 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the closed-loop adaptive control plane against a "
         "drifting workload and compare it with the static placement",
     )
-    group = adapt.add_mutually_exclusive_group(required=True)
-    group.add_argument("--grid", type=int, metavar="SIDE",
-                       help="SIDE x SIDE grid network")
-    group.add_argument("--nodes", type=int, metavar="N",
-                       help="connected random network with N nodes")
-    adapt.add_argument("--chunks", type=int, default=5)
-    adapt.add_argument("--capacity", type=int, default=5)
+    _add_problem_flags(adapt)
     adapt.add_argument(
         "--seed", type=int, default=2017,
         help="seed for the topology, the workload stream, and the engine",
@@ -805,6 +787,18 @@ def _workload_class(args: argparse.Namespace):
               f"choose from {sorted(SELECTION_POLICIES)}", file=sys.stderr)
         return None
     return workload_cls
+
+
+def _add_problem_flags(parser) -> None:
+    """The shared topology (``--grid`` | ``--nodes``), ``--chunks`` and
+    ``--capacity`` flags of ``solve``, ``serve`` and ``adapt``."""
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--grid", type=int, metavar="SIDE",
+                       help="SIDE x SIDE grid network")
+    group.add_argument("--nodes", type=int, metavar="N",
+                       help="connected random network with N nodes")
+    parser.add_argument("--chunks", type=int, default=5)
+    parser.add_argument("--capacity", type=int, default=5)
 
 
 def _add_observability_flags(parser, what: str, trace_help: str) -> None:
