@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+# The caller's own REPRO_SANITIZE (None when unset), before the default.
+CALLER_SANITIZE = os.environ.get("REPRO_SANITIZE")
 os.environ.setdefault("REPRO_SANITIZE", "1")
 
 from collections import Counter
