@@ -30,6 +30,10 @@ the places a wrong answer could silently pass through:
   patch (``core/costs.py``): the delta-patched ``c_ij`` rows equal a
   full recompute from the current storage state, with *exact* float
   equality (all node costs are integers, so float64 sums are exact).
+* :func:`check_shared_forest` — when a cost model adopts the hop
+  forest its graph keeps (``core/costs.py``): the CSR adjacency the
+  forest was built from equals the graph's as it stands, so no mutation
+  path left a stale forest behind.
 * :func:`check_serve_equivalence` / :func:`check_stream_equivalence` —
   on small serve replays (``serve/engine.py``): the batched report is
   byte-equal to the per-request reference loop's, and the bulk-decoded
@@ -324,6 +328,39 @@ def check_incremental_cost_rows(
                 )
 
 
+def check_shared_forest(
+    *,
+    nodes: int,
+    forest_nodes: int,
+    indptr: List[int],
+    indices: List[int],
+    fresh_indptr: List[int],
+    fresh_indices: List[int],
+) -> None:
+    """Assert a graph's cached hop forest still fits the graph.
+
+    A cost model adopts the forest its graph keeps; every graph mutator
+    drops it.  So the forest must span the graph's nodes, and the CSR
+    adjacency it was built from must equal a fresh one of the graph as
+    it stands: a difference means some mutation path left a stale
+    forest behind.
+    """
+    rule = "stale-hop-forest"
+    if forest_nodes != nodes:
+        _fail(
+            rule,
+            f"the cached hop forest spans {forest_nodes} nodes but the "
+            f"graph has {nodes}",
+        )
+    if indptr != fresh_indptr or indices != fresh_indices:
+        _fail(
+            rule,
+            "the cached hop forest's CSR adjacency differs from the "
+            f"graph's ({len(indices)} vs {len(fresh_indices)} neighbour "
+            "entries)",
+        )
+
+
 # ----------------------------------------------------------------------
 # Distributed protocol (Algorithm 2, Table II)
 # ----------------------------------------------------------------------
@@ -586,6 +623,7 @@ __all__ = [
     "check_incremental_cost_rows",
     "check_message_census",
     "check_serve_equivalence",
+    "check_shared_forest",
     "check_stream_equivalence",
     "check_storage_monotonic",
     "sanitize_enabled",

@@ -32,15 +32,19 @@ Incremental recomputation
 Every cost row lives in one ``n×n`` float64 matrix, indexed by node
 position in graph order; unreachable targets hold ``inf`` and ``c_ii``
 holds 0.  Under the default ``"hops"`` policy PATH(i, j) depends only on
-the topology, so the model builds every source's BFS hop tree once, in
-one numpy pass over the graph relabelled to positions ``0..n-1``
+the topology, so every source's BFS hop tree is built once, in one numpy
+pass over the graph relabelled to positions ``0..n-1``
 (:func:`repro.graphs.forest.hop_forest`, the *hop forest*).  Each tree
 is laid out in DFS preorder: the subtree below any node ``k`` then
 occupies one contiguous *Euler range* ``[tin_k, tout_k)`` of that
-source's positions.  The forest is topology-only, built on the first
-read and dropped only by :meth:`CostModel.invalidate_topology`.  Rows
-read only ``tin``/``tout``; a source's parents, hop counts and
-preorder become dicts and lists on the first read that needs them.
+source's positions.  The forest is topology-only, so it is kept on the
+graph (:func:`repro.graphs.forest.build_forest`): the first tree read
+of the first model on a graph builds it, every later model on the same
+graph adopts it, and a graph mutator or
+:meth:`CostModel.invalidate_topology` drops it.  Rows read only
+``tin``/``tout``; a source's parents, hop counts, ``k``-hop prefix and
+preorder become dicts and lists of the model's own on the first read
+that needs them.
 
 A row is one difference array over the source's Euler positions: node
 ``k`` adds ``x_k = w_k (1 + S(k))`` over its own range, so one
@@ -86,7 +90,13 @@ import numpy as np
 
 from repro.errors import NodeNotFoundError, NoPathError, ProblemError
 from repro.analysis import contracts
-from repro.graphs.forest import HopForest, csr_adjacency, hop_forest
+from repro.graphs.forest import (
+    HopForest,
+    build_forest,
+    cached_forest,
+    csr_adjacency,
+    drop_forest,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import dijkstra_node_costs, path_from_tree
 from repro.core.storage import StorageState
@@ -142,6 +152,7 @@ class _HopTree:
         self._row = row
         # Row-store positions of the reached nodes, in BFS order.
         self.reach = forest.order[row, : forest.count[row]]
+        self._balls: Dict[int, Tuple[List[Node], List[int]]] = {}
 
     @cached_property
     def keys(self) -> List[Node]:
@@ -159,6 +170,24 @@ class _HopTree:
         """Hop distance of each reached node, in BFS order."""
         hops = self._forest.hops[self._row, self.reach].tolist()
         return dict(zip(self.keys, hops))
+
+    def ball(self, limit: int) -> Tuple[List[Node], List[int]]:
+        """The nodes at most ``limit`` hops away, the source excluded, and
+        their hop counts, in BFS order; cached per ``limit``.
+
+        BFS order sorts by hop count, so they are a prefix of the row.
+        """
+        ball = self._balls.get(limit)
+        if ball is None:
+            hops = self._forest.hops[self._row, self.reach]
+            end = int(np.searchsorted(hops, limit, side="right"))
+            nodes = self.reach[1:end].tolist()
+            ball = (
+                list(map(self._nodes.__getitem__, nodes)),
+                hops[1:end].tolist(),
+            )
+            self._balls[limit] = ball
+        return ball
 
     @cached_property
     def preorder(self) -> List[Node]:
@@ -225,14 +254,9 @@ class CostModel:
         }
         n = len(self._nodes)
         # Topology-only structures, kept until invalidate_topology():
-        # the hop forest, built on first use, with its Euler ranges
-        # [tin, tout) (row = source, column = node; ``n`` marks a node
-        # outside the source's tree, or a forest not built yet), and the
-        # per-source trees read from it so far.
+        # the graph's hop forest, adopted on the first tree read, and
+        # the per-source trees read from it so far.
         self._forest: Optional[HopForest] = None
-        positions = np.min_scalar_type(n)  # the narrowest type holding n
-        self._tin = np.full((n, n), n, dtype=positions)
-        self._tout = np.full((n, n), n, dtype=positions)
         self._hop_trees: Dict[Node, _HopTree] = {}
         # Storage-dependent structures: the row store (valid where
         # ``_built``), the (node position, delta) range adds queued for
@@ -337,7 +361,10 @@ class CostModel:
 
         Call this after mutating the graph itself (adding/removing edges
         or nodes); plain storage changes only need :meth:`invalidate`.
+        The graph's own forest is dropped too, so the next tree read
+        rebuilds it.
         """
+        drop_forest(self.graph)
         self._allocate()
         self.invalidate()
 
@@ -370,14 +397,15 @@ class CostModel:
         difference array per row, in the rows' Euler coordinates.
         """
         rows = np.flatnonzero(self._built)
+        forest = self._shared_forest()
         # Every row built: views of the stores, not gathered copies.
         select = slice(None) if len(rows) == len(self._nodes) else rows
-        tin = self._tin[select]
+        tin = forest.tin[select]
         shift = np.zeros((len(rows), len(self._nodes) + 1))
         at = np.arange(len(rows))
         for k, delta in self._pending:
             shift[at, tin[:, k] + (rows == k)] += delta
-            shift[at, self._tout[rows, k]] -= delta
+            shift[at, forest.tout[rows, k]] -= delta
         self._pending.clear()
         np.cumsum(shift, axis=1, out=shift)
         self._matrix[select] += np.take_along_axis(shift, tin, axis=1)
@@ -402,10 +430,11 @@ class CostModel:
             reach = np.flatnonzero(np.isfinite(row)).tolist()
             return frozenset(map(self._nodes.__getitem__, reach)) - {source}
         preorder = self._hop_tree(source).preorder
+        forest = self._shared_forest()
         p = self._index[source]
         k = self._index[via]
-        start = self._tin.item(p, k) + (p == k)
-        return frozenset(preorder[start:self._tout.item(p, k)])
+        start = forest.tin.item(p, k) + (p == k)
+        return frozenset(preorder[start:forest.tout.item(p, k)])
 
     def fairness_cost(self, node: Node) -> float:
         """Eq. 1 for ``node``, plus the weighted battery term (footnote 1)
@@ -511,8 +540,46 @@ class CostModel:
         return weighted
 
     # ------------------------------------------------------------------
+    def _shared_forest(self) -> HopForest:
+        """The graph's hop forest, adopted on the first read.
+
+        The graph keeps one forest for every cost model on it
+        (:mod:`repro.graphs.forest`); only a graph without one builds
+        it, under the ``costs.hop_forest`` timer.  Under
+        ``REPRO_SANITIZE=1`` an adopted forest is checked against the
+        graph as it stands.
+        """
+        forest = self._forest
+        if forest is None:
+            shared = cached_forest(self.graph)
+            if shared is None:
+                with get_recorder().timer("costs.hop_forest"):
+                    shared = build_forest(self.graph)
+            elif contracts.sanitize_enabled():
+                nodes = list(self.graph.nodes())
+                indptr, indices = csr_adjacency(
+                    self.graph,
+                    nodes,
+                    {node: position for position, node in enumerate(nodes)},
+                )
+                contracts.check_shared_forest(
+                    nodes=len(nodes),
+                    forest_nodes=len(shared.forest.count),
+                    indptr=shared.indptr.tolist(),
+                    indices=shared.indices.tolist(),
+                    fresh_indptr=indptr.tolist(),
+                    fresh_indices=indices.tolist(),
+                )
+            if len(shared.forest.count) != len(self._nodes):
+                raise ProblemError(
+                    "the graph's node set changed under this cost model; "
+                    "call invalidate_topology() after mutating the graph"
+                )
+            forest = self._forest = shared.forest
+        return forest
+
     def _hop_tree(self, source: Node) -> _HopTree:
-        """``source``'s hop tree; the first read builds the whole forest.
+        """``source``'s hop tree, read off the graph's hop forest.
 
         The first read of each source's tree counts one
         ``costs.tree_rebuilds``, as a per-source BFS would.
@@ -522,14 +589,7 @@ class CostModel:
             row = self._index.get(source)
             if row is None:
                 raise NodeNotFoundError(source)
-            if self._forest is None:
-                with get_recorder().timer("costs.hop_forest"):
-                    self._forest = hop_forest(
-                        *csr_adjacency(self.graph, self._nodes, self._index)
-                    )
-                self._tin = self._forest.tin
-                self._tout = self._forest.tout
-            tree = _HopTree(self._nodes, self._forest, row)
+            tree = _HopTree(self._nodes, self._shared_forest(), row)
             self._hop_trees[source] = tree
             get_recorder().count("costs.tree_rebuilds")
         return tree
@@ -543,6 +603,15 @@ class CostModel:
         do not mutate it.
         """
         return self._hop_tree(source).hops
+
+    def hop_ball(self, source: Node, limit: int) -> Tuple[List[Node], List[int]]:
+        """The nodes within ``limit`` hops of ``source`` (``source``
+        itself excluded) and their hop counts, both in BFS order.
+
+        A prefix of :meth:`hop_counts`, kept with the hop tree; the
+        returned lists are the cached ones, do not mutate them.
+        """
+        return self._hop_tree(source).ball(limit)
 
     def _contention_tree(
         self, source: Node
@@ -564,10 +633,11 @@ class CostModel:
             # x_k over k's Euler range, summed by one cumsum: the entry
             # at tin_j is the node-cost total of the root-to-j path.
             tree = self._hop_tree(source)
-            tin = self._tin[row_index]
+            forest = self._shared_forest()
+            tin = forest.tin[row_index]
             diff = np.bincount(tin, weights=self._x, minlength=n + 1)
             diff -= np.bincount(
-                self._tout[row_index], weights=self._x, minlength=n + 1
+                forest.tout[row_index], weights=self._x, minlength=n + 1
             )
             row = np.cumsum(diff)[tin]
             if len(tree.reach) < n:

@@ -350,11 +350,14 @@ class ChunkSession:
         self._flood(NPI, self.producer, list(self.nodes), self._learn_producer)
 
     def _flood(self, msg_type: str, src: Node, dsts: List[Node],
-               apply: ColumnApply) -> None:
-        """Flood ``dsts`` from ``src``; their costs are one row-store slice."""
-        hops = self._hops_from(src)
+               apply: ColumnApply, hops: Optional[List[int]] = None) -> None:
+        """Flood ``dsts`` from ``src``, ``hops`` away (looked up when not
+        given); their costs are one row-store slice."""
+        if hops is None:
+            hop_row = self._hops_from(src)
+            hops = [hop_row[node] for node in dsts]
         self.faults.flood(
-            msg_type, src, dsts, [hops[node] for node in dsts],
+            msg_type, src, dsts, hops,
             self.state.costs.cost_rows([src], dsts)[0].tolist(), apply,
         )
 
@@ -362,16 +365,15 @@ class ChunkSession:
         """CC flood: k-hop neighbors learn (origin, Con_origin→them)."""
         if not self.faults.is_online(origin):
             return  # a churned-out candidate cannot announce itself
-        hop_limit = self.config.hop_limit
-        # The hop dict is in breadth-first order, so the k-hop
-        # neighbourhood is its prefix.
-        dsts: List[Node] = []
-        for node, h in self._hops_from(origin).items():
-            if h > hop_limit:
-                break
-            if node != origin and node != self.producer:
-                dsts.append(node)
-        self._flood(CC, origin, dsts, partial(self._learn_candidate, origin))
+        # The origin's k-hop ball, minus the producer.
+        dsts, hops = self.state.costs.hop_ball(origin, self.config.hop_limit)
+        if self.producer in dsts:
+            at = dsts.index(self.producer)
+            dsts = dsts[:at] + dsts[at + 1:]
+            hops = hops[:at] + hops[at + 1:]
+        self._flood(
+            CC, origin, dsts, partial(self._learn_candidate, origin), hops
+        )
 
     # Flood applies: one receiver update per item, in send order.
     def _learn_producer(self, dsts: Sequence[Node],

@@ -20,11 +20,19 @@ cumsum per level.
 Every matrix is ``n × n`` (row = source, column = node position) in
 the narrowest unsigned type that holds ``n``, which marks a node
 outside the source's tree.
+
+The forest depends only on the topology, so it belongs to the graph:
+:func:`build_forest` keeps it on the :class:`~repro.graphs.graph.Graph`
+it was built from (node positions in graph order), where every cost
+model on that graph finds it through :func:`cached_forest`, until a
+mutator of the graph or :func:`drop_forest` drops it.  The entry holds
+no reference to its graph, so it dies with the graph by reference
+counting alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +48,35 @@ class HopForest(NamedTuple):
     hops: np.ndarray  # hop distance from the source
     tin: np.ndarray  # Euler range start: slot in DFS preorder
     tout: np.ndarray  # Euler range end: tin plus the subtree size
+
+
+class SharedForest(NamedTuple):
+    """A graph's hop forest and the CSR adjacency it was built from."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    forest: HopForest
+
+
+def cached_forest(graph: Graph) -> Optional[SharedForest]:
+    """The forest kept on ``graph``, or ``None`` if it has none."""
+    entry: Optional[SharedForest] = graph._hop_forest
+    return entry
+
+
+def build_forest(graph: Graph) -> SharedForest:
+    """Build ``graph``'s hop forest and keep it on the graph."""
+    nodes = list(graph.nodes())
+    index = {node: position for position, node in enumerate(nodes)}
+    indptr, indices = csr_adjacency(graph, nodes, index)
+    entry = SharedForest(indptr, indices, hop_forest(indptr, indices))
+    graph._hop_forest = entry
+    return entry
+
+
+def drop_forest(graph: Graph) -> None:
+    """Forget the forest kept on ``graph``; the next read rebuilds it."""
+    graph._hop_forest = None
 
 
 def csr_adjacency(

@@ -15,6 +15,7 @@ operate on :class:`Graph`.
 from __future__ import annotations
 
 from typing import (
+    Any,
     Dict,
     Hashable,
     Iterable,
@@ -52,6 +53,9 @@ class Graph:
 
     def __init__(self, edges: Optional[Iterable[tuple]] = None) -> None:
         self._adj: Dict[Node, Dict[Node, float]] = {}
+        # The hop forest of :mod:`repro.graphs.forest`, kept while the
+        # topology stands: every mutator drops it.
+        self._hop_forest: Any = None
         if edges is not None:
             for edge in edges:
                 if len(edge) == 2:
@@ -72,6 +76,7 @@ class Graph:
         """Add ``node`` to the graph.  Adding an existing node is a no-op."""
         if node not in self._adj:
             self._adj[node] = {}
+            self._hop_forest = None
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
         """Add every node in ``nodes``."""
@@ -91,6 +96,7 @@ class Graph:
             raise ValueError(f"edge weight must be non-negative, got {weight}")
         self.add_node(u)
         self.add_node(v)
+        self._hop_forest = None
         self._adj[u][v] = float(weight)
         self._adj[v][u] = float(weight)
 
@@ -100,6 +106,7 @@ class Graph:
             raise EdgeNotFoundError(u, v)
         del self._adj[u][v]
         del self._adj[v][u]
+        self._hop_forest = None
 
     def remove_node(self, node: Node) -> None:
         """Remove ``node`` and all incident edges; raise if missing."""
@@ -108,6 +115,7 @@ class Graph:
         for neighbor in list(self._adj[node]):
             del self._adj[neighbor][node]
         del self._adj[node]
+        self._hop_forest = None
 
     # ------------------------------------------------------------------
     # Inspection

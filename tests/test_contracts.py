@@ -5,8 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import contracts
-from repro.core import DualAscentConfig, build_confl_instance, dual_ascent
+from repro.core import (
+    CostModel,
+    DualAscentConfig,
+    StorageState,
+    build_confl_instance,
+    dual_ascent,
+)
 from repro.errors import InvariantError
+from repro.graphs import grid_graph
 from repro.workloads import grid_problem
 
 
@@ -281,6 +288,49 @@ class TestIncrementalCostRows:
         kwargs["patched"][0][99] = 1.0
         with pytest.raises(InvariantError):
             contracts.check_incremental_cost_rows(**kwargs)
+
+
+class TestSharedForest:
+    def base_kwargs(self, **overrides):
+        kwargs = dict(
+            nodes=3,
+            forest_nodes=3,
+            indptr=[0, 1, 3, 4],
+            indices=[1, 0, 2, 1],
+            fresh_indptr=[0, 1, 3, 4],
+            fresh_indices=[1, 0, 2, 1],
+        )
+        kwargs.update(overrides)
+        return kwargs
+
+    def test_matching_forest_passes(self):
+        contracts.check_shared_forest(**self.base_kwargs())
+
+    def test_node_count_drift_caught(self):
+        with pytest.raises(InvariantError) as exc:
+            contracts.check_shared_forest(**self.base_kwargs(nodes=4))
+        assert "stale-hop-forest" in str(exc.value)
+
+    def test_adjacency_drift_caught(self):
+        # Same shape, one neighbour swapped: only the indices differ.
+        kwargs = self.base_kwargs(fresh_indices=[2, 0, 2, 1])
+        with pytest.raises(InvariantError) as exc:
+            contracts.check_shared_forest(**kwargs)
+        assert "CSR adjacency differs" in str(exc.value)
+
+    def test_adopting_model_checks_the_graph(self, monkeypatch):
+        # A mutation that bypasses Graph's mutators leaves the cached
+        # forest behind; the next model to adopt it must notice.
+        monkeypatch.setenv(contracts.ENV_VAR, "1")
+        graph = grid_graph(3)
+        CostModel(graph, StorageState(graph.nodes(), 5)).hop_counts(0)
+        CostModel(graph, StorageState(graph.nodes(), 5)).hop_counts(0)
+        graph._adj[0][8] = graph._adj[8][0] = 1.0
+        with pytest.raises(InvariantError, match="stale-hop-forest"):
+            CostModel(graph, StorageState(graph.nodes(), 5)).hop_counts(0)
+        graph.add_edge(0, 8)  # a real mutator drops the stale forest
+        model = CostModel(graph, StorageState(graph.nodes(), 5))
+        assert model.hop_counts(0)[8] == 1
 
 
 class TestWiring:

@@ -13,6 +13,7 @@ from repro.core import (
     fairness_degree_cost,
     node_contention_cost,
     path_contention_cost,
+    solve_approximation,
 )
 from repro.errors import (
     InvariantError,
@@ -20,7 +21,7 @@ from repro.errors import (
     NoPathError,
     ProblemError,
 )
-import repro.core.costs as costs_module
+from repro.adaptive import AdaptiveConfig, AdaptiveController
 from repro.distributed import solve_distributed
 from repro.graphs import (
     Graph,
@@ -29,7 +30,10 @@ from repro.graphs import (
     hop_distances,
     path_graph,
 )
+import repro.graphs.forest as forest_module
+from repro.graphs.forest import cached_forest
 from repro.obs import Recorder, use_recorder
+from repro.serve import ZipfWorkload, serve_placement
 from repro.workloads import random_problem
 
 
@@ -168,20 +172,20 @@ class TestCostModel:
     def test_full_invalidate_drops_cost_rows_keeps_hop_trees(self, model):
         # Regression: a stale stored row after a storage mutation would
         # silently serve pre-mutation contention costs.  The BFS hop
-        # trees and their Euler ranges depend only on topology and must
-        # survive.
+        # trees and the forest that holds their Euler ranges depend only
+        # on topology and must survive.
         model.contention_cost(0, 2)
         model.path(0, 15)
         assert model._hop_trees and model._built.any()
         trees_before = dict(model._hop_trees)
-        ranges_before = model._tin.copy(), model._tout.copy()
+        forest = model._forest
+        assert forest is not None
         model.storage.add(1, 0)
         model.invalidate()
         assert not model._built.any()
         assert model._hop_trees.keys() == trees_before.keys()
         assert all(model._hop_trees[s] is t for s, t in trees_before.items())
-        assert (model._tin == ranges_before[0]).all()
-        assert (model._tout == ranges_before[1]).all()
+        assert model._forest is forest
         # Fresh lookups rebuild from the mutated storage, not the caches.
         assert model.contention_cost(0, 2) == 2 + 3 * 2 + 3
 
@@ -190,8 +194,8 @@ class TestCostModel:
         assert model._hop_trees and model._built.any()
         model.invalidate_topology()
         assert model._hop_trees == {}
-        n = model.graph.num_nodes
-        assert (model._tin == n).all() and (model._tout == n).all()
+        assert model._forest is None
+        assert cached_forest(model.graph) is None
         assert not model._built.any()
 
 
@@ -220,20 +224,83 @@ class TestHopCounts:
     def test_dist_runs_one_bfs_per_source(self, monkeypatch):
         # Every chunk session of a run shares the cost model's forest:
         # one build for the whole problem, each source's tree read once.
+        # Appx, serve and the adaptive loop then adopt the graph's forest
+        # instead of building their own.
         forests = []
-        real_hop_forest = costs_module.hop_forest
+        real_hop_forest = forest_module.hop_forest
 
         def counting_hop_forest(indptr, indices):
             forests.append(len(indptr) - 1)
             return real_hop_forest(indptr, indices)
 
-        monkeypatch.setattr(costs_module, "hop_forest", counting_hop_forest)
+        monkeypatch.setattr(forest_module, "hop_forest", counting_hop_forest)
         problem, _ = random_problem(30, seed=2017)
         rec = Recorder()
         with use_recorder(rec):
             solve_distributed(problem)
         assert forests == [problem.graph.num_nodes]
         assert rec.counter("costs.tree_rebuilds") == problem.graph.num_nodes
+        placement = solve_approximation(problem)
+        serve_placement(placement, ZipfWorkload(seed=1), 500)
+        AdaptiveController(
+            problem,
+            ZipfWorkload(seed=1),
+            AdaptiveConfig(epochs=2, epoch_requests=300),
+        ).run()
+        assert forests == [problem.graph.num_nodes]
+
+
+class TestSharedForest:
+    """One hop forest per graph, dropped by every graph mutator."""
+
+    @pytest.mark.parametrize(
+        "mutate, source, expected",
+        [
+            (lambda g: g.add_node(16), 16, {16: 0}),
+            (lambda g: g.add_edge(0, 15), 0, {15: 1}),
+            (lambda g: g.remove_edge(0, 1), 0, {1: 3}),
+            (lambda g: g.remove_node(1), 0, {2: 4}),
+        ],
+        ids=["add_node", "add_edge", "remove_edge", "remove_node"],
+    )
+    def test_mutators_reach_the_next_model(self, grid4, mutate, source,
+                                           expected):
+        first = CostModel(grid4, StorageState(grid4.nodes(), 5))
+        first.hop_counts(0)
+        assert cached_forest(grid4) is not None
+        mutate(grid4)
+        assert cached_forest(grid4) is None
+        model = CostModel(grid4, StorageState(grid4.nodes(), 5))
+        hops = model.hop_counts(source)
+        assert {node: hops[node] for node in expected} == expected
+        assert hops == hop_distances(grid4, source)
+
+    def test_models_on_one_graph_share_its_forest(self, grid4):
+        models = [
+            CostModel(grid4, StorageState(grid4.nodes(), 5))
+            for _ in range(3)
+        ]
+        for model in models:
+            model.hop_counts(0)
+        assert all(model._forest is models[0]._forest for model in models)
+        assert cached_forest(grid4).forest is models[0]._forest
+
+    def test_stale_model_names_the_missing_invalidation(self, grid4):
+        model = CostModel(grid4, StorageState(grid4.nodes(), 5))
+        grid4.add_node(16)
+        with pytest.raises(ProblemError, match="invalidate_topology"):
+            model.cost_rows([0], [15])
+
+    def test_two_graphs_never_share_a_forest(self):
+        left, right = grid_graph(4), grid_graph(4)
+        a = CostModel(left, StorageState(left.nodes(), 5))
+        b = CostModel(right, StorageState(right.nodes(), 5))
+        assert a.hop_counts(0) == b.hop_counts(0)
+        assert a._forest is not b._forest
+        right.add_edge(0, 15)
+        assert cached_forest(left).forest is a._forest
+        c = CostModel(right, StorageState(right.nodes(), 5))
+        assert c.hop_counts(0)[15] == 1 and a.hop_counts(0)[15] == 6
 
 
 class TestIncrementalInvalidation:

@@ -4,7 +4,8 @@ The selector holds its view (the engine) for the whole replay; a strong
 back-reference would make engine → selector → engine a cycle, so every
 finished replay, with its cost model, storage and request buffers,
 would wait for the cyclic garbage collector.  These tests run with the
-collector disabled and require the engine to be gone anyway.
+collector disabled and require the engine to be gone anyway.  The same
+holds for a solved problem's graph, which keeps its hop forest.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 
 from repro.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core import solve_approximation
+from repro.graphs.forest import cached_forest
 from repro.serve import ServeConfig, ServeEngine, ZipfWorkload, serve_placement
 from repro.serve.engine import request_stream
 from repro.workloads import random_problem
@@ -77,3 +79,19 @@ def test_adaptive_epoch_engines_die_without_gc(engine_refs, problem):
     controller.run()
     assert len(engine_refs) >= 3
     assert all(ref() is None for ref in engine_refs)
+
+
+def test_dropped_problem_frees_its_graph_without_gc():
+    # The graph keeps its hop forest; the forest must not point back at
+    # the graph, or every solved topology would wait for the collector.
+    problem, _ = random_problem(30, seed=3, num_chunks=2, capacity=3)
+    gc.collect()
+    gc.disable()
+    try:
+        placement = solve_approximation(problem)
+        assert cached_forest(problem.graph) is not None
+        graph = weakref.ref(problem.graph)
+        del problem, placement
+        assert graph() is None
+    finally:
+        gc.enable()

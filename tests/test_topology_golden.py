@@ -149,8 +149,8 @@ def hop_record(graph: Graph) -> Dict[str, str]:
         rows["hops"].append(
             [[repr(node), hops] for node, hops in model.hop_counts(source).items()]
         )
-        rows["tin"].append(model._tin[row].tolist())
-        rows["tout"].append(model._tout[row].tolist())
+        rows["tin"].append(model._forest.tin[row].tolist())
+        rows["tout"].append(model._forest.tout[row].tolist())
         rows["preorder"].append([repr(node) for node in tree.preorder])
     return {field: _digest(lines) for field, lines in rows.items()}
 
