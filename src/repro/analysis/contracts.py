@@ -34,6 +34,9 @@ the places a wrong answer could silently pass through:
   forest its graph keeps (``core/costs.py``): the CSR adjacency the
   forest was built from equals the graph's as it stands, so no mutation
   path left a stale forest behind.
+* :func:`check_node_costs` — wherever the dissemination graph's weights
+  are read (``core/costs.py``): the cost model's maintained node-cost
+  vector equals a fresh ``degree·(1+S(k))`` of every node.
 * :func:`check_serve_equivalence` / :func:`check_stream_equivalence` —
   on small serve replays (``serve/engine.py``): the batched report is
   byte-equal to the per-request reference loop's, and the bulk-decoded
@@ -359,6 +362,37 @@ def check_shared_forest(
             f"graph's ({len(indices)} vs {len(fresh_indices)} neighbour "
             "entries)",
         )
+
+
+def check_node_costs(
+    *,
+    nodes: Sequence[Node],
+    maintained: Sequence[float],
+    fresh: Sequence[float],
+) -> None:
+    """Assert a cost model's maintained node costs equal a fresh read.
+
+    ``maintained`` is the vector ``x_k = w_k (1 + S(k))`` the model
+    patches on each storage delta; ``fresh`` re-reads every degree and
+    occupancy, both in graph order.  The hop rows and the dissemination
+    weights both read the maintained vector, so a drift would price and
+    route every later chunk on stale storage.  Equality is exact: every
+    entry is an integer far below 2^53.
+    """
+    rule = "stale-node-costs"
+    if len(maintained) != len(fresh):
+        _fail(
+            rule,
+            f"the maintained node-cost vector has {len(maintained)} "
+            f"entries but the graph has {len(fresh)} nodes",
+        )
+    for node, got, expected in zip(nodes, maintained, fresh):
+        if got != expected:
+            _fail(
+                rule,
+                f"node {node!r}: maintained x = {got} but degree·(1+S) "
+                f"= {expected}",
+            )
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,9 @@ chunk (Eq. 8):
 
 :func:`build_confl_instance` freezes the *current* storage state into such
 an instance — Algorithm 1 rebuilds it before each chunk so fairness and
-contention feed forward (lines 5–16).
+contention feed forward (lines 5–16).  Only the dissemination graph
+waits for its first read (:attr:`ConFLInstance.steiner_graph`), which
+Appx never makes.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Dict, Hashable, List, Tuple
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.core.costs import weighted_topology
 from repro.core.problem import ProblemState
 
 Node = Hashable
@@ -48,10 +51,15 @@ class ConFLInstance:
         (``c_ii = 0``) as one float64 ``(servers × clients)`` array: the
         columns follow ``clients`` and :attr:`row_of` gives each
         server's row.
-    steiner_graph:
-        Topology re-weighted with dissemination edge costs
-        ``contention_weight · c_e`` (the ``M`` scale is applied by the
-        objective, not baked into edges, so trees stay comparable).
+    topology:
+        The network graph the dissemination tree runs over.
+    node_costs:
+        A copy of the node costs ``x_k = w_k (1 + S(k))`` at build time,
+        by node position in ``topology`` order: the commit changes
+        storage right after, so :attr:`steiner_graph` must not read the
+        live cost model.
+    contention_weight:
+        The scale of every dissemination edge cost.
     raw_open_cost:
         The unweighted ``f_i`` for reporting stage costs.
     """
@@ -61,9 +69,25 @@ class ConFLInstance:
     facilities: Tuple[Node, ...]
     open_cost: Dict[Node, float]
     connect_matrix: np.ndarray
-    steiner_graph: Graph
+    topology: Graph
+    node_costs: np.ndarray
+    contention_weight: float
     dissemination_scale: float
     raw_open_cost: Dict[Node, float] = field(default_factory=dict)
+
+    @cached_property
+    def steiner_graph(self) -> Graph:
+        """The topology re-weighted with dissemination edge costs
+        ``contention_weight · c_e``, built on first read.
+
+        The ``M`` scale is applied by the objective, not baked into
+        edges, so trees stay comparable.  GreedyFair, the local search,
+        the enumeration and the MILP read it; Appx, the online controller
+        and the adaptive re-solve never do.
+        """
+        return weighted_topology(
+            self.topology, self.node_costs, self.contention_weight
+        )
 
     @cached_property
     def row_of(self) -> Dict[Node, int]:
@@ -82,11 +106,11 @@ def build_confl_instance(state: ProblemState) -> ConFLInstance:
     """Snapshot the current caching state as a ConFL instance.
 
     Implements Algorithm 1 lines 5–16: refresh every ``f_i`` from storage
-    (line 6), compute all shortest paths and ``c_ij`` (lines 8–13), and the
-    dissemination edge costs ``c_e`` (lines 14–16).
+    (line 6), compute all shortest paths and ``c_ij`` (lines 8–13), and
+    keep the node costs that price the dissemination edges ``c_e``
+    (lines 14–16): the weighted graph itself is built only when read.
     """
     problem = state.problem
-    graph = problem.graph
     producer = problem.producer
 
     clients: List[Node] = list(problem.clients)
@@ -104,20 +128,15 @@ def build_confl_instance(state: ProblemState) -> ConFLInstance:
     weighted = state.costs.cost_rows(servers, clients)
     weighted *= problem.contention_weight
 
-    steiner_graph = Graph()
-    steiner_graph.add_nodes(graph.nodes())
-    for u, v, _ in graph.edges():
-        steiner_graph.add_edge(
-            u, v, problem.contention_weight * state.costs.edge_cost(u, v)
-        )
-
     return ConFLInstance(
         producer=producer,
         clients=tuple(clients),
         facilities=tuple(facilities),
         open_cost=open_cost,
         connect_matrix=weighted,
-        steiner_graph=steiner_graph,
+        topology=problem.graph,
+        node_costs=state.costs.node_cost_vector().copy(),
+        contention_weight=problem.contention_weight,
         dissemination_scale=problem.dissemination_scale,
         raw_open_cost=raw_open,
     )

@@ -49,7 +49,9 @@ that needs them.
 A row is one difference array over the source's Euler positions: node
 ``k`` adds ``x_k = w_k (1 + S(k))`` over its own range, so one
 ``cumsum`` yields the summed node costs of every root-to-target path.
-The ``x`` vector is maintained, not re-read from storage per row.
+The ``x`` vector is maintained, not re-read from storage per row, and
+it weights the dissemination graph too: :func:`weighted_topology`
+prices edge ``(u, v)`` at ``x_u + x_v``.
 
 A committed chunk changes ``S(k)`` only at the nodes that cached it,
 and each such change shifts ``c_ij`` by ``w_k · ΔS(k)`` on exactly the
@@ -138,6 +140,29 @@ def path_contention_cost(
     return float(
         sum(graph.degree(k) * (1 + storage.used(k)) for k in path)
     )
+
+
+def weighted_topology(
+    graph: Graph, node_costs: np.ndarray, scale: float = 1.0
+) -> Graph:
+    """A copy of ``graph`` with edge ``(u, v)`` weighted ``scale · (x_u + x_v)``.
+
+    ``node_costs`` holds ``x_k = w_k (1 + S(k))`` by node position in
+    graph order (:meth:`CostModel.node_cost_vector`), so each weight is
+    the dissemination edge cost ``c_e`` of Algorithm 1 lines 14–16,
+    times ``scale``.  Edges go in :meth:`Graph.edges` order: KMB's
+    Dijkstra breaks equal-distance ties by the copy's neighbour order,
+    which that order fixes.  The only builder of the dissemination
+    graph; each call counts one ``costs.weighted_graph_builds``.
+    """
+    get_recorder().count("costs.weighted_graph_builds")
+    nodes = list(graph.nodes())
+    x = dict(zip(nodes, node_costs.tolist()))
+    weighted = Graph()
+    weighted.add_nodes(nodes)
+    for u, v, _ in graph.edges():
+        weighted.add_edge(u, v, scale * (x[u] + x[v]))
+    return weighted
 
 
 class _HopTree:
@@ -515,10 +540,12 @@ class CostModel:
         adjacent nodes is the edge itself and ``c_e`` equals
         ``w_u (1+S(u)) + w_v (1+S(v))``.  The ``"hops"`` branch uses that
         closed form (BFS from ``u`` discovers its neighbor ``v`` at depth
-        1); the ``"contention"`` branch routes through
-        :meth:`contention_cost` so Eq. 2 and the dissemination weights
-        agree by construction even if a future cost extension voids the
-        argument above.
+        1) and returns an ``int``; the ``"contention"`` branch reads the
+        ``float`` of :meth:`contention_cost`.  The commit prices a tree's
+        edges with it (:func:`~repro.core.commit.price_chunk`), so the
+        two types reach the stage costs; the tree itself is built on the
+        same closed form from the maintained vector
+        (:func:`weighted_topology`).
         """
         if not self.graph.has_edge(u, v):
             raise ProblemError(f"({u!r}, {v!r}) is not an edge")
@@ -526,18 +553,30 @@ class CostModel:
             return self.node_cost(u) + self.node_cost(v)
         return self.contention_cost(u, v)
 
+    def node_cost_vector(self) -> np.ndarray:
+        """The maintained ``x_k = w_k (1 + S(k))``, by node position.
+
+        Every hop row and every dissemination weight reads it;
+        :meth:`invalidate` keeps it in step with storage, and under
+        ``REPRO_SANITIZE=1`` it is checked against a fresh read
+        (``stale-node-costs``).  Callers that keep it must copy it.
+        """
+        if contracts.sanitize_enabled():
+            contracts.check_node_costs(
+                nodes=list(self.graph.nodes()),
+                maintained=self._x.tolist(),
+                fresh=[self.node_cost(node) for node in self.graph.nodes()],
+            )
+        return self._x
+
     def contention_weighted_graph(self) -> Graph:
         """A copy of the topology with every edge weighted by ``c_e``.
 
         This is the graph the dissemination Steiner tree is built on
-        (objective term 3 of Eq. 3 / the ``M Σ c_e z_en`` term of Eq. 8).
+        (objective term 3 of Eq. 3 / the ``M Σ c_e z_en`` term of Eq. 8):
+        :func:`weighted_topology` at scale 1 on the current node costs.
         """
-        get_recorder().count("costs.weighted_graph_builds")
-        weighted = Graph()
-        weighted.add_nodes(self.graph.nodes())
-        for u, v, _ in self.graph.edges():
-            weighted.add_edge(u, v, self.edge_cost(u, v))
-        return weighted
+        return weighted_topology(self.graph, self.node_cost_vector())
 
     # ------------------------------------------------------------------
     def _shared_forest(self) -> HopForest:

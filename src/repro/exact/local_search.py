@@ -10,7 +10,9 @@ Pricing: during the descent, trees are priced with a *cached* KMB
 2-approximation (metric closure looked up from a one-time all-pairs
 Dijkstra, so each evaluation is ~|A|² table lookups plus a tiny MST).
 Final incumbents with few enough terminals are re-priced with the exact
-Dreyfus–Wagner DP, which also yields the tree edges that get committed.
+Dreyfus–Wagner DP, which also yields the tree edges that get committed;
+larger ones get :func:`~repro.graphs.steiner.steiner_tree`'s KMB tree,
+the one every other algorithm commits.
 
 Role in the reproduction: the paper's ``Brtf`` uses PuLP; the MILP in
 :mod:`repro.exact.ilp_formulation` is provably exact but far too slow
@@ -27,9 +29,13 @@ import math
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph
-from repro.graphs.mst import kruskal_mst
+from repro.graphs.mst import kruskal_mst, tree_weight
 from repro.graphs.shortest_paths import path_from_tree
-from repro.graphs.steiner import all_pairs_with_parents, dreyfus_wagner
+from repro.graphs.steiner import (
+    all_pairs_with_parents,
+    dreyfus_wagner,
+    steiner_tree,
+)
 from repro.core.confl import ConFLInstance
 
 Node = Hashable
@@ -41,9 +47,8 @@ MAX_EXACT_TERMINALS = 10
 class _ChunkObjective:
     """Pricing of cache sets under one ConFL instance (heavily cached)."""
 
-    def __init__(self, instance: ConFLInstance, exact_terminals: int) -> None:
+    def __init__(self, instance: ConFLInstance) -> None:
         self.instance = instance
-        self.exact_terminals = exact_terminals
         self.facilities = [
             f
             for f in instance.facilities
@@ -102,30 +107,15 @@ class _ChunkObjective:
         if not caches:
             return 0.0, []
         terminals = [self.instance.producer] + sorted(caches, key=str)
-        if len(terminals) <= self.exact_terminals:
+        if len(terminals) <= MAX_EXACT_TERMINALS:
             cost, tree = dreyfus_wagner(
                 self.instance.steiner_graph, terminals,
                 apsp=(self._dist, self._parents),
             )
         else:
-            cost, tree = self._kmb_tree(terminals)
+            tree = steiner_tree(self.instance.steiner_graph, terminals)
+            cost = tree_weight(tree)
         return cost, [(u, v) for u, v, _ in tree.edges()]
-
-    def _kmb_tree(self, terminals: List[Node]) -> Tuple[float, Graph]:
-        expanded = Graph()
-        for u, v in self._kmb_paths(terminals):
-            if not expanded.has_edge(u, v):
-                expanded.add_edge(u, v, self.instance.steiner_graph.weight(u, v))
-        tree = kruskal_mst(expanded)
-        terminal_set = set(terminals)
-        pruned = True
-        while pruned:
-            pruned = False
-            for node in list(tree.nodes()):
-                if node not in terminal_set and tree.degree(node) <= 1:
-                    tree.remove_node(node)
-                    pruned = True
-        return sum(w for _, _, w in tree.edges()), tree
 
     # ------------------------------------------------------------------
     # Full objective
@@ -178,7 +168,6 @@ class _ChunkObjective:
 def optimize_chunk_local(
     instance: ConFLInstance,
     starts: Optional[Iterable[Iterable[Node]]] = None,
-    exact_terminals: int = MAX_EXACT_TERMINALS,
     max_rounds: int = 200,
 ) -> Tuple[List[Node], Dict[Node, Node], List[Tuple[Node, Node]], float]:
     """Best (caches, assignment, tree_edges, objective) found by local
@@ -187,10 +176,10 @@ def optimize_chunk_local(
     Always starts from the empty set (greedy build-up) and the full
     facility set (greedy pare-down); callers add warm starts (e.g. the
     dual-ascent ADMIN set).  The best local optimum's tree is re-priced
-    exactly when small enough (``exact_terminals``), and the returned
-    objective reflects that final pricing.
+    exactly when small enough (:data:`MAX_EXACT_TERMINALS`), and the
+    returned objective reflects that final pricing.
     """
-    objective = _ChunkObjective(instance, exact_terminals)
+    objective = _ChunkObjective(instance)
     start_sets: List[FrozenSet[Node]] = [
         frozenset(),
         frozenset(objective.facilities),

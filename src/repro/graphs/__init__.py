@@ -41,7 +41,7 @@ from repro.graphs.stats import (
     eccentricities,
     radius,
 )
-from repro.graphs.steiner import metric_closure, steiner_cost, steiner_tree
+from repro.graphs.steiner import metric_closure, steiner_tree
 from repro.graphs.traversal import (
     bfs_layers,
     bfs_order,
@@ -89,7 +89,6 @@ __all__ = [
     "radius",
     "random_geometric_graph",
     "star_graph",
-    "steiner_cost",
     "steiner_tree",
     "tree_weight",
 ]

@@ -49,7 +49,7 @@ def bfs_shortest_path(graph: Graph, source: Node, target: Node) -> List[Node]:
                 continue
             parent[neighbor] = node
             if neighbor == target:
-                return _reconstruct(parent, source, target)
+                return path_from_tree(parent, source, target)
             queue.append(neighbor)
     raise NoPathError(source, target)
 
@@ -214,11 +214,3 @@ def floyd_warshall(graph: Graph) -> Dict[Node, Dict[Node, float]]:
                 if through < di[j]:
                     di[j] = through
     return dist
-
-
-def _reconstruct(parent: Dict[Node, Node], source: Node, target: Node) -> List[Node]:
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path

@@ -14,7 +14,12 @@ KMB steps:
    among terminals).
 2. Compute an MST of that complete graph.
 3. Expand each MST edge into its underlying shortest path.
-4. Take the MST of the expanded subgraph and prune non-terminal leaves.
+4. Take the MST of the expanded subgraph and prune non-terminal leaves
+   (the step :func:`dreyfus_wagner`'s reconstruction ends with too).
+
+The commit, the adaptive rebuild and Brtf's final sets above its
+exact-DP limit all run :func:`steiner_tree` on the topology weighted by
+:func:`repro.core.costs.weighted_topology`.
 
 Step 1 runs one Dijkstra per terminal but the last, over the graph
 relabelled to positions ``0..n-1`` (neighbour index lists, no adjacency
@@ -185,9 +190,17 @@ def steiner_tree(graph: Graph, terminals: Iterable[Node]) -> Graph:
             if not expanded.has_edge(a, b):
                 expanded.add_edge(a, b, graph.weight(a, b))
 
-    # MST of the expanded subgraph, then prune non-terminal leaves.
-    tree = kruskal_mst(expanded)
-    terminal_set = set(terminal_list)
+    return _pruned_mst(expanded, terminal_list)
+
+
+def _pruned_mst(subgraph: Graph, terminals: List[Node]) -> Graph:
+    """MST of ``subgraph``, then its non-terminal leaves pruned away.
+
+    The last step of both tree builders here: the union of shortest
+    paths they expand can hold cycles and dead ends.
+    """
+    tree = kruskal_mst(subgraph)
+    terminal_set = set(terminals)
     pruned = True
     while pruned:
         pruned = False
@@ -196,11 +209,6 @@ def steiner_tree(graph: Graph, terminals: Iterable[Node]) -> Graph:
                 tree.remove_node(node)
                 pruned = True
     return tree
-
-
-def steiner_cost(tree: Graph) -> float:
-    """Total edge weight of a Steiner tree (the dissemination cost term)."""
-    return sum(w for _, _, w in tree.edges())
 
 
 def all_pairs_with_parents(
@@ -360,15 +368,5 @@ def dreyfus_wagner(
 
     rebuild(full, root)
     # The reconstructed subgraph can contain redundant cycles when paths
-    # overlap; reduce to an MST and prune non-terminals, like KMB.
-    if tree.num_nodes > 1:
-        tree = kruskal_mst(tree)
-        terminal_set = set(terminal_list)
-        pruned = True
-        while pruned:
-            pruned = False
-            for node in list(tree.nodes()):
-                if node not in terminal_set and tree.degree(node) <= 1:
-                    tree.remove_node(node)
-                    pruned = True
-    return cost, tree
+    # overlap; reduce it like KMB's expansion.
+    return cost, _pruned_mst(tree, terminal_list)

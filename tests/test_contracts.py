@@ -333,6 +333,46 @@ class TestSharedForest:
         assert model.hop_counts(0)[8] == 1
 
 
+class TestNodeCosts:
+    def base_kwargs(self, **overrides):
+        kwargs = dict(nodes=[0, 1, 2], maintained=[2.0, 4.0, 2.0],
+                      fresh=[2, 4, 2])
+        kwargs.update(overrides)
+        return kwargs
+
+    def test_matching_vector_passes(self):
+        contracts.check_node_costs(**self.base_kwargs())
+
+    def test_drifted_entry_caught(self):
+        with pytest.raises(InvariantError, match="stale-node-costs"):
+            contracts.check_node_costs(**self.base_kwargs(fresh=[2, 6, 2]))
+
+    def test_length_drift_caught(self):
+        with pytest.raises(InvariantError, match="stale-node-costs"):
+            contracts.check_node_costs(**self.base_kwargs(fresh=[2, 4]))
+
+    @pytest.mark.parametrize("reader", ["weighted_graph", "confl_instance"])
+    def test_drifted_vector_raises_where_weights_are_read(
+        self, monkeypatch, reader
+    ):
+        # Storage changed behind the model's back: the maintained vector
+        # is stale, and every builder of the dissemination weights must
+        # notice before it routes a tree on it.
+        monkeypatch.setenv(contracts.ENV_VAR, "1")
+        state = grid_problem(4, num_chunks=2).new_state()
+        state.costs.contention_weighted_graph()
+        build_confl_instance(state)
+        state.storage.add(5, 0)
+        with pytest.raises(InvariantError, match="stale-node-costs"):
+            if reader == "weighted_graph":
+                state.costs.contention_weighted_graph()
+            else:
+                build_confl_instance(state)
+        state.costs.invalidate(dirty_nodes=[5])
+        state.costs.contention_weighted_graph()
+        build_confl_instance(state)
+
+
 class TestWiring:
     def test_suite_runs_with_sanitizer_on(self):
         # conftest.py sets REPRO_SANITIZE=1 for the whole suite unless

@@ -10,11 +10,13 @@ from repro.core import (
     PATH_POLICY_CONTENTION,
     PATH_POLICY_HOPS,
     StorageState,
+    build_confl_instance,
     fairness_degree_cost,
     node_contention_cost,
     path_contention_cost,
     solve_approximation,
 )
+from repro.core.costs import weighted_topology
 from repro.errors import (
     InvariantError,
     NodeNotFoundError,
@@ -26,6 +28,8 @@ from repro.distributed import solve_distributed
 from repro.graphs import (
     Graph,
     connected_random_network,
+    cycle_graph,
+    erdos_renyi_connected,
     grid_graph,
     hop_distances,
     path_graph,
@@ -34,7 +38,7 @@ import repro.graphs.forest as forest_module
 from repro.graphs.forest import cached_forest
 from repro.obs import Recorder, use_recorder
 from repro.serve import ZipfWorkload, serve_placement
-from repro.workloads import random_problem
+from repro.workloads import grid_problem, random_problem
 
 
 def full_block(model):
@@ -535,6 +539,71 @@ class TestEdgeCostPolicy:
         model = CostModel(grid4, storage, PATH_POLICY_CONTENTION)
         for u, v, _ in grid4.edges():
             assert model.edge_cost(u, v) == model.node_cost(u) + model.node_cost(v)
+
+
+class TestWeightedTopology:
+    """The one builder of the dissemination graph (Alg. 1 lines 14–16)."""
+
+    @staticmethod
+    def _storage(graph):
+        storage = StorageState(graph.nodes(), 5)
+        for chunk, node in enumerate(list(graph.nodes())[1:8:3]):
+            storage.add(node, chunk)
+        return storage
+
+    @pytest.mark.parametrize(
+        "graph",
+        [cycle_graph(10), erdos_renyi_connected(40, 0.1, seed=2)],
+        ids=["cycle10", "er40"],
+    )
+    def test_neighbours_follow_edges_order(self, graph):
+        # KMB's Dijkstra breaks equal-distance ties by neighbour order, so
+        # the copy keeps the order Graph.edges() inserts, not the
+        # topology's own adjacency order (they differ on these graphs).
+        weighted = CostModel(graph, self._storage(graph)).contention_weighted_graph()
+        rebuilt = Graph([(u, v, 0.0) for u, v, _ in graph.edges()])
+        for node in graph.nodes():
+            assert list(weighted.neighbors(node)) == list(rebuilt.neighbors(node))
+        assert any(
+            list(graph.neighbors(node)) != list(weighted.neighbors(node))
+            for node in graph.nodes()
+        )
+
+    @pytest.mark.parametrize(
+        "policy", [PATH_POLICY_HOPS, PATH_POLICY_CONTENTION]
+    )
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_weights_are_scaled_edge_costs_bit_for_bit(self, grid4, policy, scale):
+        model = CostModel(grid4, self._storage(grid4), policy)
+        weighted = weighted_topology(grid4, model.node_cost_vector(), scale)
+        for u, v, w in weighted.edges():
+            assert w == scale * model.edge_cost(u, v)
+
+    def test_instance_graph_is_a_snapshot(self):
+        problem = grid_problem(4, num_chunks=2, contention_weight=0.7)
+        state = problem.new_state()
+        before = state.costs.contention_weighted_graph()
+        instance = build_confl_instance(state)
+        state.cache(5, 0)  # the commit changes storage before any read
+        for u, v, w in instance.steiner_graph.edges():
+            assert w == 0.7 * before.weight(u, v)
+        assert instance.steiner_graph is instance.steiner_graph
+
+    def test_one_build_per_commit_with_caches(self):
+        problem = grid_problem(5, num_chunks=4)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            instance = build_confl_instance(problem.new_state())
+            assert recorder.counter("costs.weighted_graph_builds") == 0
+            instance.steiner_graph
+            instance.steiner_graph
+            assert recorder.counter("costs.weighted_graph_builds") == 1
+        recorder = Recorder()
+        with use_recorder(recorder):
+            placement = solve_approximation(problem)
+        committed = sum(1 for chunk in placement.chunks if chunk.caches)
+        assert committed > 0
+        assert recorder.counter("costs.weighted_graph_builds") == committed
 
 
 class TestContentionPathPolicy:

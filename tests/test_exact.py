@@ -121,7 +121,10 @@ class TestEnumerationTieOrder:
             open_cost={2: 0.0},
             # Rows: producer, then facility 2; columns: clients 1, 2.
             connect_matrix=np.array([[3.0, 10.0], [3.0, 0.0]]),
-            steiner_graph=Graph([(0, 1, 1.0), (1, 2, 1.0)]),
+            # Every node costs 0.5, so both edges weigh 1.0.
+            topology=Graph([(0, 1), (1, 2)]),
+            node_costs=np.array([0.5, 0.5, 0.5]),
+            contention_weight=1.0,
             dissemination_scale=1.0,
         )
         result = enumerate_optimal(instance)

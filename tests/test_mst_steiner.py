@@ -12,7 +12,6 @@ from repro.graphs import (
     kruskal_mst,
     metric_closure,
     prim_mst,
-    steiner_cost,
     steiner_tree,
     tree_weight,
 )
@@ -93,12 +92,12 @@ class TestSteinerTree:
 
     def test_two_terminals_is_shortest_path(self, grid4):
         tree = steiner_tree(grid4, [0, 15])
-        assert steiner_cost(tree) == 6.0
+        assert tree_weight(tree) == 6.0
 
     def test_single_terminal(self, grid4):
         tree = steiner_tree(grid4, [7])
         assert tree.num_nodes == 1
-        assert steiner_cost(tree) == 0.0
+        assert tree_weight(tree) == 0.0
 
     def test_empty_terminals_raise(self, grid4):
         with pytest.raises(ValueError):
@@ -117,13 +116,13 @@ class TestSteinerTree:
 
     def test_duplicate_terminals_ok(self, grid4):
         tree = steiner_tree(grid4, [0, 0, 15, 15])
-        assert steiner_cost(tree) == 6.0
+        assert tree_weight(tree) == 6.0
 
     def test_within_2x_of_exact(self):
         for seed in range(4):
             g = _random_weighted(10, seed)
             terminals = sorted(g.nodes())[:4]
-            kmb = steiner_cost(steiner_tree(g, terminals))
+            kmb = tree_weight(steiner_tree(g, terminals))
             exact, _ = dreyfus_wagner(g, terminals)
             assert exact <= kmb + 1e-9
             assert kmb <= 2.0 * exact + 1e-9
@@ -140,7 +139,7 @@ class TestDreyfusWagner:
             g = _random_weighted(9, seed)
             terminals = sorted(g.nodes())[:4]
             cost, tree = dreyfus_wagner(g, terminals)
-            assert steiner_cost(tree) == pytest.approx(cost)
+            assert tree_weight(tree) == pytest.approx(cost)
 
     def test_two_terminals_equals_shortest_path(self, grid4):
         cost, _ = dreyfus_wagner(grid4, [0, 15])
