@@ -12,6 +12,10 @@
   non-integer, so a reader that changes the order of a float sum (a
   dual-ascent payment, an access cost) moves a digest here, where the
   hop-cost ``golden_dual_ascent.json`` cannot see it.
+* ``brtf_kmb``: the same Brtf digest on a 6×6 grid (``hops``, weight
+  1.0) and a 30-node random network (``contention``, weight 0.7), where
+  every final set has more than ``MAX_EXACT_TERMINALS`` terminals: the
+  descent and the final trees are all KMB-priced.
 * ``enumeration``: per chunk of a 3×3 grid, the ``enumerate_optimal``
   result and the ``build_chunk_model`` objective coefficients of the
   ``y``, ``x`` and ``z`` columns, in column order.
@@ -55,7 +59,10 @@ def _problem(name: str, policy: str, weight: float):
         return grid_problem(4, **options)
     if name == "grid3":
         return grid_problem(3, **options)
-    problem, _ = random_problem(12, seed=SEED, **options)
+    if name == "grid6":
+        return grid_problem(6, **options)
+    size = 30 if name == "random30" else 12
+    problem, _ = random_problem(size, seed=SEED, **options)
     return problem
 
 
@@ -69,6 +76,7 @@ PLACEMENT_CASES = [
     for policy in POLICIES
     for weight in WEIGHTS
 ]
+KMB_CASES = [_case("grid6", "hops", 1.0), _case("random30", "contention", 0.7)]
 ENUMERATION_CASES = [
     _case("grid3", policy, weight) for policy in POLICIES for weight in WEIGHTS
 ]
@@ -162,6 +170,10 @@ def enumeration_record(case: str) -> List[Dict[str, str]]:
 def build_golden() -> Dict[str, Any]:
     return {
         "placements": {case: placement_record(case) for case in PLACEMENT_CASES},
+        "brtf_kmb": {
+            case: placement_digest(solve_exact(_parse(case)))
+            for case in KMB_CASES
+        },
         "enumeration": {
             case: enumeration_record(case) for case in ENUMERATION_CASES
         },
@@ -175,6 +187,7 @@ def golden():
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden["placements"]) == sorted(PLACEMENT_CASES)
+    assert sorted(golden["brtf_kmb"]) == sorted(KMB_CASES)
     assert sorted(golden["enumeration"]) == sorted(ENUMERATION_CASES)
 
 
@@ -188,6 +201,11 @@ def test_weighted_costs_are_not_integers():
 @pytest.mark.parametrize("case", PLACEMENT_CASES)
 def test_placements_match_golden(golden, case):
     assert placement_record(case) == golden["placements"][case]
+
+
+@pytest.mark.parametrize("case", KMB_CASES)
+def test_brtf_kmb_matches_golden(golden, case):
+    assert placement_digest(solve_exact(_parse(case))) == golden["brtf_kmb"][case]
 
 
 @pytest.mark.parametrize("case", ENUMERATION_CASES)
