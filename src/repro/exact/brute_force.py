@@ -2,10 +2,11 @@
 
 Independent of the ILP machinery: enumerate every facility subset, price
 it as ``Σ f_i + Σ_j min-connect + M · SteinerCost(A ∪ {producer})`` with
-the exact Dreyfus–Wagner Steiner tree, and keep the cheapest.  Exponential
-twice over (subsets × DW), so it is only for cross-checking the ILP
-encoding on graphs of ≤ ~12 nodes — which is precisely its job in the
-test suite.
+the exact Steiner cost, and keep the cheapest.  One Dreyfus–Wagner DP over
+the producer and every facility holds the Steiner cost of each subset, so
+it runs once per instance.  Exponential in the facility count, so it is
+only for cross-checking the ILP encoding on graphs of ≤ ~12 nodes — which
+is precisely its job in the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.graphs.steiner import dreyfus_wagner
+from repro.graphs.steiner import dreyfus_wagner_costs
 from repro.core.confl import ConFLInstance
 
 Node = Hashable
@@ -47,13 +48,18 @@ def enumerate_optimal(
     producer = instance.producer
     rows = instance.connect_matrix.tolist()
     row_of = instance.row_of
+    # steiner_costs[mask]: the producer plus facilities[i] for each bit i.
+    steiner_costs = dreyfus_wagner_costs(
+        instance.steiner_graph, [producer] + facilities
+    )
 
     best_cost = math.inf
     best: Optional[Tuple[Tuple[Node, ...], Dict[Node, Node]]] = None
     evaluated = 0
     for r in range(len(facilities) + 1):
-        for subset in itertools.combinations(facilities, r):
+        for chosen in itertools.combinations(range(len(facilities)), r):
             evaluated += 1
+            subset = tuple(facilities[i] for i in chosen)
             open_cost = sum(instance.open_cost[i] for i in subset)
             servers = [producer] + list(subset)
             assignment: Dict[Node, Node] = {}
@@ -62,12 +68,7 @@ def enumerate_optimal(
                 server = min(servers, key=lambda s: rows[row_of[s]][c])
                 assignment[j] = server
                 access += rows[row_of[server]][c]
-            if subset:
-                steiner, _ = dreyfus_wagner(
-                    instance.steiner_graph, [producer] + list(subset)
-                )
-            else:
-                steiner = 0.0
+            steiner = steiner_costs[sum(1 << i for i in chosen)]
             total = open_cost + access + instance.dissemination_scale * steiner
             if total < best_cost - 1e-12:
                 best_cost = total

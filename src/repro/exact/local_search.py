@@ -6,13 +6,16 @@ is the minimum Steiner tree over ``A ∪ {producer}``.  So the search space
 is just subsets of facilities, and classic add / drop / swap local search
 over it converges to strong optima quickly.
 
-Pricing: during the descent, trees are priced with a *cached* KMB
-2-approximation (metric closure looked up from a one-time all-pairs
-Dijkstra, so each evaluation is ~|A|² table lookups plus a tiny MST).
-Final incumbents with few enough terminals are re-priced with the exact
-Dreyfus–Wagner DP, which also yields the tree edges that get committed;
-larger ones get :func:`~repro.graphs.steiner.steiner_tree`'s KMB tree,
-the one every other algorithm commits.
+Pricing: all tree pricing of one instance reads one
+:class:`~repro.graphs.steiner.PathTable` of its dissemination graph,
+which runs each source's Dijkstra once, on first use.  During the
+descent, trees are priced with a *cached* KMB 2-approximation: the
+table's closure MST of the terminals (~|A|² distance reads, a sort and
+a union-find), expanded over the table's paths.  Final incumbents with
+few enough terminals are re-priced with the exact Dreyfus–Wagner DP,
+which also yields the tree edges that get committed; larger ones get
+:func:`~repro.graphs.steiner.steiner_tree`'s KMB tree, the one every
+other algorithm commits.
 
 Role in the reproduction: the paper's ``Brtf`` uses PuLP; the MILP in
 :mod:`repro.exact.ilp_formulation` is provably exact but far too slow
@@ -28,14 +31,8 @@ from __future__ import annotations
 import math
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
-from repro.graphs.graph import Graph
-from repro.graphs.mst import kruskal_mst, tree_weight
-from repro.graphs.shortest_paths import path_from_tree
-from repro.graphs.steiner import (
-    all_pairs_with_parents,
-    dreyfus_wagner,
-    steiner_tree,
-)
+from repro.graphs.mst import tree_weight
+from repro.graphs.steiner import PathTable, dreyfus_wagner, steiner_tree
 from repro.core.confl import ConFLInstance
 
 Node = Hashable
@@ -57,10 +54,8 @@ class _ChunkObjective:
         # Each server's connection costs, by client position.
         rows = instance.connect_matrix.tolist()
         self._row = {s: rows[r] for s, r in instance.row_of.items()}
-        # One-time all-pairs shortest paths on the dissemination graph.
-        self._dist, self._parents = all_pairs_with_parents(
-            instance.steiner_graph
-        )
+        # Every tree price reads these shortest paths.
+        self._paths = PathTable(instance.steiner_graph)
         self._tree_cost_cache: Dict[FrozenSet[Node], float] = {}
 
     # ------------------------------------------------------------------
@@ -76,22 +71,13 @@ class _ChunkObjective:
             self._tree_cost_cache[caches] = cost
         return cost
 
-    def _kmb_paths(self, terminals: List[Node]) -> Iterable[Tuple[Node, Node]]:
-        """Edges of the metric-closure MST expanded over real paths (the
-        standard KMB construction, from cached APSP); shared edges repeat."""
-        closure = Graph()
-        closure.add_nodes(terminals)
-        for a_index, a in enumerate(terminals):
-            row = self._dist[a]
-            for b in terminals[a_index + 1 :]:
-                closure.add_edge(a, b, row[b])
-        for a, b, _ in kruskal_mst(closure).edges():
-            path = path_from_tree(self._parents[a], a, b)
-            yield from zip(path, path[1:])
-
     def _kmb_cost(self, terminals: List[Node]) -> float:
-        """KMB tree cost, each shared edge counted once."""
-        edges = {frozenset(edge) for edge in self._kmb_paths(terminals)}
+        """KMB tree cost: the closure MST expanded over its shortest
+        paths, each shared edge counted once."""
+        edges = set()
+        for a, b in self._paths.closure_mst(terminals):
+            path = self._paths.path(a, b)
+            edges.update(map(frozenset, zip(path, path[1:])))
         # Canonically ordered sum: set iteration order is not byte-stable
         # and float addition is order-dependent.
         total = 0.0
@@ -109,11 +95,12 @@ class _ChunkObjective:
         terminals = [self.instance.producer] + sorted(caches, key=str)
         if len(terminals) <= MAX_EXACT_TERMINALS:
             cost, tree = dreyfus_wagner(
-                self.instance.steiner_graph, terminals,
-                apsp=(self._dist, self._parents),
+                self.instance.steiner_graph, terminals, paths=self._paths
             )
         else:
-            tree = steiner_tree(self.instance.steiner_graph, terminals)
+            tree = steiner_tree(
+                self.instance.steiner_graph, terminals, paths=self._paths
+            )
             cost = tree_weight(tree)
         return cost, [(u, v) for u, v, _ in tree.edges()]
 

@@ -41,7 +41,7 @@ from repro.graphs.stats import (
     eccentricities,
     radius,
 )
-from repro.graphs.steiner import metric_closure, steiner_tree
+from repro.graphs.steiner import steiner_tree
 from repro.graphs.traversal import (
     bfs_layers,
     bfs_order,
@@ -82,7 +82,6 @@ __all__ = [
     "k_hop_neighborhood",
     "kruskal_mst",
     "largest_connected_component",
-    "metric_closure",
     "path_from_tree",
     "path_graph",
     "prim_mst",

@@ -1,4 +1,4 @@
-"""Steiner-tree approximation (Kou–Markowsky–Berman, ratio 2).
+"""Steiner trees: the KMB 2-approximation and the exact Dreyfus–Wagner DP.
 
 Algorithm 1's phase 2 must "construct [a] Steiner tree" connecting the
 selected caching (ADMIN) nodes and the producer, so data chunks can be
@@ -21,33 +21,39 @@ The commit, the adaptive rebuild and Brtf's final sets above its
 exact-DP limit all run :func:`steiner_tree` on the topology weighted by
 :func:`repro.core.costs.weighted_topology`.
 
-Step 1 runs one Dijkstra per terminal but the last, over the graph
-relabelled to positions ``0..n-1`` (neighbour index lists, no adjacency
-copies), and keeps each run's parent array.  The closure edges go to
-Kruskal as ``(distance, pair index)`` keys, pairs in lexicographic
-terminal order, with no closure graph built; only the ``t - 1`` closure
-MST edges are expanded into paths, each read off the earlier terminal's
-tree.
+Every shortest path here comes from one :class:`PathTable` per graph.
+It relabels the graph to positions ``0..n-1`` (neighbour index lists,
+no adjacency copies) and runs one Dijkstra per source on first use,
+keeping the run's parent array.  It answers distances, paths and the
+closure MST of a terminal list: Kruskal over ``(distance, pair index)``
+keys, pairs in lexicographic terminal order, with no closure graph
+built.  :func:`steiner_tree` builds a table per call (Dijkstra from every
+terminal but the last) and expands only the ``t - 1`` closure MST edges
+into paths.  Brtf's local search keeps one table per ConFL instance for
+its descent's KMB, its final trees and :func:`dreyfus_wagner`, which
+reads every node's row.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import add, itemgetter
+from typing import Iterable, List, Optional, Tuple
 
-from repro.errors import DisconnectedGraphError, NodeNotFoundError
+from repro.errors import DisconnectedGraphError, NodeNotFoundError, NoPathError
 from repro.graphs.graph import Graph, Node
 from repro.graphs.mst import kruskal_mst
-from repro.graphs.shortest_paths import dijkstra, path_from_tree
 from repro.graphs.unionfind import UnionFind
 
 INF = float("inf")
 
+#: One Dijkstra run over positions: ``(dist, parent)``.
+_Row = Tuple[List[float], List[int]]
+
 
 def _dijkstra_parents(
     adjacency: List[List[Tuple[int, float]]], source: int
-) -> Tuple[List[float], List[int]]:
+) -> _Row:
     """Edge-weighted Dijkstra over position lists; ``-1``: unreached.
 
     Settles, relaxes and breaks ties exactly as
@@ -76,43 +82,52 @@ def _dijkstra_parents(
     return dist, parent
 
 
-class _Closure:
-    """The metric closure of a terminal list, kept as Dijkstra trees.
+class PathTable:
+    """Shortest paths of one graph: one Dijkstra per source, on first use.
 
-    ``pairs[k] = (i, j, d)`` for the ``k``-th terminal pair ``i < j`` in
-    lexicographic order, ``d`` their shortest-path distance; the path of
-    a pair is read off terminal ``i``'s parent array.
+    Nodes are numbered by their position in graph order.  A source's row
+    is its :func:`_dijkstra_parents` run.  Distances and paths from ``u``
+    are always read off ``u``'s row: on float weights ``distance(u, v)``
+    and ``distance(v, u)`` can differ in the last bit, and tied paths
+    can differ, so the direction is part of the answer.
     """
 
-    def __init__(self, graph: Graph, terminals: List[Node]) -> None:
-        for t in terminals:
-            if t not in graph:
-                raise NodeNotFoundError(t)
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
         self.nodes = list(graph.nodes())
-        index = {node: position for position, node in enumerate(self.nodes)}
-        adjacency = [
+        self.index = index = {node: p for p, node in enumerate(self.nodes)}
+        self._adjacency = [
             [(index[v], w) for v, w in graph.neighbor_weights(node)]
             for node in self.nodes
         ]
-        self.terminals = terminals
-        self.positions = [index[t] for t in terminals]
-        self.parents: List[List[int]] = []
-        self.pairs: List[Tuple[int, int, float]] = []
-        for i, u in enumerate(terminals[:-1]):
-            dist, parent = _dijkstra_parents(adjacency, self.positions[i])
-            for j in range(i + 1, len(terminals)):
-                p = self.positions[j]
-                if parent[p] < 0:
-                    raise DisconnectedGraphError(
-                        f"terminals {u!r} and {terminals[j]!r} are not connected"
-                    )
-                self.pairs.append((i, j, dist[p]))
-            self.parents.append(parent)
+        self._rows: List[Optional[_Row]] = [None] * len(self.nodes)
 
-    def path(self, i: int, j: int) -> List[Node]:
-        """Terminal ``i``'s shortest path to terminal ``j`` (``i < j``)."""
-        parent, source = self.parents[i], self.positions[i]
-        at = self.positions[j]
+    def positions(self, nodes: Iterable[Node]) -> List[int]:
+        """The positions of ``nodes``; a missing node raises."""
+        try:
+            return [self.index[node] for node in nodes]
+        except KeyError as missing:
+            raise NodeNotFoundError(missing.args[0]) from None
+
+    def row(self, source: int) -> _Row:
+        """``(dist, parent)`` from the node at position ``source``."""
+        row = self._rows[source]
+        if row is None:
+            row = _dijkstra_parents(self._adjacency, source)
+            self._rows[source] = row
+        return row
+
+    def distance(self, u: Node, v: Node) -> float:
+        """Shortest-path distance from ``u`` to ``v`` (``inf``: unreached)."""
+        source, target = self.positions((u, v))
+        return self.row(source)[0][target]
+
+    def path(self, u: Node, v: Node) -> List[Node]:
+        """``u``'s shortest path to ``v``, read off ``u``'s parent array."""
+        source, at = self.positions((u, v))
+        parent = self.row(source)[1]
+        if parent[at] < 0:
+            raise NoPathError(u, v)
         path = [at]
         while at != source:
             at = parent[at]
@@ -120,52 +135,47 @@ class _Closure:
         path.reverse()
         return [self.nodes[p] for p in path]
 
-    def mst(self) -> List[Tuple[int, int]]:
-        """Kruskal over the closure: the ``t - 1`` MST edges ``(i, j)``.
+    def closure_mst(self, terminals: List[Node]) -> List[Tuple[Node, Node]]:
+        """Kruskal over the metric closure of distinct ``terminals``.
 
-        Ties in distance go to the lower pair index.  The edges come in
-        the order :meth:`Graph.edges` of the MST as a graph would yield
-        them: by earlier terminal, then in acceptance order.
+        Pair ``(i, j)``, ``i < j``, weighs terminal ``i``'s distance to
+        ``j``; ties in distance go to the earlier pair in lexicographic
+        order.  The ``t - 1`` MST edges come as ``(terminal i, terminal
+        j)``, by earlier terminal, then in acceptance order: the order
+        :meth:`Graph.edges` yields them from a closure graph's MST.
         """
-        components = UnionFind(range(len(self.terminals)))
+        positions = self.positions(terminals)
+        pairs: List[Tuple[int, int, float]] = []
+        for i, source in enumerate(positions[:-1]):
+            dist, parent = self.row(source)
+            for j in range(i + 1, len(positions)):
+                p = positions[j]
+                if parent[p] < 0:
+                    raise DisconnectedGraphError(
+                        f"terminals {terminals[i]!r} and {terminals[j]!r} "
+                        "are not connected"
+                    )
+                pairs.append((i, j, dist[p]))
+        components = UnionFind(range(len(terminals)))
         accepted: List[Tuple[int, int]] = []
-        # A stable sort keeps equal distances in pair-index order.
-        for i, j, _ in sorted(self.pairs, key=itemgetter(2)):
+        # A stable sort keeps equal distances in pair order.
+        for i, j, _ in sorted(pairs, key=itemgetter(2)):
             if components.union(i, j):
                 accepted.append((i, j))
-                if len(accepted) == len(self.terminals) - 1:
+                if len(accepted) == len(terminals) - 1:
                     break
-        accepted.sort(key=lambda edge: edge[0])
-        return accepted
+        accepted.sort(key=itemgetter(0))
+        return [(terminals[i], terminals[j]) for i, j in accepted]
 
 
-def metric_closure(
-    graph: Graph, terminals: Iterable[Node]
-) -> Tuple[Graph, Dict[Tuple[Node, Node], List[Node]]]:
-    """Complete graph on ``terminals`` weighted by shortest-path distance.
-
-    Returns the closure graph and a map from each closure edge ``(u, v)``
-    (both orientations) to the realizing path in ``graph``.
-    """
-    terminal_list = list(dict.fromkeys(terminals))
-    closure_graph = Graph()
-    closure_graph.add_nodes(terminal_list)
-    closure = _Closure(graph, terminal_list)
-    paths: Dict[Tuple[Node, Node], List[Node]] = {}
-    for i, j, d in closure.pairs:
-        u, v = terminal_list[i], terminal_list[j]
-        closure_graph.add_edge(u, v, d)
-        path = closure.path(i, j)
-        paths[(u, v)] = path
-        paths[(v, u)] = path[::-1]
-    return closure_graph, paths
-
-
-def steiner_tree(graph: Graph, terminals: Iterable[Node]) -> Graph:
+def steiner_tree(
+    graph: Graph, terminals: Iterable[Node], paths: Optional[PathTable] = None
+) -> Graph:
     """A Steiner tree spanning ``terminals`` (KMB 2-approximation).
 
     Returns a subgraph of ``graph`` that is a tree containing every
-    terminal.  Edge weights are inherited from ``graph``.
+    terminal.  Edge weights are inherited from ``graph``.  ``paths`` is a
+    :class:`PathTable` of ``graph`` to reuse; without it one is built.
 
     A single terminal yields a one-node tree; an empty terminal set is an
     error.
@@ -180,12 +190,13 @@ def steiner_tree(graph: Graph, terminals: Iterable[Node]) -> Graph:
         tree.add_node(terminal_list[0])
         return tree
 
-    closure = _Closure(graph, terminal_list)
+    if paths is None:
+        paths = PathTable(graph)
 
     # Expand closure MST edges into their realizing paths.
     expanded = Graph()
-    for i, j in closure.mst():
-        path = closure.path(i, j)
+    for u, v in paths.closure_mst(terminal_list):
+        path = paths.path(u, v)
         for a, b in zip(path, path[1:]):
             if not expanded.has_edge(a, b):
                 expanded.add_edge(a, b, graph.weight(a, b))
@@ -211,162 +222,147 @@ def _pruned_mst(subgraph: Graph, terminals: List[Node]) -> Graph:
     return tree
 
 
-def all_pairs_with_parents(
-    graph: Graph,
-) -> Tuple[Dict[Node, Dict[Node, float]], Dict[Node, Dict[Node, Node]]]:
-    """All-pairs Dijkstra distances *and* parent trees.
+class _SubsetTable:
+    """The Dreyfus–Wagner DP over subsets of ``terminals[1:]``.
 
-    Callers that price many Steiner trees on the same graph (the local
-    search in :mod:`repro.exact.local_search`) compute this once and pass
-    it to :func:`dreyfus_wagner` / reuse it for metric closures.
+    ``cost[mask][v]`` is the cost of an optimal tree spanning node ``v``
+    (a position) and the terminals ``terminals[1 + i]`` for each bit
+    ``i`` of ``mask`` (0 for the empty mask).  For a mask of two or more
+    terminals, ``split[mask][u]`` is the first cheapest split ``(sub,
+    other)`` of the mask joined at ``u``, and ``via[mask][v]`` the node
+    ``u`` whose split ``cost[mask][v]`` extends by ``u``'s path to ``v``.
     """
-    dist: Dict[Node, Dict[Node, float]] = {}
-    parents: Dict[Node, Dict[Node, Node]] = {}
-    for v in graph.nodes():
-        dist[v], parents[v] = dijkstra(graph, v)
-    return dist, parents
+
+    def __init__(self, paths: PathTable, terminals: List[Node]) -> None:
+        n = len(paths.nodes)
+        self.paths = paths
+        self.positions = paths.positions(terminals)
+        for t in self.positions:
+            parent = paths.row(t)[1]
+            for u in self.positions:
+                if parent[u] < 0:
+                    raise DisconnectedGraphError(
+                        f"terminals {paths.nodes[t]!r} and "
+                        f"{paths.nodes[u]!r} are not connected"
+                    )
+        rows = [paths.row(v)[0] for v in range(n)]
+        base = self.positions[1:]
+        self.full = (1 << len(base)) - 1
+        self.cost: List[List[float]] = [[0.0] * n] * (self.full + 1)
+        self.split: List[List[Tuple[int, int]]] = [[]] * (self.full + 1)
+        self.via: List[List[int]] = [[]] * (self.full + 1)
+        for i, t in enumerate(base):
+            self.cost[1 << i] = [row[t] for row in rows]
+
+        masks = range(1, self.full + 1)
+        for mask in sorted(masks, key=lambda m: bin(m).count("1")):
+            if mask & (mask - 1) == 0:
+                continue
+            # Merge step: the first cheapest split of mask into two
+            # non-empty halves, at each node.
+            merged = [INF] * n
+            split = [(0, 0)] * n
+            sub = (mask - 1) & mask
+            while sub:
+                other = mask ^ sub
+                if sub < other:  # each unordered split once
+                    pair = (sub, other)
+                    sums = map(add, self.cost[sub], self.cost[other])
+                    for v, c in enumerate(sums):
+                        if c < merged[v]:
+                            merged[v] = c
+                            split[v] = pair
+                sub = (sub - 1) & mask
+            # Propagation step: cost[mask][v] = min_u (dist(v, u) + merged[u]).
+            reached = [u for u in range(n) if merged[u] < INF]
+            cost = [INF] * n
+            via = [-1] * n
+            for v in range(n):
+                row = rows[v]
+                best = INF
+                for u in reached:
+                    c = row[u] + merged[u]
+                    if c < best:
+                        best = c
+                        via[v] = u
+                cost[v] = best
+            self.cost[mask] = cost
+            self.split[mask] = split
+            self.via[mask] = via
+
+    def expand(self, mask: int, v: int, tree: Graph) -> None:
+        """Add the shortest paths that realize ``cost[mask][v]`` to ``tree``."""
+        nodes, graph = self.paths.nodes, self.paths.graph
+        if mask & (mask - 1) == 0:
+            target = self.positions[mask.bit_length()]
+        else:
+            target = self.via[mask][v]
+        path = self.paths.path(nodes[v], nodes[target])
+        for a, b in zip(path, path[1:]):
+            if not tree.has_edge(a, b):
+                tree.add_edge(a, b, graph.weight(a, b))
+        if mask & (mask - 1):
+            sub, other = self.split[mask][target]
+            self.expand(sub, target, tree)
+            self.expand(other, target, tree)
 
 
-def dreyfus_wagner(
-    graph: Graph,
-    terminals: Iterable[Node],
-    apsp: Optional[Tuple[Dict[Node, Dict[Node, float]], Dict[Node, Dict[Node, Node]]]] = None,
-) -> Tuple[float, Graph]:
-    """*Exact* minimum Steiner tree by the Dreyfus–Wagner DP.
-
-    Exponential in the number of terminals (``O(3^t · n)`` subset states),
-    so intended for the tiny instances the brute-force cross-checks use
-    (``t`` ≲ 8).  Returns ``(cost, tree)``; the tree realizes the optimal
-    cost using shortest-path expansions of the DP decisions.
-
-    Used to validate both the KMB 2-approximation and the exact ILP's
-    flow-based connectivity encoding.
-    """
+def _checked_terminals(graph: Graph, terminals: Iterable[Node]) -> List[Node]:
+    """Distinct terminals in first-seen order, all in ``graph``, 1 to 16."""
     terminal_list = list(dict.fromkeys(terminals))
     if not terminal_list:
         raise ValueError("terminal set must be non-empty")
     for t in terminal_list:
         if t not in graph:
             raise NodeNotFoundError(t)
-    if len(terminal_list) == 1:
-        tree = Graph()
-        tree.add_node(terminal_list[0])
-        return 0.0, tree
     if len(terminal_list) > 16:
         raise ValueError(
             f"dreyfus_wagner is exponential in terminals; got "
             f"{len(terminal_list)} (max 16)"
         )
+    return terminal_list
 
-    nodes = list(graph.nodes())
-    if apsp is not None:
-        dist, parents = apsp
-    else:
-        dist, parents = all_pairs_with_parents(graph)
-    for t in terminal_list:
-        for u in terminal_list:
-            if u not in dist[t]:
-                raise DisconnectedGraphError(
-                    f"terminals {t!r} and {u!r} are not connected"
-                )
 
-    # DP over subsets of terminals[1:]; root the tree at terminals[0].
-    base = terminal_list[1:]
-    full = (1 << len(base)) - 1
-    INF = float("inf")
-    # S[mask][v] = cost of optimal tree spanning {base_i : i in mask} ∪ {v}
-    S: List[Dict[Node, float]] = [dict() for _ in range(full + 1)]
-    # choice[mask][v] = how the optimum was formed, for reconstruction:
-    #   ("leaf", t)            — mask is a singleton {t}: path v→t
-    #   ("split", m1, m2, v)   — two subtrees joined at v
-    #   ("steal", u, mask)     — path v→u plus tree S[mask][u]
-    choice: List[Dict[Node, tuple]] = [dict() for _ in range(full + 1)]
+def dreyfus_wagner(
+    graph: Graph, terminals: Iterable[Node], paths: Optional[PathTable] = None
+) -> Tuple[float, Graph]:
+    """*Exact* minimum Steiner tree by the Dreyfus–Wagner DP.
 
-    for i, t in enumerate(base):
-        mask = 1 << i
-        for v in nodes:
-            S[mask][v] = dist[v].get(t, INF)
-            choice[mask][v] = ("leaf", t)
+    Exponential in the number of terminals (``O(3^t · n)`` subset states),
+    so intended for the tiny instances the brute-force cross-checks use
+    (``t`` ≲ 8).  Returns ``(cost, tree)``; the tree realizes the optimal
+    cost using shortest-path expansions of the DP decisions.  ``paths``
+    is a :class:`PathTable` of ``graph`` to reuse; without it one is
+    built.
 
-    masks_by_size = sorted(range(1, full + 1), key=lambda m: bin(m).count("1"))
-    for mask in masks_by_size:
-        if bin(mask).count("1") < 2:
-            continue
-        # Merge step: best split of mask into two non-empty halves at v.
-        merged: Dict[Node, float] = {}
-        merged_choice: Dict[Node, tuple] = {}
-        sub = (mask - 1) & mask
-        while sub:
-            other = mask ^ sub
-            if sub < other:  # each unordered split once
-                for v in nodes:
-                    c = S[sub].get(v, INF) + S[other].get(v, INF)
-                    if c < merged.get(v, INF):
-                        merged[v] = c
-                        merged_choice[v] = ("split", sub, other, v)
-            sub = (sub - 1) & mask
-        # Propagation step: Dijkstra-like relaxation over the metric
-        # closure — S[mask][v] = min_u (dist(v, u) + merged[u]).
-        S[mask] = {}
-        choice[mask] = {}
-        for v in nodes:
-            best = INF
-            best_choice = None
-            for u, mu in merged.items():
-                c = dist[v].get(u, INF) + mu
-                if c < best:
-                    best = c
-                    best_choice = ("steal", u, mask) if u != v else merged_choice[u]
-            if best < INF:
-                S[mask][v] = best
-                choice[mask][v] = best_choice
-
-    root = terminal_list[0]
-    cost = S[full][root]
-
-    # ------------------------------------------------------------------
-    # Reconstruction: walk the choice structure, emitting shortest paths.
-    # ------------------------------------------------------------------
+    Used to validate both the KMB 2-approximation and the exact ILP's
+    flow-based connectivity encoding.
+    """
+    terminal_list = _checked_terminals(graph, terminals)
+    if len(terminal_list) == 1:
+        tree = Graph()
+        tree.add_node(terminal_list[0])
+        return 0.0, tree
+    table = _SubsetTable(paths or PathTable(graph), terminal_list)
+    root = table.positions[0]
     tree = Graph()
-    tree.add_node(root)
-
-    def add_path(a: Node, b: Node) -> None:
-        path = path_from_tree(parents[a], a, b)
-        for u, v in zip(path, path[1:]):
-            if not tree.has_edge(u, v):
-                tree.add_edge(u, v, graph.weight(u, v))
-
-    def rebuild(mask: int, v: Node) -> None:
-        entry = choice[mask].get(v)
-        if entry is None:
-            return
-        kind = entry[0]
-        if kind == "leaf":
-            add_path(v, entry[1])
-        elif kind == "split":
-            _, m1, m2, at = entry
-            rebuild(m1, at)
-            rebuild(m2, at)
-        elif kind == "steal":
-            _, u, m = entry
-            add_path(v, u)
-            # u's own entry is the split (or leaf) that formed merged[u].
-            sub = (m - 1) & m
-            best = None
-            best_cost = float("inf")
-            while sub:
-                other = m ^ sub
-                if sub < other:
-                    c = S[sub].get(u, float("inf")) + S[other].get(u, float("inf"))
-                    if c < best_cost:
-                        best_cost = c
-                        best = (sub, other)
-                sub = (sub - 1) & m
-            if best is not None:
-                rebuild(best[0], u)
-                rebuild(best[1], u)
-
-    rebuild(full, root)
+    tree.add_node(terminal_list[0])
+    table.expand(table.full, root, tree)
     # The reconstructed subgraph can contain redundant cycles when paths
     # overlap; reduce it like KMB's expansion.
-    return cost, _pruned_mst(tree, terminal_list)
+    return table.cost[table.full][root], _pruned_mst(tree, terminal_list)
+
+
+def dreyfus_wagner_costs(
+    graph: Graph, terminals: Iterable[Node]
+) -> List[float]:
+    """Optimal Steiner costs of every subset, from one Dreyfus–Wagner DP.
+
+    Entry ``mask`` is the cost of a minimum tree spanning ``terminals[0]``
+    and ``terminals[1 + i]`` for each bit ``i`` of ``mask`` (duplicates
+    dropped first); entry 0, the root alone, is 0.  Each entry equals
+    :func:`dreyfus_wagner`'s cost of that terminal list, bit for bit.
+    """
+    terminal_list = _checked_terminals(graph, terminals)
+    table = _SubsetTable(PathTable(graph), terminal_list)
+    return [cost[table.positions[0]] for cost in table.cost]

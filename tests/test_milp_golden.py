@@ -11,13 +11,15 @@ pin stays fast.  Signed zeros are folded to ``+0.0`` (HiGHS reads
 ``-0.0`` and ``0.0`` as the same bound).
 
 The state advances chunk by chunk along ``enumerate_optimal``'s caches.
-Enumeration on the 12-node network takes about ten seconds per chunk, so
-the cache sets are stored in the golden when it is generated and the
-test replays them.
+The cache sets are stored in the golden when it is generated and the
+test replays them, so the pin does not move with the enumeration.
 
 Regenerate (only after an intended change of the model) with::
 
     PYTHONPATH=src python -m tests.test_milp_golden
+
+It takes about 5 s on a 2-vCPU VM: the enumeration prices every subset
+of a chunk from one Dreyfus–Wagner table.
 """
 
 from __future__ import annotations
