@@ -14,18 +14,20 @@ open the facility ``i`` maximizing::
     gain(i) = Σ_j [cost(best_j) - c_ij]⁺ - f_i - M · wire(i)
 
 where ``wire(i)`` is the contention cost of attaching ``i`` to the
-current dissemination tree (distance to the nearest already-open server
-on the contention-weighted graph).  Stop at non-positive gain.  Chunks
-iterate with storage feed-forward exactly like Algorithm 1, so the
-comparison isolates *primal-dual vs greedy*, not *fair vs unfair*.
+current dissemination tree: the distance to the nearest already-open
+server on the contention-weighted graph, read from the producer's and
+each opened node's row of one :class:`~repro.graphs.steiner.PathTable`.
+Stop at non-positive gain.  Chunks iterate with storage feed-forward
+exactly like Algorithm 1, so the comparison isolates *primal-dual vs
+greedy*, not *fair vs unfair*.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional
+from typing import Hashable, List, Optional
 
-from repro.graphs.shortest_paths import dijkstra
+from repro.graphs.steiner import PathTable
 from repro.core.commit import commit_chunk
 from repro.core.confl import ConFLInstance, build_confl_instance
 from repro.core.placement import CachePlacement, ChunkPlacement
@@ -48,9 +50,12 @@ def greedy_chunk_selection(instance: ConFLInstance) -> List[Node]:
 
     # Per client position: the cheapest connection cost so far.
     best_cost: List[float] = rows[row_of[producer]]
-    # Wiring distances on the contention-weighted graph, updated as the
-    # "tree" grows: wire(i) = min over open servers of dist(server, i).
-    wire: Dict[Node, float] = dijkstra(instance.steiner_graph, producer)[0]
+    # Wiring distances on the contention-weighted graph by node position,
+    # updated as the "tree" grows: wire(i) = min over open servers of
+    # dist(server, i).
+    paths = PathTable(instance.steiner_graph)
+    position = paths.index
+    wire: List[float] = paths.row(position[producer])[0]
 
     selected: List[Node] = []
     remaining = list(facilities)
@@ -63,7 +68,7 @@ def greedy_chunk_selection(instance: ConFLInstance) -> List[Node]:
                 diff = best - cost
                 if diff > 0:
                     saving += diff
-            gain = saving - instance.open_cost[i] - scale * wire.get(i, math.inf)
+            gain = saving - instance.open_cost[i] - scale * wire[position[i]]
             if gain > best_gain + 1e-12:
                 best_gain = gain
                 best_node = i
@@ -76,10 +81,7 @@ def greedy_chunk_selection(instance: ConFLInstance) -> List[Node]:
                 best_cost[c] = cost
         # The new facility joins the dissemination tree: wiring distances
         # can only shrink toward it.
-        from_new = dijkstra(instance.steiner_graph, best_node)[0]
-        for node, dist in from_new.items():
-            if dist < wire.get(node, math.inf):
-                wire[node] = dist
+        wire = list(map(min, wire, paths.row(position[best_node])[0]))
     return selected
 
 

@@ -26,6 +26,7 @@ from typing import Callable, Hashable, List, Optional, Sequence
 
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
+from repro.graphs.traversal import hop_distances
 from repro.core.commit import commit_chunk
 from repro.core.placement import CachePlacement, ChunkPlacement
 from repro.core.problem import CachingProblem
@@ -157,9 +158,7 @@ def _select_on_remaining(
         anchor = problem.producer
     else:
         # Anchor = component node closest to the producer on the full graph.
-        from repro.graphs.shortest_paths import bfs_all_hop_counts
-
-        hops = bfs_all_hop_counts(graph, problem.producer)
+        hops = hop_distances(graph, problem.producer)
         anchor = min(component, key=lambda n: (hops.get(n, float("inf")),
                                                str(n)))
     clients = [n for n in component if n != anchor]

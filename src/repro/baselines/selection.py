@@ -26,7 +26,7 @@ import math
 from typing import Callable, Dict, Hashable, List, Sequence
 
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import bfs_all_hop_counts
+from repro.graphs.traversal import hop_distances
 from repro.core.costs import CostModel
 from repro.core.storage import StorageState
 
@@ -46,7 +46,7 @@ CONT_REL_THRESHOLD = 0.06
 def hop_cost_rows(graph: Graph, sources: Sequence[Node]) -> Dict[Node, Dict[Node, float]]:
     """Hop-count distance rows for each source (the Hopc metric)."""
     return {
-        source: {k: float(v) for k, v in bfs_all_hop_counts(graph, source).items()}
+        source: {k: float(v) for k, v in hop_distances(graph, source).items()}
         for source in sources
     }
 

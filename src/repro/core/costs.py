@@ -69,8 +69,11 @@ Every entry is an integer-valued float far below 2^53 (degrees times
 occupancies, summed along a path), so summation order cannot change a
 bit: a patched row equals a freshly built one exactly.  Under the
 ``"contention"`` policy storage changes can reroute paths, so its rows
-(built by Dijkstra into the same matrix) are dropped on every
-invalidation.
+are dropped on every invalidation.  Each is one
+:func:`~repro.graphs.steiner.dijkstra_positions` run from its source
+over the CSR adjacency with arc ``u → v`` weighted ``x_v``, started at
+``x_s``; the run's parent list routes :meth:`CostModel.path`, as the
+forest's parent row does under ``"hops"``.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ from repro.graphs.forest import (
     drop_forest,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import dijkstra_node_costs, path_from_tree
+from repro.graphs.steiner import PathRow, dijkstra_positions
 from repro.core.storage import StorageState
 from repro.obs import get_recorder, get_tracer
 
@@ -183,12 +186,6 @@ class _HopTree:
     def keys(self) -> List[Node]:
         """The reached nodes in BFS order."""
         return list(map(self._nodes.__getitem__, self.reach.tolist()))
-
-    @cached_property
-    def parents(self) -> Dict[Node, Node]:
-        """BFS parent pointers, in BFS order (the source's own: itself)."""
-        up = self._forest.parent[self._row, self.reach].tolist()
-        return dict(zip(self.keys, map(self._nodes.__getitem__, up)))
 
     @cached_property
     def hops(self) -> Dict[Node, int]:
@@ -285,13 +282,13 @@ class CostModel:
         self._hop_trees: Dict[Node, _HopTree] = {}
         # Storage-dependent structures: the row store (valid where
         # ``_built``), the (node position, delta) range adds queued for
-        # it, and the contention policy's Dijkstra trees.
+        # it, and the contention policy's node-cost arcs and Dijkstra
+        # trees, by source position.
         self._matrix = np.empty((n, n))
         self._built = np.zeros(n, dtype=bool)
         self._pending: List[Tuple[int, float]] = []
-        self._tree_cache: Dict[
-            Node, Tuple[Dict[Node, float], Dict[Node, Node]]
-        ] = {}
+        self._arcs: Optional[List[List[Tuple[int, float]]]] = None
+        self._tree_cache: Dict[int, PathRow] = {}
         self._snapshot_storage()
 
     def _snapshot_storage(self) -> None:
@@ -408,6 +405,7 @@ class CostModel:
             )
         self._pending.clear()
         self._built[:] = False
+        self._arcs = None
         self._tree_cache.clear()
         self._snapshot_storage()
         get_recorder().count("costs.full_rebuilds")
@@ -481,16 +479,36 @@ class CostModel:
     def path(self, source: Node, target: Node) -> List[Node]:
         """PATH(source, target) under the configured policy.
 
-        Raises :class:`~repro.errors.NoPathError` when ``target`` is
-        unreachable from ``source``.
+        Walks ``source``'s parent array back from ``target``: the hop
+        forest's parent row under ``"hops"``, the minimum-contention
+        tree's parent list under ``"contention"``.  Raises
+        :class:`~repro.errors.NodeNotFoundError` when either node is not
+        in the graph, and :class:`~repro.errors.NoPathError` when
+        ``target`` is unreachable from ``source``.
         """
-        if source == target:
+        s = self._index.get(source)
+        if s is None:
+            raise NodeNotFoundError(source)
+        at = self._index.get(target)
+        if at is None:
+            raise NodeNotFoundError(target)
+        if s == at:
             return [source]
         if self.path_policy == PATH_POLICY_HOPS:
-            parents = self._hop_tree(source).parents
+            self._hop_tree(source)  # counts the tree's first read
+            up = self._shared_forest().parent[s].item
         else:
-            _, parents = self._contention_tree(source)
-        return path_from_tree(parents, source, target)
+            up = self._contention_tree(s)[1].__getitem__
+        nodes = self._nodes
+        # Unreached: the forest's ``n``, the Dijkstra's ``-1``.
+        if not 0 <= up(at) < len(nodes):
+            raise NoPathError(source, target)
+        path = [target]
+        while at != s:
+            at = up(at)
+            path.append(nodes[at])
+        path.reverse()
+        return path
 
     def contention_cost(self, source: Node, target: Node) -> float:
         """Eq. 2: ``c_ij`` between two nodes (0 when identical).
@@ -652,17 +670,31 @@ class CostModel:
         """
         return self._hop_tree(source).ball(limit)
 
-    def _contention_tree(
-        self, source: Node
-    ) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-        cached = self._tree_cache.get(source)
-        if cached is None:
-            cached = dijkstra_node_costs(
-                self.graph, source, self.node_cost, include_source=True
-            )
-            self._tree_cache[source] = cached
+    def _contention_tree(self, source: int) -> PathRow:
+        """The minimum-contention tree from position ``source``.
+
+        One :func:`~repro.graphs.steiner.dijkstra_positions` run over
+        the arcs ``u → v`` weighted ``x_v``, started at ``x_s``: each
+        distance sums the node costs of its path, endpoints included.
+        The costs are integers, so every sum is exact.  Each tree counts
+        one ``costs.tree_rebuilds``.
+        """
+        tree = self._tree_cache.get(source)
+        if tree is None:
+            if self._arcs is None:
+                indptr, indices = csr_adjacency(
+                    self.graph, self._nodes, self._index
+                )
+                x, heads = self._x.tolist(), indices.tolist()
+                bounds = indptr.tolist()
+                self._arcs = [
+                    [(v, x[v]) for v in heads[a:b]]
+                    for a, b in zip(bounds, bounds[1:])
+                ]
+            tree = dijkstra_positions(self._arcs, source, self._x.item(source))
+            self._tree_cache[source] = tree
             get_recorder().count("costs.tree_rebuilds")
-        return cached
+        return tree
 
     def _build_row(self, source: Node) -> np.ndarray:
         """A fresh cost row for ``source`` (``inf`` where unreachable)."""
@@ -682,23 +714,16 @@ class CostModel:
             if len(tree.reach) < n:
                 row[tin == n] = math.inf
         else:
-            dist, _ = self._contention_tree(source)
-            row = np.full(n, math.inf)
-            row[[self._index[node] for node in dist]] = list(dist.values())
+            row = np.array(self._contention_tree(row_index)[0])
         row[row_index] = 0.0
         return row
 
     def _row_dict(self, source: Node, row: np.ndarray) -> Dict[Node, float]:
-        """``row``'s reachable entries as a plain dict, in tree order: the
-        form :func:`~repro.analysis.contracts.check_incremental_cost_rows`
+        """A hop row's reachable entries as a plain dict, in BFS order:
+        the form :func:`~repro.analysis.contracts.check_incremental_cost_rows`
         compares."""
-        if self.path_policy == PATH_POLICY_HOPS:
-            tree = self._hop_tree(source)
-            keys, reach = tree.keys, tree.reach
-        else:
-            keys, _ = self._contention_tree(source)
-            reach = [self._index[node] for node in keys]
-        return dict(zip(keys, row[reach].tolist()))
+        tree = self._hop_tree(source)
+        return dict(zip(tree.keys, row[tree.reach].tolist()))
 
     def _row(self, source: Node) -> int:
         """Row-store index of ``source``: built, with every patch applied."""

@@ -22,17 +22,7 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.mst import kruskal_mst, prim_mst, tree_weight
-from repro.graphs.shortest_paths import (
-    all_pairs_dijkstra,
-    bfs_all_hop_counts,
-    bfs_shortest_path,
-    bfs_tree,
-    dijkstra,
-    dijkstra_node_costs,
-    floyd_warshall,
-    path_from_tree,
-)
+from repro.graphs.mst import kruskal_mst, tree_weight
 from repro.graphs.stats import (
     average_degree,
     center,
@@ -42,39 +32,24 @@ from repro.graphs.stats import (
     radius,
 )
 from repro.graphs.steiner import steiner_tree
-from repro.graphs.traversal import (
-    bfs_layers,
-    bfs_order,
-    dfs_order,
-    hop_distances,
-    k_hop_neighborhood,
-)
+from repro.graphs.traversal import bfs_order, hop_distances, k_hop_neighborhood
 from repro.graphs.unionfind import UnionFind
 
 __all__ = [
     "Graph",
     "UnionFind",
-    "all_pairs_dijkstra",
     "average_degree",
     "balanced_tree",
     "center",
-    "bfs_all_hop_counts",
-    "bfs_layers",
     "bfs_order",
-    "bfs_shortest_path",
-    "bfs_tree",
     "complete_graph",
     "connected_components",
     "connected_random_network",
     "cycle_graph",
     "degree_histogram",
-    "dfs_order",
     "diameter",
     "eccentricities",
-    "dijkstra",
-    "dijkstra_node_costs",
     "erdos_renyi_connected",
-    "floyd_warshall",
     "grid_coordinates",
     "grid_graph",
     "hop_distances",
@@ -82,9 +57,7 @@ __all__ = [
     "k_hop_neighborhood",
     "kruskal_mst",
     "largest_connected_component",
-    "path_from_tree",
     "path_graph",
-    "prim_mst",
     "radius",
     "random_geometric_graph",
     "star_graph",

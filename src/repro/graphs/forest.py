@@ -8,14 +8,14 @@ graph relabelled to positions ``0..n-1``, with neighbours in CSR form
 (one flat array of neighbour positions plus per-node offsets, in
 adjacency order).
 
-Each tree equals :func:`repro.graphs.shortest_paths.bfs_tree` from the
-same source: a FIFO BFS hands every node to its *first discoverer*, so
-a level's nodes, their BFS order and their parents are the first
-occurrences of ``(source, node)`` in the frontier's neighbour lists,
-concatenated in queue order.  Siblings are discovered consecutively,
-so each one's Euler range starts right after its parent's slot plus
-the subtree sizes of the siblings before it: a grouped exclusive
-cumsum per level.
+Each tree equals the one a FIFO BFS grows from the same source (the
+tests' ``bfs_tree`` oracle): such a BFS hands every node to its *first
+discoverer*, so a level's nodes, their BFS order and their parents are
+the first occurrences of ``(source, node)`` in the frontier's neighbour
+lists, concatenated in queue order.  Siblings are discovered
+consecutively, so each one's Euler range starts right after its
+parent's slot plus the subtree sizes of the siblings before it: a
+grouped exclusive cumsum per level.
 
 Every matrix is ``n × n`` (row = source, column = node position) in
 the narrowest unsigned type that holds ``n``, which marks a node

@@ -1,4 +1,4 @@
-"""Minimum spanning trees: Kruskal and Prim.
+"""Minimum spanning trees by Kruskal's algorithm.
 
 MSTs are the backbone of the Kou–Markowsky–Berman Steiner-tree
 approximation (:mod:`repro.graphs.steiner`), which Algorithm 1's phase 2
@@ -7,7 +7,6 @@ uses to connect the selected caching (ADMIN) nodes to the producer.
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Tuple
 
 from repro.errors import DisconnectedGraphError
@@ -38,34 +37,6 @@ def kruskal_mst(graph: Graph) -> Graph:
             if added == needed:
                 break
     if graph.num_nodes > 0 and added != needed:
-        raise DisconnectedGraphError("graph is not connected; no spanning tree")
-    return tree
-
-
-def prim_mst(graph: Graph) -> Graph:
-    """Minimum spanning tree by Prim's algorithm (heap-based)."""
-    if graph.num_nodes == 0:
-        return Graph()
-    start = next(iter(graph.nodes()))
-    tree = Graph()
-    tree.add_node(start)
-    visited = {start}
-    heap: List[Tuple[float, int, Node, Node]] = []
-    counter = 0
-    for neighbor, w in graph.neighbor_weights(start):
-        heapq.heappush(heap, (w, counter, start, neighbor))
-        counter += 1
-    while heap and len(visited) < graph.num_nodes:
-        w, _, u, v = heapq.heappop(heap)
-        if v in visited:
-            continue
-        visited.add(v)
-        tree.add_edge(u, v, w)
-        for neighbor, nw in graph.neighbor_weights(v):
-            if neighbor not in visited:
-                heapq.heappush(heap, (nw, counter, v, neighbor))
-                counter += 1
-    if len(visited) != graph.num_nodes:
         raise DisconnectedGraphError("graph is not connected; no spanning tree")
     return tree
 

@@ -11,7 +11,7 @@ from typing import Dict, Hashable, Tuple
 
 from repro.errors import DisconnectedGraphError
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import bfs_all_hop_counts
+from repro.graphs.traversal import hop_distances
 
 Node = Hashable
 
@@ -25,7 +25,7 @@ def eccentricities(graph: Graph) -> Dict[Node, int]:
         return {}
     result: Dict[Node, int] = {}
     for node in graph.nodes():
-        hops = bfs_all_hop_counts(graph, node)
+        hops = hop_distances(graph, node)
         if len(hops) != graph.num_nodes:
             raise DisconnectedGraphError(
                 "eccentricity undefined on a disconnected graph"

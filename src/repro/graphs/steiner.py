@@ -31,14 +31,18 @@ built.  :func:`steiner_tree` builds a table per call (Dijkstra from every
 terminal but the last) and expands only the ``t - 1`` closure MST edges
 into paths.  Brtf's local search keeps one table per ConFL instance for
 its descent's KMB, its final trees and :func:`dreyfus_wagner`, which
-reads every node's row.
+reads every node's row; GreedyFair reads its wiring distances from one.
+
+:func:`dijkstra_positions` is the program's only Dijkstra: besides the
+table, the ``"contention"`` cost model runs it over node-cost arcs
+(:mod:`repro.core.costs`).
 """
 
 from __future__ import annotations
 
 import heapq
 from operator import add, itemgetter
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DisconnectedGraphError, NodeNotFoundError, NoPathError
 from repro.graphs.graph import Graph, Node
@@ -48,24 +52,28 @@ from repro.graphs.unionfind import UnionFind
 INF = float("inf")
 
 #: One Dijkstra run over positions: ``(dist, parent)``.
-_Row = Tuple[List[float], List[int]]
+PathRow = Tuple[List[float], List[int]]
 
 
-def _dijkstra_parents(
-    adjacency: List[List[Tuple[int, float]]], source: int
-) -> _Row:
-    """Edge-weighted Dijkstra over position lists; ``-1``: unreached.
+def dijkstra_positions(
+    adjacency: Sequence[Sequence[Tuple[int, float]]],
+    source: int,
+    start: float = 0.0,
+) -> PathRow:
+    """Dijkstra over position lists: ``adjacency[u]`` holds ``(v, weight)``.
 
-    Settles, relaxes and breaks ties exactly as
-    :func:`repro.graphs.shortest_paths.dijkstra`, so distances and parents
-    match it bit for bit.
+    The program's one weighted shortest-path kernel.  ``dist[source]``
+    is ``start``; ``parent[source]`` is ``source`` and ``-1`` marks an
+    unreached node.  Arcs relax in list order and equal distances settle
+    in push order (a counter breaks heap ties), so the result depends
+    only on the lists, never on node labels.
     """
     dist = [INF] * len(adjacency)
     parent = [-1] * len(adjacency)
     settled = [False] * len(adjacency)
-    dist[source] = 0.0
+    dist[source] = start
     parent[source] = source
-    heap: List[Tuple[float, int, int]] = [(0.0, 0, source)]
+    heap: List[Tuple[float, int, int]] = [(start, 0, source)]
     counter = 1
     while heap:
         d, _, node = heapq.heappop(heap)
@@ -86,7 +94,7 @@ class PathTable:
     """Shortest paths of one graph: one Dijkstra per source, on first use.
 
     Nodes are numbered by their position in graph order.  A source's row
-    is its :func:`_dijkstra_parents` run.  Distances and paths from ``u``
+    is its :func:`dijkstra_positions` run.  Distances and paths from ``u``
     are always read off ``u``'s row: on float weights ``distance(u, v)``
     and ``distance(v, u)`` can differ in the last bit, and tied paths
     can differ, so the direction is part of the answer.
@@ -100,7 +108,7 @@ class PathTable:
             [(index[v], w) for v, w in graph.neighbor_weights(node)]
             for node in self.nodes
         ]
-        self._rows: List[Optional[_Row]] = [None] * len(self.nodes)
+        self._rows: List[Optional[PathRow]] = [None] * len(self.nodes)
 
     def positions(self, nodes: Iterable[Node]) -> List[int]:
         """The positions of ``nodes``; a missing node raises."""
@@ -109,11 +117,11 @@ class PathTable:
         except KeyError as missing:
             raise NodeNotFoundError(missing.args[0]) from None
 
-    def row(self, source: int) -> _Row:
+    def row(self, source: int) -> PathRow:
         """``(dist, parent)`` from the node at position ``source``."""
         row = self._rows[source]
         if row is None:
-            row = _dijkstra_parents(self._adjacency, source)
+            row = dijkstra_positions(self._adjacency, source)
             self._rows[source] = row
         return row
 

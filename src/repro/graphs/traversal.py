@@ -1,4 +1,4 @@
-"""Breadth-first / depth-first traversals and k-hop neighborhoods.
+"""Breadth-first traversals: BFS order, hop distances, k-hop neighborhoods.
 
 The distributed algorithm (Sec. IV-C) scopes all control messages —
 CC / TIGHT / SPAN / FREEZE / NADMIN — to a ``k``-hop range (``k = 2`` in the
@@ -9,7 +9,7 @@ that visibility set.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.errors import NodeNotFoundError
 from repro.graphs.graph import Graph, Node
@@ -30,23 +30,6 @@ def bfs_order(graph: Graph, source: Node) -> List[Node]:
                 seen.add(neighbor)
                 queue.append(neighbor)
     return order
-
-
-def bfs_layers(graph: Graph, source: Node) -> Iterator[List[Node]]:
-    """Yield lists of nodes at hop distance 0, 1, 2, ... from ``source``."""
-    if source not in graph:
-        raise NodeNotFoundError(source)
-    seen: Set[Node] = {source}
-    layer = [source]
-    while layer:
-        yield layer
-        next_layer: List[Node] = []
-        for node in layer:
-            for neighbor in graph.neighbors(node):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    next_layer.append(neighbor)
-        layer = next_layer
 
 
 def hop_distances(
@@ -90,21 +73,3 @@ def k_hop_neighborhood(
     if not include_source:
         nodes.discard(source)
     return nodes
-
-
-def dfs_order(graph: Graph, source: Node) -> List[Node]:
-    """Nodes reachable from ``source`` in (iterative) depth-first preorder."""
-    if source not in graph:
-        raise NodeNotFoundError(source)
-    order: List[Node] = []
-    seen: Set[Node] = set()
-    stack = [source]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        order.append(node)
-        # Reversed so traversal visits neighbors in their natural order.
-        stack.extend(reversed(list(graph.neighbors(node))))
-    return order

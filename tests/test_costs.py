@@ -470,6 +470,22 @@ class TestUnreachableTargets:
         with pytest.raises(NodeNotFoundError):
             model.contention_cost(0, "ghost")
 
+    @pytest.mark.parametrize(
+        "policy", [PATH_POLICY_HOPS, PATH_POLICY_CONTENTION]
+    )
+    @pytest.mark.parametrize(
+        "source, target", [("ghost", "ghost"), (0, "ghost"), ("ghost", 0)]
+    )
+    def test_path_of_missing_node_raises_node_not_found(
+        self, split, policy, source, target
+    ):
+        # The same error contention_cost raises for the pair.
+        model = CostModel(split, StorageState(split.nodes(), 5), policy)
+        with pytest.raises(NodeNotFoundError):
+            model.contention_cost(source, target)
+        with pytest.raises(NodeNotFoundError):
+            model.path(source, target)
+
     def test_no_path_error_is_catchable_as_problem_family(self, split):
         from repro.errors import ReproError
 

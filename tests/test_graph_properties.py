@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 from repro.graphs import (
     Graph,
-    bfs_all_hop_counts,
-    dijkstra,
     erdos_renyi_connected,
     grid_graph,
+    hop_distances,
     is_connected,
     kruskal_mst,
-    prim_mst,
     steiner_tree,
     tree_weight,
 )
-from repro.graphs.steiner import dreyfus_wagner
+from repro.graphs.steiner import PathTable, dreyfus_wagner
+from tests.oracles import prim_mst
 
 connected_graphs = st.builds(
     erdos_renyi_connected,
@@ -61,17 +60,18 @@ def test_mst_is_spanning_tree(graph):
 @given(connected_graphs)
 @settings(max_examples=30, deadline=None)
 def test_dijkstra_triangle_inequality(graph):
-    nodes = list(graph.nodes())
-    dist, _ = dijkstra(graph, nodes[0])
+    table = PathTable(graph)
+    dist = table.row(0)[0]
     for u, v, w in graph.edges():
-        assert dist[v] <= dist[u] + w + 1e-9
-        assert dist[u] <= dist[v] + w + 1e-9
+        p, q = table.positions((u, v))
+        assert dist[q] <= dist[p] + w + 1e-9
+        assert dist[p] <= dist[q] + w + 1e-9
 
 
 @given(connected_graphs)
 @settings(max_examples=30, deadline=None)
 def test_hop_counts_bounded_by_nodes(graph):
-    hops = bfs_all_hop_counts(graph, next(iter(graph.nodes())))
+    hops = hop_distances(graph, next(iter(graph.nodes())))
     assert len(hops) == graph.num_nodes
     assert all(0 <= h < graph.num_nodes for h in hops.values())
 

@@ -13,7 +13,6 @@ from repro.graphs import (
     grid_graph,
     is_connected,
     kruskal_mst,
-    prim_mst,
     steiner_tree,
     tree_weight,
 )
@@ -22,6 +21,7 @@ from repro.graphs.steiner import (
     dreyfus_wagner,
     dreyfus_wagner_costs,
 )
+from tests.oracles import prim_mst
 
 
 def _random_weighted(num_nodes: int, seed: int) -> Graph:

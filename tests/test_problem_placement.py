@@ -12,6 +12,7 @@ from repro.core import (
 from repro.errors import ProblemError
 from repro.graphs import Graph, grid_graph
 from repro.workloads import grid_problem
+from tests.oracles import bfs_shortest_path
 
 CONNECTED_MESSAGE = (
     r"^the network graph must be connected \(Sec\. III-A\)$"
@@ -139,8 +140,6 @@ def _manual_placement(problem, caches_by_chunk):
 
 
 def _grid_path(problem, target):
-    from repro.graphs import bfs_shortest_path
-
     return bfs_shortest_path(problem.graph, problem.producer, target)
 
 

@@ -1,18 +1,16 @@
-"""Unit tests for shortest-path algorithms."""
+"""Unit tests for the shortest-path oracles of ``tests/oracles.py``."""
 
 import pytest
 
 from repro.errors import NodeNotFoundError, NoPathError
-from repro.graphs import (
-    Graph,
-    all_pairs_dijkstra,
-    bfs_all_hop_counts,
+from repro.graphs import Graph, grid_graph, hop_distances
+from repro.graphs.steiner import PathTable
+from tests.oracles import (
     bfs_shortest_path,
     bfs_tree,
     dijkstra,
     dijkstra_node_costs,
     floyd_warshall,
-    grid_graph,
     path_from_tree,
 )
 
@@ -45,7 +43,7 @@ class TestBfsPaths:
             bfs_shortest_path(path5, 99, 0)
 
     def test_hop_counts_match_paths(self, grid4):
-        hops = bfs_all_hop_counts(grid4, 0)
+        hops = hop_distances(grid4, 0)
         for target in grid4.nodes():
             assert hops[target] == len(bfs_shortest_path(grid4, 0, target)) - 1
 
@@ -86,10 +84,10 @@ class TestDijkstra:
             dijkstra(grid4, 777)
 
     def test_all_pairs_symmetry(self, triangle):
-        ap = all_pairs_dijkstra(triangle)
+        table = PathTable(triangle)
         for u in triangle.nodes():
             for v in triangle.nodes():
-                assert ap[u][v] == ap[v][u]
+                assert table.distance(u, v) == table.distance(v, u)
 
 
 class TestNodeCostDijkstra:

@@ -140,11 +140,14 @@ def hop_record(graph: Graph) -> Dict[str, str]:
     """One sha256 per topology field over every source of ``graph``."""
     model = CostModel(graph, StorageState(graph.nodes(), CAPACITY))
     rows: Dict[str, List[list]] = {field: [] for field in FIELDS}
-    for row, source in enumerate(graph.nodes()):
+    nodes = list(graph.nodes())
+    for row, source in enumerate(nodes):
         tree = model._hop_tree(source)
-        rows["order"].append([repr(node) for node in tree.parents])
+        parents = model._forest.parent[row, tree.reach].tolist()
+        rows["order"].append([repr(node) for node in tree.keys])
         rows["parents"].append(
-            [[repr(node), repr(parent)] for node, parent in tree.parents.items()]
+            [[repr(node), repr(nodes[parent])]
+             for node, parent in zip(tree.keys, parents)]
         )
         rows["hops"].append(
             [[repr(node), hops] for node, hops in model.hop_counts(source).items()]

@@ -1,13 +1,19 @@
-"""The hop forest and the index-list KMB against their per-node oracles.
+"""The hop forest, the cost model and the index-list KMB against their
+per-node oracles (``tests/oracles.py`` and the dict KMB below).
 
 * :func:`repro.graphs.forest.hop_forest` must give every source exactly
-  the tree of :func:`repro.graphs.bfs_tree` (order, parents, hops) and
-  the Euler ranges of a per-tree DFS layout.
+  the tree of ``bfs_tree`` (order, parents, hops) and the Euler ranges
+  of a per-tree DFS layout.
+* :class:`~repro.core.costs.CostModel` must route ``path()`` along the
+  ``bfs_tree`` paths under ``"hops"``, and along the
+  ``dijkstra_node_costs`` paths, with its distances as the cost rows,
+  under ``"contention"``: on tie-heavy grids and rings, across storage
+  changes.
 * :func:`repro.graphs.steiner_tree` must equal the dict-based KMB kept
   below as the oracle: the same edges, in the same order.  Its
   :class:`~repro.graphs.steiner.PathTable` must give each source the
-  distances and paths of :func:`repro.graphs.dijkstra`, and the closure
-  MST of ``kruskal_mst`` on the oracle's closure graph.
+  distances and paths of ``dijkstra``, and the closure MST of
+  ``kruskal_mst`` on the oracle's closure graph.
 * The local search's descent prices a cache set with KMB too; its cost
   must equal the oracle's closure MST expanded into paths, summed in the
   same canonical edge order, bit for bit.
@@ -19,6 +25,7 @@ derived from a fixed seed (``derandomize=True``).
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List
 
@@ -28,20 +35,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.confl import ConFLInstance
-from repro.core.costs import CostModel
+from repro.core.costs import CostModel, path_contention_cost
 from repro.core.storage import StorageState
-from repro.errors import DisconnectedGraphError, NodeNotFoundError
+from repro.errors import DisconnectedGraphError, NodeNotFoundError, NoPathError
 from repro.graphs import (
     Graph,
-    bfs_tree,
-    dijkstra,
+    cycle_graph,
+    grid_graph,
+    hop_distances,
     kruskal_mst,
-    path_from_tree,
     steiner_tree,
 )
 from repro.exact.local_search import _ChunkObjective
 from repro.graphs.forest import csr_adjacency, hop_forest
 from repro.graphs.steiner import PathTable
+from tests.oracles import (
+    bfs_tree,
+    dijkstra,
+    dijkstra_node_costs,
+    path_from_tree,
+)
 
 LABELS = {
     "int": lambda i: i,
@@ -113,19 +126,124 @@ def test_forest_equals_per_source_bfs(graph):
             assert (getattr(forest, name)[s, outside] == n).all()
 
 
+def assert_paths_follow(model: CostModel, parents: Dict, source) -> None:
+    """``model.path`` from ``source`` walks the oracle tree ``parents``."""
+    for target in model.graph.nodes():
+        if target in parents:
+            assert model.path(source, target) == path_from_tree(
+                parents, source, target
+            )
+        else:
+            with pytest.raises(NoPathError):
+                model.path(source, target)
+
+
 @given(random_graphs())
 @settings(derandomize=True, max_examples=60, deadline=None)
 def test_cost_model_trees_equal_bfs_tree(graph):
     model = CostModel(graph, StorageState(graph.nodes(), 5))
     for source in graph.nodes():
         parents = bfs_tree(graph, source)
-        tree = model._hop_tree(source)
-        assert list(tree.parents.items()) == list(parents.items())
         assert list(model.hop_counts(source)) == list(parents)
-        for target in parents:
-            assert model.path(source, target) == path_from_tree(
-                parents, source, target
+        assert_paths_follow(model, parents, source)
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Grids, rings or both side by side: many equal-length paths.
+
+    Labels are int, str or tuple; nodes and edges go in shuffled order
+    and each edge in a random orientation, so adjacency orders vary.
+    """
+    kind = draw(st.sampled_from(["grid", "ring", "grid+ring"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    base = Graph()
+    if kind != "ring":
+        base = grid_graph(rng.randint(1, 5), rng.randint(2, 5))
+    if kind != "grid":
+        offset = base.num_nodes
+        for u, v, _ in cycle_graph(rng.randint(3, 12)).edges():
+            base.add_edge(u + offset, v + offset)
+    label = LABELS[draw(st.sampled_from(sorted(LABELS)))]
+    nodes = [label(i) for i in base.nodes()]
+    edges = [(label(u), label(v)) for u, v, _ in base.edges()]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    graph = Graph()
+    graph.add_nodes(nodes)
+    for u, v in edges:
+        graph.add_edge(*((u, v) if rng.random() < 0.5 else (v, u)))
+    return graph
+
+
+@given(tie_heavy_graphs(), st.integers(min_value=0, max_value=10**6))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_cost_model_paths_and_rows_equal_oracles(graph, seed):
+    rng = random.Random(seed)
+    nodes = list(graph.nodes())
+    storage = StorageState(nodes, 2)
+    hops = CostModel(graph, storage)
+    contention = CostModel(graph, storage, path_policy="contention")
+    for chunk in range(3):
+        for source in nodes:
+            parents = bfs_tree(graph, source)
+            assert_paths_follow(hops, parents, source)
+            expected = [
+                path_contention_cost(
+                    graph, path_from_tree(parents, source, node), storage
+                ) if node in parents else math.inf
+                for node in nodes
+            ]
+            assert hops.cost_rows([source], nodes)[0].tolist() == expected
+            dist, tree = dijkstra_node_costs(
+                graph, source, contention.node_cost
             )
+            assert_paths_follow(contention, tree, source)
+            expected = [
+                0.0 if node == source else float(dist.get(node, math.inf))
+                for node in nodes
+            ]
+            row = contention.cost_rows([source], nodes)[0]
+            assert row.tolist() == expected
+        # Cache the next chunk on some nodes (evicting where full), then
+        # tell both models which nodes changed.
+        dirty = rng.sample(nodes, rng.randint(1, len(nodes)))
+        for node in dirty:
+            if storage.can_cache(node):
+                storage.add(node, chunk)
+            else:
+                storage.remove(node, next(iter(storage.chunks_at(node))))
+        hops.invalidate(dirty_nodes=dirty)
+        contention.invalidate(dirty_nodes=dirty)
+
+
+def test_tie_heavy_examples_tie_and_disconnect():
+    # The parity above is only as strong as its ties: the examples must
+    # reach nodes with two or more shortest-path predecessors, under hop
+    # counts and under node costs, and must include disconnected graphs.
+    seen = {"hop_tie": 0, "cost_tie": 0, "disconnected": 0}
+
+    @given(tie_heavy_graphs(), st.integers(0, 10**6))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def census(graph, seed):
+        source = next(iter(graph.nodes()))
+        hop = hop_distances(graph, source)
+        cost, _ = dijkstra_node_costs(graph, source, graph.degree)
+        for name, dist, step in (
+            ("hop_tie", hop, lambda v: 1),
+            ("cost_tie", cost, graph.degree),
+        ):
+            seen[name] += any(
+                sum(
+                    dist.get(u) == dist[v] - step(v)
+                    for u in graph.neighbors(v)
+                ) > 1
+                for v in dist
+            )
+        seen["disconnected"] += len(hop) < graph.num_nodes
+
+    census()
+    assert min(seen.values()) >= 10, seen
 
 
 # -- the dict-based KMB, kept as the oracle ----------------------------

@@ -1,17 +1,9 @@
-"""Unit tests for BFS/DFS traversals and k-hop neighborhoods."""
+"""Unit tests for BFS traversals and k-hop neighborhoods."""
 
 import pytest
 
 from repro.errors import NodeNotFoundError
-from repro.graphs import (
-    bfs_layers,
-    bfs_order,
-    dfs_order,
-    grid_graph,
-    hop_distances,
-    k_hop_neighborhood,
-    path_graph,
-)
+from repro.graphs import bfs_order, grid_graph, hop_distances, k_hop_neighborhood
 
 
 class TestBfs:
@@ -25,14 +17,6 @@ class TestBfs:
         with pytest.raises(NodeNotFoundError):
             bfs_order(path5, 99)
 
-    def test_layers_by_distance(self, path5):
-        layers = list(bfs_layers(path5, 0))
-        assert layers == [[0], [1], [2], [3], [4]]
-
-    def test_layers_grid_counts(self, grid4):
-        layers = list(bfs_layers(grid4, 0))
-        assert [len(l) for l in layers] == [1, 2, 3, 4, 3, 2, 1]
-
 
 class TestHopDistances:
     def test_distances_on_path(self, path5):
@@ -41,6 +25,11 @@ class TestHopDistances:
     def test_max_hops_truncates(self, path5):
         dist = hop_distances(path5, 0, max_hops=2)
         assert set(dist) == {0, 1, 2}
+
+    def test_grid_layer_counts(self, grid4):
+        dist = hop_distances(grid4, 0)
+        counts = [list(dist.values()).count(h) for h in range(7)]
+        assert counts == [1, 2, 3, 4, 3, 2, 1]
 
     def test_grid_center_distances(self, grid4):
         dist = hop_distances(grid4, 5)
@@ -73,17 +62,3 @@ class TestKHop:
         center = 12
         assert len(k_hop_neighborhood(g, center, 2)) == 12
 
-
-class TestDfs:
-    def test_preorder_starts_at_source(self, grid4):
-        assert dfs_order(grid4, 3)[0] == 3
-
-    def test_visits_all(self, grid4):
-        assert sorted(dfs_order(grid4, 0)) == sorted(grid4.nodes())
-
-    def test_missing_source_raises(self):
-        with pytest.raises(NodeNotFoundError):
-            dfs_order(path_graph(3), 42)
-
-    def test_path_dfs_is_linear(self, path5):
-        assert dfs_order(path5, 0) == [0, 1, 2, 3, 4]
