@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.commit import nearest_server_assignment
 from repro.core.costs import CostModel
 from repro.core.placement import CachePlacement
@@ -43,10 +45,11 @@ def sorted_percentile(ordered: Sequence[float], p: float) -> float:
     """:func:`percentile` of ``ordered``, already in ascending order.
 
     A caller that needs several quantiles of one sample sorts it once.
+    ``ordered`` may be a list or a float64 array.
     """
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
-    if not ordered:
+    if not len(ordered):
         return 0.0
     if len(ordered) == 1:
         return ordered[0]
@@ -57,6 +60,23 @@ def sorted_percentile(ordered: Sequence[float], p: float) -> float:
         return ordered[low]
     frac = rank - low
     return ordered[low] * (1 - frac) + ordered[high] * frac
+
+
+def left_sum(values: Sequence[float]) -> float:
+    """``((0.0 + v0) + v1) + ...``: the float sum of ``values``, one
+    left fold.
+
+    Builtin ``sum`` computes exactly this on CPython 3.10 and 3.11
+    (its ``0`` start turns into ``0.0`` at the first float, so a lone
+    ``-0.0`` sums to ``0.0``), but 3.12 switched it to compensated
+    summation.  Report figures folded here keep their bits on every
+    Python minor version.  ``values`` is a list, an ``array("d")`` or a
+    float64 array; ``np.add.accumulate`` adds left to right, one value
+    at a time (``np.sum`` would add pairwise).
+    """
+    folded = np.concatenate(([0.0], np.asarray(values, dtype=np.float64)))
+    np.add.accumulate(folded, out=folded)
+    return float(folded[-1])
 
 
 @dataclass(frozen=True)
@@ -74,7 +94,7 @@ class LatencyReport:
     def mean(self) -> float:
         if not self.fetch_latencies:
             return 0.0
-        return sum(self.fetch_latencies) / len(self.fetch_latencies)
+        return left_sum(self.fetch_latencies) / len(self.fetch_latencies)
 
     @property
     def maximum(self) -> float:

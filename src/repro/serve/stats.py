@@ -25,7 +25,9 @@ from typing import Any, Dict, Hashable, List, Mapping, Sequence
 
 import json
 
-from repro.delay.latency import sorted_percentile
+import numpy as np
+
+from repro.delay.latency import left_sum, sorted_percentile
 from repro.metrics.fairness import gini_coefficient, jains_index
 
 Node = Hashable
@@ -145,9 +147,14 @@ def build_report(
     from the fairness figures, mirroring
     :func:`repro.metrics.fairness.placement_loads`.
     """
-    completed = len(latencies)
-    # One sort serves every quantile and the maximum.
-    ordered = sorted(latencies)
+    # The tallies as float64 columns: a view of an ``array("d")``, a
+    # copy of a list.  One sort serves every quantile and the maximum;
+    # both means are one left fold each, so every report bit is the
+    # same on every Python minor version.
+    latency = np.asarray(latencies, dtype=np.float64)
+    queue_delay = np.asarray(queue_delays, dtype=np.float64)
+    completed = len(latency)
+    ordered = np.sort(latency)
     producer_served = int(served_loads.get(producer, 0))
     client_loads: List[int] = [
         count
@@ -167,13 +174,14 @@ def build_report(
         self_served=self_served,
         makespan=makespan,
         throughput=(completed / makespan) if makespan > 0 else 0.0,
-        latency_mean=(sum(latencies) / completed) if completed else 0.0,
-        latency_p50=sorted_percentile(ordered, 50.0),
-        latency_p95=sorted_percentile(ordered, 95.0),
-        latency_p99=sorted_percentile(ordered, 99.0),
-        latency_max=ordered[-1] if ordered else 0.0,
+        latency_mean=(left_sum(latency) / completed) if completed else 0.0,
+        latency_p50=float(sorted_percentile(ordered, 50.0)),
+        latency_p95=float(sorted_percentile(ordered, 95.0)),
+        latency_p99=float(sorted_percentile(ordered, 99.0)),
+        latency_max=float(ordered[-1]) if completed else 0.0,
         queue_delay_mean=(
-            sum(queue_delays) / len(queue_delays) if queue_delays else 0.0
+            left_sum(queue_delay) / len(queue_delay)
+            if len(queue_delay) else 0.0
         ),
         served_gini=gini_coefficient(client_loads),
         served_jains=jains_index(client_loads),

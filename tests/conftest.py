@@ -13,6 +13,8 @@ import os
 CALLER_SANITIZE = os.environ.get("REPRO_SANITIZE")
 os.environ.setdefault("REPRO_SANITIZE", "1")
 
+import builtins
+import sys
 from collections import Counter
 from functools import cache
 
@@ -21,6 +23,7 @@ import pytest
 from repro.experiments import REGISTRY
 from repro.graphs import Graph, grid_graph, path_graph
 from repro.workloads import grid_problem
+from tests.py312_sum import neumaier_sum
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -56,6 +59,20 @@ def experiment_runs():
 def experiment_result(experiment_runs):
     """``experiment_result(id)``: the fast-mode result, run on first use."""
     return cache(lambda experiment_id: REGISTRY[experiment_id](fast=True))
+
+
+@pytest.fixture
+def py312_sum(monkeypatch):
+    """Builtin ``sum`` as CPython 3.12+ computes it, on every version.
+
+    Before 3.12, ``builtins.sum`` is swapped for the Neumaier
+    compensated sum of :mod:`tests.py312_sum` for the test; on 3.12+
+    the real ``sum`` already is that and is left alone.  Returns the
+    ``sum`` in force.
+    """
+    if sys.version_info < (3, 12):
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    return builtins.sum
 
 
 @pytest.fixture
